@@ -13,7 +13,13 @@ Pairings with indicator functions reduce to finite sums: per factor, a
 wavelet term contributes only when its ball lies strictly above the argument
 ball or strictly above the anchor ball, and at most up to their sup; all
 higher terms cancel exactly.  ``eval_on_char_nd`` implements that closed
-form; the honest all-terms summation lives in the test suite as its oracle.
+form.  It looks the stored coefficients up by vertex and visits only the
+candidate balls on each factor's path (the anchor ball and the strict
+ancestors of the argument and of the anchor up to their sup), so a pairing
+costs O(depth**n) lookups whatever the number of stored coefficients.  The
+candidates are visited in sorted key order, so the sum is the one the
+all-terms scan gives, bit for bit; that honest all-terms summation lives in
+the test suite as its oracle.
 
 A Lizorkin series is the same coefficient data without an anchor, restricted
 to true wavelet indices (all ``j[i] >= 1``); it pairs with mean-zero
@@ -22,7 +28,10 @@ expansions coefficient by coefficient.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import AnchorError, DomainError, ParameterError
@@ -32,6 +41,7 @@ from .trees import BallTree
 from .wavelets import Wavelet, WaveletExpansion, TestFunction, synthesize, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+VertexIndex = dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]]  # vertex -> [(j, c)]
 
 MEAN_ZERO_RTOL = 1e-12
 
@@ -103,13 +113,17 @@ class GeneralizedFunction:
             if tree.measure[b] <= 0.0:
                 raise AnchorError(f"anchor ball {b} has zero measure")
         self._basis: dict[tuple[int, int], list[Wavelet]] = {}
-        self.coeffs: dict[Key, complex] = {}
+        stored: dict[Key, complex] = {}
         for key, c in (coeffs or {}).items():
             k = _as_nd_key(key)
             self._check_key(k)
-            self.coeffs[k] = complex(c)
+            stored[k] = complex(c)
         if anchor_value is not None:
-            self.coeffs[self.anchor_key] = complex(anchor_value)
+            stored[self.anchor_key] = complex(anchor_value)
+        # read-only, so the cached order and vertex index below never go stale
+        self.coeffs: Mapping[Key, complex] = MappingProxyType(stored)
+        self._items: tuple[tuple[Key, complex], ...] | None = None
+        self._by_vertex: VertexIndex | None = None
 
     @property
     def n(self) -> int:
@@ -154,14 +168,30 @@ class GeneralizedFunction:
 
     def wavelet_items(self):
         """Stored coefficients at true wavelet indices (every j >= 1)."""
-        return [
-            (key, c)
-            for key, c in sorted(self.coeffs.items(), key=lambda kv: _key_order(kv[0]))
-            if all(ji >= 1 for ji in key[1])
-        ]
+        return [(key, c) for key, c in self.items() if all(ji >= 1 for ji in key[1])]
 
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _key_order(kv[0]))
+    def items(self) -> tuple[tuple[Key, complex], ...]:
+        """Stored coefficients in sorted key order, sorted once and cached.
+
+        Every vertex component is a checked ball id, so plain tuple order is
+        the ``_key_order`` order.
+        """
+        if self._items is None:
+            self._items = tuple(sorted(self.coeffs.items(), key=itemgetter(0)))
+        return self._items
+
+    def _coeffs_by_vertex(self) -> VertexIndex:
+        """Nonzero stored coefficients grouped by vertex, each group in sorted j order.
+
+        Built from ``items()`` on first use and cached.
+        """
+        if self._by_vertex is None:
+            index: VertexIndex = {}
+            for (vertex, j), c in self.items():
+                if c != 0:
+                    index.setdefault(vertex, []).append((j, c))
+            self._by_vertex = index
+        return self._by_vertex
 
     @classmethod
     def one_dim(
@@ -175,47 +205,68 @@ class GeneralizedFunction:
         return cls([tree], (anchor_ball,), nd, anchor_value)
 
 
-def _indicator_integral(tree: BallTree, ball: int, values: Mapping[int, complex], target: int) -> complex:
+def _toward(tree: BallTree, ball: int, top: int) -> dict[int, int]:
+    """Each strict ancestor of ``ball`` inside ``top``, mapped to its maximal subball containing ``ball``."""
+    out = {}
+    while ball != top:
+        out[tree.parent[ball]] = ball
+        ball = tree.parent[ball]
+    return out
+
+
+def _indicator_integral(
+    tree: BallTree, ball: int, values: Mapping[int, complex], target: int, toward: dict[int, int]
+) -> complex:
     """Integral of the ball's wavelet over the target ball.
 
     Nonzero only when the target sits strictly inside the wavelet's ball, in
-    which case the wavelet is constant on it.
+    which case the wavelet is constant on it.  ``toward`` is
+    ``_toward(tree, target, top)`` for some ``top`` containing ``ball``.
     """
-    if target == ball or not tree.is_ancestor(ball, target):
-        return 0.0 + 0.0j
-    return values[tree.child_toward(ball, target)] * tree.measure[target]
+    child = toward.get(ball)
+    return 0.0 + 0.0j if child is None else values[child] * tree.measure[target]
 
 
 def eval_on_char_nd(u: GeneralizedFunction, vertex: Sequence[int]) -> complex:
-    """Pairing with the indicator of a product ball, via the finite closed form."""
+    """Pairing with the indicator of a product ball, via the finite closed form.
+
+    Per factor only the anchor ball and the strict ancestors of the argument
+    and of the anchor up to their sup can carry a nonzero term.  The product
+    of those candidate balls is walked in sorted order and each vertex is
+    looked up in ``u._coeffs_by_vertex()``, so the terms are added in the
+    sorted key order of an all-terms scan (whose other terms are exactly 0j).
+    """
     vertex = tuple(vertex)
     if len(vertex) != u.n:
         raise ParameterError(f"vertex arity {len(vertex)} does not match {u.n} factors")
-    for tree, b in zip(u.factors, vertex):
-        tree.check_ball(b)
-    sups = [tree.sup(b, a) for tree, b, a in zip(u.factors, vertex, u.anchor)]
+    vertex = tuple(tree.check_ball(b) for tree, b in zip(u.factors, vertex))
+    index = u._coeffs_by_vertex()
+    paths = []
+    for tree, b0, a0 in zip(u.factors, vertex, u.anchor):
+        s = tree.sup(b0, a0)
+        paths.append((_toward(tree, b0, s), _toward(tree, a0, s)))
+    candidates = [sorted({a0, *up_arg, *up_anchor})
+                  for a0, (up_arg, up_anchor) in zip(u.anchor, paths)]
     total = 0.0 + 0.0j
-    for (kv, kj), c in u.items():  # sorted: summation order independent of construction
-        if c == 0:
-            continue
-        term = c
-        for i in range(u.n):
-            tree = u.factors[i]
-            ball, ji = kv[i], kj[i]
-            b0, a0, s = vertex[i], u.anchor[i], sups[i]
-            if ji == 0:
-                term *= tree.measure[b0]
-                continue
-            above_arg = ball != b0 and tree.is_ancestor(ball, b0)
-            above_anchor = ball != a0 and tree.is_ancestor(ball, a0)
-            if not ((above_arg or above_anchor) and tree.is_ancestor(s, ball)):
-                term = 0.0 + 0.0j
-                break
-            w = u.factor_basis(i, ball)[ji - 1]
-            term *= _indicator_integral(tree, ball, w.values, b0) - (
-                tree.measure[b0] / tree.measure[a0]
-            ) * _indicator_integral(tree, ball, w.values, a0)
-        total += term
+    for kv in itertools.product(*candidates):
+        for kj, c in index.get(kv, ()):
+            term = c
+            for i in range(u.n):
+                tree = u.factors[i]
+                ball, ji = kv[i], kj[i]
+                b0, a0 = vertex[i], u.anchor[i]
+                up_arg, up_anchor = paths[i]
+                if ji == 0:
+                    term *= tree.measure[b0]
+                    continue
+                if ball not in up_arg and ball not in up_anchor:
+                    break  # the all-terms scan adds exactly 0j for this key
+                values = u.factor_basis(i, ball)[ji - 1].values
+                term *= _indicator_integral(tree, ball, values, b0, up_arg) - (
+                    tree.measure[b0] / tree.measure[a0]
+                ) * _indicator_integral(tree, ball, values, a0, up_anchor)
+            else:
+                total += term
     return complex(total)
 
 
@@ -232,6 +283,7 @@ def eval_on_product(u: GeneralizedFunction, factor_values: Sequence[Mapping[int,
     masses = []
     for tree, fv in zip(u.factors, factor_values):
         masses.append(sum(complex(fv[x]) * tree.measure[x] for x in sorted(fv)))
+    up_anchor = [_toward(tree, a0, tree.root) for tree, a0 in zip(u.factors, u.anchor)]
     total = 0.0 + 0.0j
     for (kv, kj), c in u.items():
         if c == 0:
@@ -254,7 +306,7 @@ def eval_on_product(u: GeneralizedFunction, factor_values: Sequence[Mapping[int,
                     complex(fv.get(x, 0.0)) * tree.measure[x] for x in tree.leaves_under(child)
                 )
             a0 = u.anchor[i]
-            anchored = _indicator_integral(tree, ball, w.values, a0)
+            anchored = _indicator_integral(tree, ball, w.values, a0, up_anchor[i])
             term *= integral - masses[i] / tree.measure[a0] * anchored
             if term == 0:
                 break

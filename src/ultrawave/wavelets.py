@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -208,6 +209,13 @@ def synthesize(
     Coefficients may sit on non-minimal members of the subtree or on strict
     ancestors of its top ball (where the wavelet is constant on the domain);
     anything else cannot be represented and raises DomainError.
+
+    Each target walks its parent chain once and collects the terms of the
+    coefficients stored at its strict ancestors, so the cost is
+    O(targets x depth) whatever the number of coefficients.  The terms are
+    added to the constant in the insertion order of ``expansion.coeffs``,
+    the order of a scan over every coefficient, so the values do not depend
+    on the walk.
     """
     targets = subtree.minimal if subtree is not None else tree.leaves
     top = subtree.top if subtree is not None else tree.root
@@ -223,16 +231,23 @@ def synthesize(
         if not (1 <= j <= len(basis_cache[ball])):
             raise DomainError(f"no wavelet with index {j} at ball {ball}")
 
+    # nonzero coefficients by ball, each with its rank in expansion.coeffs
+    by_ball: dict[int, list[tuple[int, complex, Mapping[int, complex]]]] = {}
+    for rank, ((ball, j), c) in enumerate(expansion.coeffs.items()):
+        if c != 0:
+            by_ball.setdefault(ball, []).append((rank, c, basis_cache[ball][j - 1].values))
     const = expansion.mean * normalized_constant(tree)
     values: dict[int, complex] = {}
     for t in targets:
+        terms = []
+        child, ball = t, tree.parent[t]
+        while ball is not None:
+            for rank, c, w in by_ball.get(ball, ()):
+                terms.append((rank, c * w[child]))
+            child, ball = ball, tree.parent[ball]
+        terms.sort(key=itemgetter(0))
         acc = complex(const)
-        for (ball, j), c in expansion.coeffs.items():
-            if c == 0:
-                continue
-            if ball == t or not tree.is_ancestor(ball, t):
-                continue
-            w = basis_cache[ball][j - 1]
-            acc += c * w.values[tree.child_toward(ball, t)]
+        for _, term in terms:
+            acc += term
         values[t] = acc
     return TestFunction(tree, values, subtree)

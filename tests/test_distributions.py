@@ -17,8 +17,9 @@ from ultrawave.distributions import (
     extended_leaf_values,
     lizorkin_pair,
 )
-from ultrawave.errors import AnchorError, DomainError
+from ultrawave.errors import AnchorError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import TableSymbol, apply_dense, spectrum
+from ultrawave.products import vertex_key
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
@@ -92,6 +93,76 @@ def naive_eval_on_char_nd(u, vertex):
             ) * brute_indicator_integral(tree, w, u.anchor[i])
         total += term
     return total
+
+
+def scan_eval_on_char_nd(u, vertex):
+    """Reference: the closed form summed over every stored coefficient.
+
+    Terms are added in sorted key order and a term outside the closed form's
+    range contributes exactly ``0j``.
+    """
+
+    def integral(tree, ball, values, target):
+        if target == ball or not tree.is_ancestor(ball, target):
+            return 0.0 + 0.0j
+        return values[tree.child_toward(ball, target)] * tree.measure[target]
+
+    sups = [tree.sup(b, a) for tree, b, a in zip(u.factors, vertex, u.anchor)]
+    total = 0.0 + 0.0j
+    for (kv, kj), c in sorted(u.coeffs.items(), key=lambda kc: (vertex_key(kc[0][0]), kc[0][1])):
+        if c == 0:
+            continue
+        term = c
+        for i, tree in enumerate(u.factors):
+            ball, ji = kv[i], kj[i]
+            b0, a0, s = vertex[i], u.anchor[i], sups[i]
+            if ji == 0:
+                term *= tree.measure[b0]
+                continue
+            above_arg = ball != b0 and tree.is_ancestor(ball, b0)
+            above_anchor = ball != a0 and tree.is_ancestor(ball, a0)
+            if not ((above_arg or above_anchor) and tree.is_ancestor(s, ball)):
+                term = 0.0 + 0.0j
+                break
+            w = wavelet_basis(tree, ball)[ji - 1]
+            term *= integral(tree, ball, w.values, b0) - (
+                tree.measure[b0] / tree.measure[a0]
+            ) * integral(tree, ball, w.values, a0)
+        total += term
+    return complex(total)
+
+
+def bits(z):
+    """Exact bit pattern of a complex number (tells -0.0 from 0.0)."""
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def random_product_function(rng, n, n_keys):
+    """Random ``conftest`` factor trees with a random anchor and extended coefficients.
+
+    Keys are drawn at random, so they are inserted in no particular order;
+    every seventh one is stored as zero.
+    """
+    shape = {1: (4, 3), 2: (3, 3), 3: (2, 3)}[n]
+    trees = [random_measured_tree(rng, max_depth=shape[0], max_branching=shape[1]) for _ in range(n)]
+    inner = [b for b in trees[0].non_leaf_balls() if b != trees[0].root]
+    while not inner:
+        trees[0] = random_measured_tree(rng, max_depth=shape[0], max_branching=shape[1])
+        inner = [b for b in trees[0].non_leaf_balls() if b != trees[0].root]
+    # factor 0 anchors strictly between root and leaves; the others anywhere
+    anchor = (int(rng.choice(inner)),) + tuple(int(rng.choice(t.n_vertices)) for t in trees[1:])
+    entries = []
+    for tree, a0 in zip(trees, anchor):
+        fam = [(a0, 0)] + [(w.ball, w.j) for w in tree_wavelets(tree)]
+        entries.append(fam)
+    coeffs = {}
+    for _ in range(n_keys):
+        combo = [fam[int(rng.integers(len(fam)))] for fam in entries]
+        key = (tuple(b for b, _ in combo), tuple(j for _, j in combo))
+        coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
+    for key in list(coeffs)[::7]:
+        coeffs[key] = 0.0
+    return GeneralizedFunction(trees, anchor, coeffs, complex(rng.standard_normal()))
 
 
 class TestEvalOnChar:
@@ -196,6 +267,57 @@ class TestEvalNd:
         with pytest.raises(DomainError):
             # j = 0 away from the anchor component
             GeneralizedFunction([t1, t2], (0, 0), coeffs={((1, 0), (0, 1)): 1.0})
+
+
+class TestPathIndexedPairing:
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(4)])
+    def test_equals_all_coefficient_scan_exactly(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
+        u = random_product_function(rng, n, n_keys=40)
+        seen = set()
+        for v in itertools.product(*(range(t.n_vertices) for t in u.factors)):
+            assert bits(eval_on_char_nd(u, v)) == bits(scan_eval_on_char_nd(u, v)), v
+            for tree, b, a in zip(u.factors, v, u.anchor):
+                if b != a and tree.is_ancestor(b, a):
+                    seen.add("argument contains anchor")
+                if b != a and tree.is_ancestor(a, b):
+                    seen.add("anchor contains argument")
+                seen.add("leaf" if tree.is_leaf(b) else "inner")
+                if b == tree.root:
+                    seen.add("root")
+        assert seen == {"argument contains anchor", "anchor contains argument", "leaf", "inner", "root"}
+
+    def test_numpy_integer_ids(self):
+        rng = np.random.default_rng(7)
+        u = random_product_function(rng, 2, n_keys=60)
+        for v in itertools.product(*(range(t.n_vertices) for t in u.factors)):
+            v_np = tuple(np.int64(b) for b in v)
+            assert bits(eval_on_char_nd(u, v_np)) == bits(scan_eval_on_char_nd(u, v))
+
+    def test_bad_queries_raise_before_and_after_index(self):
+        t1, t2 = build_padic_tree(2, 2), build_padic_tree(3, 1)
+        u = GeneralizedFunction([t1, t2], (3, 1), coeffs={((0, 0), (1, 1)): 2.0}, anchor_value=1.0)
+        for _ in range(2):  # the first pass runs before any pairing builds the index
+            with pytest.raises(ParameterError):
+                eval_on_char_nd(u, (0,))
+            with pytest.raises(ParameterError):
+                eval_on_char_nd(u, (0, 0, 0))
+            with pytest.raises(UnknownBallError):
+                eval_on_char_nd(u, (0, t2.n_vertices))
+            with pytest.raises(UnknownBallError):
+                eval_on_char_nd(u, (-1, 0))
+            with pytest.raises(UnknownBallError):
+                eval_on_char_nd(u, (0.0, 0))
+            assert bits(eval_on_char_nd(u, (4, 2))) == bits(scan_eval_on_char_nd(u, (4, 2)))
+
+    def test_coefficients_are_read_only(self):
+        t = build_padic_tree(2, 2)
+        u = GeneralizedFunction.one_dim(t, 3, anchor_value=1.0, coeffs={(0, 1): 2.0})
+        eval_on_char(u, 4)
+        with pytest.raises(TypeError):
+            u.coeffs[((1,), (1,))] = 5.0
+        assert u.items() == ((((0,), (1,)), 2.0 + 0j), (((3,), (0,)), 1.0 + 0j))
+        assert u.wavelet_items() == [(((0,), (1,)), 2.0 + 0j)]
 
 
 class TestApplyOperator:

@@ -21,6 +21,39 @@ from ultrawave.wavelets import (
 )
 
 
+def scan_synthesize(tree, expansion, subtree=None):
+    """Reference: each target sums every coefficient in insertion order."""
+    targets = subtree.minimal if subtree is not None else tree.leaves
+    const = expansion.mean * normalized_constant(tree)
+    values = {}
+    for t in targets:
+        acc = complex(const)
+        for (ball, j), c in expansion.coeffs.items():
+            if c == 0:
+                continue
+            if ball == t or not tree.is_ancestor(ball, t):
+                continue
+            w = wavelet_basis(tree, ball)[j - 1]
+            acc += c * w.values[tree.child_toward(ball, t)]
+        values[t] = acc
+    return values
+
+
+def bits(values):
+    """Exact bit patterns of a map of complex values (tells -0.0 from 0.0)."""
+    return {k: (float(z.real).hex(), float(z.imag).hex()) for k, z in values.items()}
+
+
+def random_subtree(rng, tree):
+    """A ball of the tree with all its descendants down to a random depth below it."""
+    top = int(rng.choice(tree.non_leaf_balls()))
+    members, frontier = {top}, [top]
+    for _ in range(int(rng.integers(1, 4))):
+        frontier = [c for b in frontier for c in tree.children[b]]
+        members.update(frontier)
+    return RegularSubtree(tree, members)
+
+
 def basis_matrix(tree):
     """Rows: all wavelets plus the normalized constant, sampled on the leaves."""
     rows = []
@@ -154,6 +187,52 @@ class TestAnalyzeSynthesize:
         g = synthesize(t, e, sub)
         for b in sub.minimal:
             assert abs(g.values[b] - f.values[b]) < 1e-12
+
+
+class TestSynthesizeOrder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_per_leaf_scan_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_measured_tree(rng, max_depth=5, max_branching=3)
+        subtree = random_subtree(rng, t) if seed % 3 == 2 else None
+        e = analyze(t, random_leaf_function(rng, t))
+        if subtree is not None:
+            allowed = {b for b in subtree.members if b not in subtree.minimal}
+            allowed.update(t.ancestors(subtree.top))
+            e = WaveletExpansion(e.mean, {k: c for k, c in e.coeffs.items() if k[0] in allowed})
+        keys = list(e.coeffs)
+        if seed % 3 >= 1:
+            keys = [keys[i] for i in rng.permutation(len(keys))]
+        coeffs = {k: e.coeffs[k] for k in keys}
+        for k in keys[::5]:
+            coeffs[k] = 0.0
+        shuffled = WaveletExpansion(e.mean, coeffs)
+        got = synthesize(t, shuffled, subtree)
+        assert bits(got.values) == bits(scan_synthesize(t, shuffled, subtree))
+
+    def test_insertion_order_is_the_summation_order(self):
+        t = build_padic_tree(2, 3)
+        e = analyze(t, random_leaf_function(np.random.default_rng(4), t))
+        for order in (list(e.coeffs), list(reversed(list(e.coeffs)))):
+            ex = WaveletExpansion(e.mean, {k: e.coeffs[k] for k in order})
+            assert bits(synthesize(t, ex).values) == bits(scan_synthesize(t, ex))
+
+    def test_domain_errors_unchanged(self):
+        t = build_padic_tree(2, 3)
+        sub = RegularSubtree(t, {1, 3, 4})
+        with pytest.raises(DomainError, match="outside the synthesis domain"):
+            synthesize(t, WaveletExpansion(0.0, {(2, 1): 1.0}), sub)  # sibling of the top
+        with pytest.raises(DomainError, match="outside the synthesis domain"):
+            synthesize(t, WaveletExpansion(0.0, {(3, 1): 1.0}), sub)  # minimal member
+        with pytest.raises(DomainError, match="outside the synthesis domain"):
+            synthesize(t, WaveletExpansion(0.0, {(7, 1): 1.0}), sub)  # below the subtree
+        for j in (0, 2, -1):
+            with pytest.raises(DomainError, match=f"no wavelet with index {j} at ball 0"):
+                synthesize(t, WaveletExpansion(0.0, {(0, j): 1.0}))
+            with pytest.raises(DomainError, match=f"no wavelet with index {j} at ball 0"):
+                synthesize(t, WaveletExpansion(0.0, {(0, j): 1.0}), sub)  # ancestor of the top
+        g = synthesize(t, WaveletExpansion(0.5, {(0, 1): 1.0, (1, 1): 0.0}), sub)
+        assert bits(g.values) == bits(scan_synthesize(t, WaveletExpansion(0.5, {(0, 1): 1.0}), sub))
 
 
 @settings(max_examples=30, deadline=None)
