@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .distributions import eval_on_char_nd
 from .errors import (
@@ -152,10 +152,10 @@ def _cmd_characteristics(config: RunConfig) -> int:
 def _cmd_solve(config: RunConfig) -> int:
     path = _require(config.input or config.problem, "a problem file")
     problem, _trees = load_problem(path)
-    if config.epsilon is not None:
-        problem.epsilon = config.epsilon
-    if config.seed is not None:
-        problem.free_values = config.seed
+    overrides = {"epsilon": config.epsilon, "free_values": config.seed}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    if overrides:
+        problem = replace(problem, **overrides)  # re-runs the problem's checks
     sol = solve(problem)
     text = write_json(solution_to_obj(sol), config.out)
     if not config.out:

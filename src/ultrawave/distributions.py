@@ -142,14 +142,14 @@ class GeneralizedFunction:
         if len(vertex) != self.n or len(j) != self.n:
             raise ParameterError(f"key {key} does not have arity {self.n}")
         for i, (tree, b, ji) in enumerate(zip(self.factors, vertex, j)):
-            tree.check_ball(b)
+            ball = tree.check_ball(b)
             if ji == 0:
                 if b != self.anchor[i]:
                     raise DomainError(
                         f"index {key}: j=0 components exist only at the anchor ball of factor {i}"
                     )
             elif ji >= 1:
-                if tree.is_leaf(b):
+                if not tree.children[ball]:
                     raise DomainError(f"index {key}: wavelets do not attach to the minimal ball {b}")
                 if ji > len(self.factor_basis(i, b)):
                     raise DomainError(f"index {key}: no wavelet with index {ji} at ball {b}")

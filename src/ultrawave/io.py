@@ -35,14 +35,6 @@ def _read_json(path: str) -> Any:
         raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", location=path) from exc
 
 
-def _write_json(obj: Any, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=False)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
-
-
 def _complex_of(entry: Mapping[str, Any], location: str) -> complex:
     try:
         return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
@@ -381,7 +373,16 @@ def load_problem(path: str) -> tuple[CauchyProblem, list[BallTree]]:
 
 
 def write_json(obj: Any, path: str | None) -> str:
-    return _write_json(obj, path)
+    """Compact single-line JSON, written to ``path`` (with a newline) when given.
+
+    Without ``indent`` CPython serializes with its C encoder; an indented
+    dump falls back to the pure-Python one.
+    """
+    text = json.dumps(obj)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def fmt17(x: float) -> str:

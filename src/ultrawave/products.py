@@ -378,15 +378,34 @@ class MultiOperator:
             total += coeff * math.prod((lams[i] for i in indices), start=1.0 + 0.0j)
         return complex(total)
 
-    def term_scale(self, lams: Sequence[complex]) -> float:
-        """Largest term magnitude at a vector; 1.0 when every term vanishes."""
-        best = 0.0
-        for indices, coeff in self.terms:
-            mag = abs(coeff)
-            for i in indices:
-                mag *= abs(lams[i])
-            best = max(best, mag)
-        return best if best > 0.0 else 1.0
+    def form_arrays(
+        self, re: Sequence[np.ndarray], im: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``form`` and the term scale over arrays of per-factor eigenvalues.
+
+        ``re[i]`` and ``im[i]`` hold factor i's eigenvalues (from
+        ``factor_eigenvalue``); all of them broadcast together.  Returns the
+        real part, the imaginary part and the term scale (the largest term
+        magnitude, 1.0 where every term vanishes) at every point, bit for bit
+        what ``form`` and ``abs`` give on Python ``complex``.  numpy's complex
+        multiply and ``abs`` fuse operations in their SIMD loops and can differ
+        in the last bit, so each product is spelled out on float arrays in
+        CPython's order, starting from ``1+0j`` as ``math.prod`` does, and
+        magnitudes are taken with ``np.hypot``.
+        """
+        shape = np.broadcast_shapes(*(np.shape(a) for a in (*re, *im)))
+        mags = [np.hypot(r, i) for r, i in zip(re, im)]
+        total_re, total_im, best = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for indices, coeff in self.terms:
+                p_re, p_im, mag = 1.0, 0.0, abs(coeff)
+                for i in indices:
+                    p_re, p_im = p_re * re[i] - p_im * im[i], p_re * im[i] + p_im * re[i]
+                    mag = mag * mags[i]
+                total_re = total_re + (coeff.real * p_re - coeff.imag * p_im)
+                total_im = total_im + (coeff.real * p_im + coeff.imag * p_re)
+                best = np.where(mag > best, mag, best)  # max(best, mag): a NaN mag never wins
+        return total_re, total_im, np.where(best > 0.0, best, 1.0)
 
     def eigenvalue(self, vertex: Vertex) -> complex:
         return self.form(self.lambda_vector(vertex))

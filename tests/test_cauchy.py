@@ -7,19 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_measured_tree, random_table_symbol
+from ultrawave import solver
 from ultrawave.distributions import (
+    GeneralizedFunction,
     LizorkinSeries,
     apply_operator,
     eval_extended,
     eval_on_char,
     eval_on_char_nd,
 )
-from ultrawave.errors import IllConditionedError, UnsolvableError
+from ultrawave.errors import DegenerateBallError, DomainError, IllConditionedError, UnsolvableError
 from ultrawave.operators import TableSymbol, apply_dense, spectrum
-from ultrawave.products import MultiOperator
-from ultrawave.solver import CauchyProblem, characteristics, check_solvability, solve
+from ultrawave.products import MultiOperator, vertex_key
+from ultrawave.solver import (
+    CauchyProblem,
+    Characteristic,
+    FreeParam,
+    ResidualReport,
+    Solution,
+    SolvabilityViolation,
+    _free_value_source,
+    characteristics,
+    check_solvability,
+    solve,
+)
 from ultrawave.trees import build_padic_tree
-from ultrawave.wavelets import TestFunction, analyze
+from ultrawave.wavelets import TestFunction, analyze, wavelet_basis
 
 
 def two_level_operator():
@@ -293,3 +306,211 @@ def test_random_2d_residual_and_boundary(seed):
         assert abs(got - value * measure_factor) <= 1e-12 * max(1.0, abs(value * measure_factor))
     expected = problem.anchor_value * t1.measure[anchor[0]] * t2.measure[anchor[1]]
     assert abs(eval_on_char_nd(sol.u, anchor) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+# -- oracle: the per-vertex classification and apply_operator residual -------
+#
+# ``_reference_classify`` / ``_reference_solve`` are the per-vertex Python
+# arithmetic (``lambda_vector`` -> ``form`` and the term scale) and the
+# residual through ``apply_operator``.  The grid kernel in ``solve`` must give
+# the same characteristic set, quotients, free parameters, residual and
+# errors, compared by ``repr`` so that the last bit and the sign of zero count.
+
+
+def _reference_term_scale(op, lams):
+    best = 0.0
+    for indices, coeff in op.terms:
+        mag = abs(coeff)
+        for i in indices:
+            mag *= abs(lams[i])
+        best = max(best, mag)
+    return best if best > 0.0 else 1.0
+
+
+def _reference_classify(op, epsilon):
+    lam_map, chars = {}, []
+    for v in op.space().generic_vertices(augmented=False):
+        lams = op.lambda_vector(v)
+        lam = op.form(lams)
+        scale = _reference_term_scale(op, lams)
+        lam_map[v] = (lam, scale)
+        if abs(lam) <= epsilon * scale:
+            chars.append(Characteristic(v, lam, scale))
+    chars.sort(key=lambda c: vertex_key(c.vertex))
+    return lam_map, chars
+
+
+def _reference_solve(problem):
+    op = problem.operator
+    trees = [t for t, _ in op.factors]
+    lam_map, chars = _reference_classify(op, problem.epsilon)
+    char_set = {c.vertex for c in chars}
+    fnorm = problem.rhs.norm_inf()
+    threshold = problem.epsilon * fnorm
+    violations = [
+        SolvabilityViolation(vertex, j, abs(c), threshold)
+        for (vertex, j), c in problem.rhs.items()
+        if vertex in char_set and abs(c) > threshold
+    ]
+    if violations:
+        raise UnsolvableError(violations)
+    warnings, ill = [], []
+    coeffs = dict(problem.boundary)
+    for (vertex, j), c in problem.rhs.items():
+        if vertex in char_set:
+            continue
+        if vertex not in lam_map:
+            raise DomainError(f"rhs vertex {vertex} is not a generic vertex of the operator's space")
+        lam, scale = lam_map[vertex]
+        if abs(lam) < problem.warn_factor * scale:
+            if abs(c) > threshold:
+                ill.append((vertex, j))
+                continue
+            warnings.append(
+                f"near-characteristic eigenvalue {lam} (scale {scale:.3e}) under index {(vertex, j)}"
+            )
+        coeffs[(vertex, j)] = c / lam
+    if ill:
+        raise IllConditionedError(ill)
+    free_value = _free_value_source(problem)
+    free_params = []
+    for c in chars:
+        ranges = []
+        for tree, ball in zip(trees, c.vertex):
+            try:
+                ranges.append(range(1, len(wavelet_basis(tree, ball)) + 1))
+            except DegenerateBallError:
+                break
+        else:
+            for j in itertools.product(*ranges):
+                value = free_value((c.vertex, j))
+                free_params.append(FreeParam(c.vertex, j, value))
+                coeffs[(c.vertex, j)] = value
+    u = GeneralizedFunction(trees, problem.anchor, coeffs, problem.anchor_value)
+    applied = apply_operator(u, op)
+    max_abs = 0.0
+    for key in set(applied.coeffs) | set(problem.rhs.coeffs):
+        if key[0] not in char_set:
+            max_abs = max(max_abs, abs(applied.coefficient(*key) - problem.rhs.coefficient(*key)))
+    residual = ResidualReport(max_abs / (fnorm if fnorm > 0 else 1.0), max_abs, tuple(warnings))
+    return Solution(u, tuple(free_params), residual, tuple(c.vertex for c in chars))
+
+
+def _cnum(rng):
+    return complex(rng.standard_normal(), rng.standard_normal())
+
+
+def _random_operator(rng):
+    """1-3 factors; complex, real and constant terms, repeated factor indices, zero
+    eigenvalues, and sometimes a difference of two identical factors (a
+    characteristic diagonal)."""
+    n = int(rng.integers(1, 4))
+    depth = 3 if n == 1 else 2
+    factors = []
+    for _ in range(n):
+        t = random_measured_tree(rng, max_depth=depth)
+        sym = random_table_symbol(rng, t, real=bool(rng.random() < 0.5))
+        if rng.random() < 0.3:  # zero eigenvalues, where the sign of zero shows
+            sym = TableSymbol({b: 0.0 if rng.random() < 0.5 else v for b, v in sym.entries.items()})
+        factors.append((t, sym))
+    terms = []
+    if n >= 2 and rng.random() < 0.5:
+        factors[1] = factors[0]
+        terms += [((0,), 1.0), ((1,), -1.0)]
+    for _ in range(int(rng.integers(1, 4))):
+        indices = tuple(int(i) for i in rng.integers(0, n, size=int(rng.integers(0, 4))))
+        coeff = _cnum(rng) if rng.random() < 0.5 else complex(rng.standard_normal())
+        terms.append((indices, coeff))
+    return MultiOperator(factors, terms)
+
+
+def _random_case(rng):
+    """A problem whose rhs avoids the characteristic set, plus an error kind to inject."""
+    op = _random_operator(rng)
+    error = rng.choice(["none", "none", "unsolvable", "domain", "ill", "warn"])
+    epsilon = 0.5 if error == "unsolvable" else float(rng.choice([1e-9, 1e-3, 0.5]))
+    trees = [t for t, _ in op.factors]
+    lam_map, chars = _reference_classify(op, epsilon)
+    char_set = {c.vertex for c in chars}
+    coeffs = {}
+    for v in lam_map:
+        if v not in char_set and rng.random() < 0.6:
+            j = tuple(int(rng.integers(1, len(wavelet_basis(t, b)) + 1)) for t, b in zip(trees, v))
+            coeffs[(v, j)] = _cnum(rng)
+    warn_factor = float(rng.choice([1e-6, 1e-2]))
+    if error == "unsolvable" and chars:
+        coeffs[(chars[0].vertex, (1,) * op.n)] = 10.0 + 0.0j  # above epsilon * |f|
+    elif error == "domain":
+        coeffs[(tuple(t.leaves[0] for t in trees), (1,) * op.n)] = 1.0 + 0.0j
+    elif error in ("ill", "warn") and len(char_set) < len(lam_map):
+        # widen the warn band just over the off-characteristic vertex nearest to it
+        ratio, near = min((abs(lam) / scale, v) for v, (lam, scale) in lam_map.items() if v not in char_set)
+        warn_factor = ratio * (1.0 + 1e-9)
+        coeffs[(near, (1,) * op.n)] = 1.0 + 0.0j if error == "ill" else 0.0j
+    anchor = tuple(int(rng.choice(t.leaves)) for t in trees)
+    boundary = {}
+    if op.n >= 2 and rng.random() < 0.5:
+        b = trees[0].non_leaf_balls()[0]
+        boundary[((b, *anchor[1:]), (1,) + (0,) * (op.n - 1))] = _cnum(rng)
+    free = rng.choice(["zero", "seed", "map"])
+    if free == "seed":
+        free_values = int(rng.integers(0, 1000))
+    elif free == "map" and chars:
+        free_values = {(chars[-1].vertex, (1,) * op.n): _cnum(rng)}
+    else:
+        free_values = "zero"
+    return dict(
+        operator=op,
+        rhs=LizorkinSeries(op.n, coeffs),
+        anchor=anchor,
+        anchor_value=_cnum(rng),
+        boundary=boundary,
+        epsilon=epsilon,
+        free_values=free_values,
+        warn_factor=warn_factor,
+    )
+
+
+def _outcome(fn, *args):
+    """``repr`` of a solve result or of the error it raised, bit-exact."""
+    try:
+        sol = fn(*args)
+    except (UnsolvableError, IllConditionedError, DomainError) as exc:
+        detail = getattr(exc, "violations", None) or getattr(exc, "indices", None)
+        return repr((type(exc).__name__, str(exc), detail))
+    return repr((sol.u.items(), sol.free_params, sol.residual, sol.characteristic_vertices))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_grid_classification_and_solve_match_per_vertex_oracle(seed):
+    rng = np.random.default_rng(seed)
+    kwargs = _random_case(rng)
+    op, epsilon = kwargs["operator"], kwargs["epsilon"]
+    assert repr(characteristics(op, epsilon)) == repr(_reference_classify(op, epsilon)[1])
+    assert _outcome(solve, CauchyProblem(**kwargs)) == _outcome(_reference_solve, CauchyProblem(**kwargs))
+
+
+def test_oracle_cases_cover_every_outcome():
+    kinds = set()
+    for seed in range(60):
+        problem = CauchyProblem(**_random_case(np.random.default_rng(seed)))
+        try:
+            sol = _reference_solve(problem)
+        except (UnsolvableError, IllConditionedError, DomainError) as exc:
+            kinds.add(type(exc).__name__)
+            continue
+        kinds.add("solved")
+        kinds.update({"warned"} if sol.residual.warnings else ())
+        kinds.update({"free"} if sol.free_params else ())
+    assert kinds == {"solved", "warned", "free", "UnsolvableError", "IllConditionedError", "DomainError"}
+
+
+def test_classification_in_blocks_equals_one_block(monkeypatch):
+    t1, t2 = build_padic_tree(2, 3), build_padic_tree(3, 2)
+    sym1 = TableSymbol({b: complex(b % 3, -0.5 * b) for b in t1.non_leaf_balls()})
+    sym2 = TableSymbol({b: complex(b % 3, 0.25 * b) for b in t2.non_leaf_balls()})
+    op = MultiOperator([(t1, sym1), (t2, sym2), (t1, sym1)], [((0,), 1.0), ((2,), -1.0), ((1, 1), 1e-3j)])
+    whole = repr(characteristics(op, 1e-3))
+    assert whole != "[]"
+    monkeypatch.setattr(solver, "BLOCK_POINTS", 1)
+    assert repr(characteristics(op, 1e-3)) == whole

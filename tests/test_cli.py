@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ultrawave.cli import main
 from ultrawave.io import load_problem
@@ -141,6 +142,58 @@ class TestSolve:
         assert main(["solve", path, "--seed", "1", "--out", str(out_a)]) == 0
         assert main(["solve", path, "--seed", "2", "--out", str(out_b)]) == 0
         assert out_a.read_text() != out_b.read_text()
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("rhs", float("nan")),
+        ("boundary", float("inf")),
+        ("anchor", float("nan")),
+        ("free_params", float("-inf")),
+        ("epsilon", float("nan")),
+        ("epsilon", -1e-9),
+        ("epsilon", float("inf")),
+    ])
+    def test_non_finite_problem_data_exit_two(self, tmp_path, capsys, field, value):
+        """A NaN or infinite value anywhere in the problem is refused with exit 2."""
+        obj = json.loads(json.dumps(WAVE_PROBLEM))
+        entry = {"vertex": [1, 2], "j": [1, 1], "re": 1.0, "im": 0.0}
+        obj["rhs"]["coeffs"] = [dict(entry)]
+        if field == "rhs":
+            obj["rhs"]["coeffs"][0]["re"] = value
+        elif field == "boundary":
+            obj["boundary"] = [{"vertex": [3, 0], "j": [0, 1], "re": 0.5, "im": value}]
+        elif field == "anchor":
+            obj["anchor"]["value"] = [value, 0.0]
+        elif field == "free_params":
+            obj["free_params"] = [{"vertex": [0, 0], "j": [1, 1], "re": value, "im": 0.0}]
+        else:
+            obj["epsilon"] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))  # NaN / Infinity tokens, which json.load accepts
+        out = tmp_path / "solution.json"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("not finite" in err or "non-negative" in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--epsilon=nan", "epsilon must be finite and non-negative"),
+        ("--epsilon=inf", "epsilon must be finite and non-negative"),
+        ("--epsilon=-1e-3", "epsilon must be finite and non-negative"),
+        ("--seed=-1", "seed must be non-negative"),
+    ])
+    def test_bad_override_exit_two(self, tmp_path, capsys, flag, message):
+        path = write_wave_problem(tmp_path)
+        assert main(["solve", path, flag]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_epsilon_override_reaches_solve(self, tmp_path, capsys):
+        # eigenvalues 1, 1.5, 3 per factor: |1 - 1.5| <= 0.5 * 1.5, so eps = 0.5 adds (0, 1) and (1, 0)
+        path = write_wave_problem(tmp_path)
+        assert main(["solve", path, "--epsilon", "0.5"]) == 0
+        sol = json.loads(capsys.readouterr().out)
+        vertices = {tuple(fp["vertex"]) for fp in sol["free_params"]}
+        assert {(0, 1), (1, 0)} <= vertices
 
 
 class TestEvalRoundTrip:
