@@ -21,6 +21,14 @@ candidates are visited in sorted key order, so the sum is the one the
 all-terms scan gives, bit for bit; that honest all-terms summation lives in
 the test suite as its oracle.
 
+Construction validates each distinct (factor, ball, j) component once
+rather than every component of every key, so it costs O(keys + distinct
+components) plus one wavelet-basis lookup per distinct component, and the
+pairing index groups the keys by vertex without sorting them all.  Any
+failure, or an id that is not an exact ``int``, hands the keys to the
+key-by-key check, which raises at the first bad key or value in insertion
+order.
+
 A Lizorkin series is the same coefficient data without an anchor, restricted
 to true wavelet indices (all ``j[i] >= 1``); it pairs with mean-zero
 expansions coefficient by coefficient.
@@ -30,15 +38,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import index as operator_index, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import AnchorError, DomainError, ParameterError
+from .errors import AnchorError, DegenerateBallError, DomainError, ParameterError
 from .operators import Spectrum
 from .products import MultiOperator, component_key
 from .trees import BallTree
-from .wavelets import Wavelet, WaveletExpansion, TestFunction, synthesize, wavelet_basis
+from .wavelets import WaveletExpansion, TestFunction, synthesize, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 VertexIndex = dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]]  # vertex -> [(j, c)]
@@ -53,6 +61,8 @@ def _key_order(key: Key):
 
 def _as_nd_key(key) -> Key:
     vertex, j = key
+    if type(key) is tuple and type(vertex) is tuple and type(j) is tuple:
+        return key  # already normalized; skips allocating an equal tuple
     if isinstance(vertex, int):
         vertex = (vertex,)
     if isinstance(j, int):
@@ -112,12 +122,16 @@ class GeneralizedFunction:
             tree.check_ball(b)
             if tree.measure[b] <= 0.0:
                 raise AnchorError(f"anchor ball {b} has zero measure")
-        self._basis: dict[tuple[int, int], list[Wavelet]] = {}
-        stored: dict[Key, complex] = {}
-        for key, c in (coeffs or {}).items():
-            k = _as_nd_key(key)
-            self._check_key(k)
-            stored[k] = complex(c)
+        coeffs = coeffs or {}
+        stored = self._checked_by_component(coeffs)
+        if stored is None:
+            # the per-key path: raises at the first bad key or value in
+            # insertion order, and accepts ids of other integer types
+            stored = {}
+            for key, c in coeffs.items():
+                k = _as_nd_key(key)
+                self._check_key(k)
+                stored[k] = complex(c)
         if anchor_value is not None:
             stored[self.anchor_key] = complex(anchor_value)
         # read-only, so the cached order and vertex index below never go stale
@@ -137,12 +151,58 @@ class GeneralizedFunction:
     def anchor_value(self) -> complex:
         return self.coeffs.get(self.anchor_key, 0.0 + 0.0j)
 
+    def _checked_by_component(self, coeffs: Mapping) -> dict[Key, complex] | None:
+        """The normalized coefficients, validated once per distinct (factor, ball, j).
+
+        Applies ``_check_key``'s rules to the distinct components of each
+        factor's column instead of to every key.  Returns None, leaving the
+        verdict to the per-key loop, unless every key has the right arity,
+        every value converts, every component is an exact ``int`` and every
+        distinct component is valid.
+        """
+        try:
+            stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
+        except Exception:  # the per-key loop raises it again at the right key
+            return None
+        if not stored:
+            return stored
+        n = self.n
+        # map/itemgetter columns: ``zip(*...)`` would allocate an iterator per key
+        vertices = list(map(itemgetter(0), stored))
+        js = list(map(itemgetter(1), stored))
+        if set(map(len, vertices)) != {n} or set(map(len, js)) != {n}:
+            return None
+        for i, (tree, a0) in enumerate(zip(self.factors, self.anchor)):
+            balls = list(map(itemgetter(i), vertices))
+            idx = list(map(itemgetter(i), js))
+            if set(map(type, balls)) != {int} or set(map(type, idx)) != {int}:
+                return None
+            for b, ji in set(zip(balls, idx)):
+                if not 0 <= b < tree.n_vertices:
+                    return None
+                if ji == 0:
+                    if b != a0:
+                        return None
+                elif ji < 1 or not tree.children[b]:
+                    return None
+                else:
+                    try:
+                        if ji > len(wavelet_basis(tree, b)):
+                            return None
+                    except DegenerateBallError:
+                        return None
+        return stored
+
     def _check_key(self, key: Key) -> None:
         vertex, j = key
         if len(vertex) != self.n or len(j) != self.n:
             raise ParameterError(f"key {key} does not have arity {self.n}")
         for i, (tree, b, ji) in enumerate(zip(self.factors, vertex, j)):
             ball = tree.check_ball(b)
+            try:
+                operator_index(ji)
+            except TypeError:
+                raise DomainError(f"index {key}: j={ji!r} is not an integer") from None
             if ji == 0:
                 if b != self.anchor[i]:
                     raise DomainError(
@@ -151,17 +211,10 @@ class GeneralizedFunction:
             elif ji >= 1:
                 if not tree.children[ball]:
                     raise DomainError(f"index {key}: wavelets do not attach to the minimal ball {b}")
-                if ji > len(self.factor_basis(i, b)):
+                if ji > len(wavelet_basis(tree, ball)):
                     raise DomainError(f"index {key}: no wavelet with index {ji} at ball {b}")
             else:
                 raise DomainError(f"index {key}: negative j")
-
-    def factor_basis(self, i: int, ball: int) -> list[Wavelet]:
-        cached = self._basis.get((i, ball))
-        if cached is None:
-            cached = wavelet_basis(self.factors[i], ball)
-            self._basis[(i, ball)] = cached
-        return cached
 
     def coefficient(self, vertex, j) -> complex:
         return self.coeffs.get(_as_nd_key((vertex, j)), 0.0 + 0.0j)
@@ -183,13 +236,17 @@ class GeneralizedFunction:
     def _coeffs_by_vertex(self) -> VertexIndex:
         """Nonzero stored coefficients grouped by vertex, each group in sorted j order.
 
-        Built from ``items()`` on first use and cached.
+        Grouped in insertion order and each (mostly one-entry) group sorted
+        by j, which gives every group the order it has in ``items()``
+        without sorting all the keys.  Built on first use and cached.
         """
         if self._by_vertex is None:
             index: VertexIndex = {}
-            for (vertex, j), c in self.items():
+            for (vertex, j), c in self.coeffs.items():
                 if c != 0:
                     index.setdefault(vertex, []).append((j, c))
+            for group in index.values():
+                group.sort(key=itemgetter(0))
             self._by_vertex = index
         return self._by_vertex
 
@@ -261,7 +318,7 @@ def eval_on_char_nd(u: GeneralizedFunction, vertex: Sequence[int]) -> complex:
                     continue
                 if ball not in up_arg and ball not in up_anchor:
                     break  # the all-terms scan adds exactly 0j for this key
-                values = u.factor_basis(i, ball)[ji - 1].values
+                values = wavelet_basis(tree, ball)[ji - 1].values
                 term *= _indicator_integral(tree, ball, values, b0, up_arg) - (
                     tree.measure[b0] / tree.measure[a0]
                 ) * _indicator_integral(tree, ball, values, a0, up_anchor)
@@ -296,7 +353,7 @@ def eval_on_product(u: GeneralizedFunction, factor_values: Sequence[Mapping[int,
             if ji == 0:
                 term *= masses[i]
                 continue
-            w = u.factor_basis(i, ball)[ji - 1]
+            w = wavelet_basis(tree, ball)[ji - 1]
             integral = 0.0 + 0.0j
             for child in tree.children[ball]:
                 val = w.values[child]

@@ -38,16 +38,50 @@ def _read_json(path: str) -> Any:
 def _complex_of(entry: Mapping[str, Any], location: str) -> complex:
     try:
         return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad complex entry {entry!r}", location=location) from exc
 
 
 def _pair_of(value: Any, location: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, Sequence) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise FileFormatError(f"expected [re, im], got {value!r}", location=location)
+
+
+def _int_tuple(values: Any, what: str, owner: Any, location: str) -> tuple[int, ...]:
+    """Ball ids or wavelet indices from a JSON list.
+
+    Each must be an integer; an integral float such as ``3.0`` loads as 3,
+    a non-integral one is an error (never truncated).  ``what`` and
+    ``owner`` name the record in the error message.
+    """
+    try:
+        out = tuple(map(int, values)) if isinstance(values, (list, tuple)) else None
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None:
+        raise FileFormatError(f"bad {what} {owner!r}", location)
+    if out != tuple(values):
+        for x, i in zip(values, out):
+            if isinstance(x, float) and x != i:
+                raise FileFormatError(f"non-integral id or index {x!r} in {what} {owner!r}", location)
+    return out
+
+
+def _anchor_of(obj: Mapping[str, Any], location: str) -> tuple[tuple[int, ...], complex]:
+    anchor_obj = obj.get("anchor")
+    if not isinstance(anchor_obj, Mapping):
+        raise FileFormatError("missing 'anchor' object", location)
+    if "vertex" not in anchor_obj:
+        raise FileFormatError("the 'anchor' object has no 'vertex'", location)
+    vertex = anchor_obj["vertex"]
+    anchor = _int_tuple(vertex, "anchor vertex", vertex, location)
+    return anchor, _pair_of(anchor_obj.get("value", 0.0), location)
 
 
 def _pair(z: complex) -> list[float]:
@@ -215,14 +249,15 @@ def operator_to_obj(op: MultiOperator) -> dict[str, Any]:
 
 
 def _coeff_entry_key(rec: Mapping[str, Any], location: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if "ball" in rec:
-        return (int(rec["ball"]),), (int(rec["j"]),)
     try:
-        vertex = tuple(int(b) for b in rec["vertex"])
-        j = tuple(int(x) for x in rec["j"])
-    except (KeyError, TypeError, ValueError):
+        if "ball" in rec:
+            vertex, j = [rec["ball"]], [rec["j"]]
+        else:
+            vertex, j = rec["vertex"], rec["j"]
+    except (KeyError, TypeError):  # TypeError: a JSON value that is not an object
         raise FileFormatError(f"bad coefficient entry {rec!r}", location) from None
-    return vertex, j
+    return (_int_tuple(vertex, "coefficient entry", rec, location),
+            _int_tuple(j, "coefficient entry", rec, location))
 
 
 def _coeff_entry_obj(key, value: complex) -> dict[str, Any]:
@@ -282,9 +317,8 @@ def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
 
 
 def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
-    coeffs = [
-        _coeff_entry_obj(key, c) for key, c in u.items() if key != u.anchor_key
-    ]
+    anchor_key = u.anchor_key
+    coeffs = [_coeff_entry_obj(key, c) for key, c in u.items() if key != anchor_key]
     return {
         "anchor": {"vertex": list(u.anchor), "value": _pair(u.anchor_value)},
         "coeffs": coeffs,
@@ -294,14 +328,16 @@ def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
 def genfun_from_obj(
     obj: Mapping[str, Any], trees: Sequence[BallTree], location: str = "function"
 ) -> GeneralizedFunction:
-    anchor_obj = obj.get("anchor")
-    if not isinstance(anchor_obj, Mapping):
-        raise FileFormatError("missing 'anchor' object", location)
-    anchor = tuple(int(b) for b in anchor_obj["vertex"])
-    value = _pair_of(anchor_obj.get("value", 0.0), location)
+    if not isinstance(obj, Mapping):
+        raise FileFormatError("a generalized function must be a JSON object", location)
+    anchor, value = _anchor_of(obj, location)
+    records = obj.get("coeffs", [])
+    if not isinstance(records, list):
+        raise FileFormatError("'coeffs' must be a list", location)
     coeffs = {}
-    for rec in obj.get("coeffs", []):
-        coeffs[_coeff_entry_key(rec, location)] = _complex_of(rec, location)
+    for rec in records:
+        key = _coeff_entry_key(rec, location)  # first: it also rejects a record that is not an object
+        coeffs[key] = _complex_of(rec, location)
     return GeneralizedFunction(trees, anchor, coeffs, value)
 
 
@@ -337,11 +373,7 @@ def problem_from_obj(
     trees = [load_space(s, base_dir) for s in space_specs]
     op = load_operator(obj["operator"], trees, base_dir)
     rhs = load_lizorkin(obj.get("rhs", {"mean": [0.0, 0.0], "coeffs": []}), len(trees), base_dir)
-    anchor_obj = obj.get("anchor")
-    if not isinstance(anchor_obj, Mapping):
-        raise FileFormatError("missing 'anchor' object", location)
-    anchor = tuple(int(b) for b in anchor_obj["vertex"])
-    anchor_value = _pair_of(anchor_obj.get("value", 0.0), location)
+    anchor, anchor_value = _anchor_of(obj, location)
     boundary = {}
     for rec in obj.get("boundary", []):
         boundary[_coeff_entry_key(rec, location)] = _complex_of(rec, location)

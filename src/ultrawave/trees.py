@@ -3,7 +3,8 @@
 A finite ultrametric space is represented by the directed tree of its balls:
 vertices are integer ids ``0..n-1``, each carrying a measure and a diameter,
 with edges given by immediate inclusion.  Leaves play the role of points.
-Trees are immutable after construction; every operation here is a pure read,
+Trees are immutable after construction; every operation here is a pure read
+(apart from filling memo caches with values that depend only on the tree),
 so instances can be shared freely between threads.
 
 Structural invariants enforced at construction:
@@ -86,6 +87,7 @@ class BallTree:
         self.leaves = tuple(i for i in range(n) if not self.children[i])
         self.zero_measure = frozenset(i for i in range(n) if self.measure[i] == 0.0)
         self._leaves_under_cache: dict[int, tuple[int, ...]] = {}
+        self._wavelet_bases: dict[int, tuple] = {}  # filled by wavelets.wavelet_basis
         self._validate()
 
     # -- structure checks -------------------------------------------------

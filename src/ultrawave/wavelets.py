@@ -70,13 +70,22 @@ def _gram_schmidt_rows(weights: np.ndarray) -> list[np.ndarray]:
     return rows
 
 
-def wavelet_basis(tree: BallTree, ball: int) -> list[Wavelet]:
+def wavelet_basis(tree: BallTree, ball: int) -> tuple[Wavelet, ...]:
     """Orthonormal zero-mean basis of the span of subball indicators at ``ball``.
 
     Returns exactly ``(#positive-measure subballs) - 1`` wavelets, indexed
-    j = 1, 2, ...; deterministic given the stored subball order.
+    j = 1, 2, ...; deterministic given the stored subball order.  Each basis
+    is built once per tree and memoized on it (trees are immutable), keyed
+    by the checked ball id, so an exact ``int`` found there needs no second
+    check; a leaf or degenerate ball raises on every call.
     """
-    kids = tree.maximal_subballs(ball)
+    memo = tree._wavelet_bases
+    if type(ball) is int and ball in memo:
+        return memo[ball]
+    idx = tree.check_ball(ball)
+    if idx in memo:
+        return memo[idx]
+    kids = tree.children[idx]
     if not kids:
         raise ParameterError(f"ball {ball} is a leaf and carries no wavelets")
     pos = [c for c in kids if tree.measure[c] > 0.0]
@@ -97,8 +106,9 @@ def wavelet_basis(tree: BallTree, ball: int) -> list[Wavelet]:
         values = {c: 0.0 + 0.0j for c in kids}
         for c, v in zip(pos, row):
             values[c] = complex(v)
-        wavelets.append(Wavelet(ball, j, values))
-    return wavelets
+        wavelets.append(Wavelet(idx, j, values))
+    basis = memo[idx] = tuple(wavelets)
+    return basis
 
 
 def tree_wavelets(tree: BallTree) -> Iterator[Wavelet]:
@@ -219,23 +229,20 @@ def synthesize(
     """
     targets = subtree.minimal if subtree is not None else tree.leaves
     top = subtree.top if subtree is not None else tree.root
-    basis_cache: dict[int, list[Wavelet]] = {}
     for ball, j in expansion.coeffs:
         tree.check_ball(ball)
         ok_member = subtree is None or (ball in subtree and ball not in subtree.minimal)
         ok_ancestor = subtree is not None and ball != top and tree.is_ancestor(ball, top)
         if not (ok_member or ok_ancestor):
             raise DomainError(f"coefficient at ball {ball} lies outside the synthesis domain")
-        if ball not in basis_cache:
-            basis_cache[ball] = wavelet_basis(tree, ball)
-        if not (1 <= j <= len(basis_cache[ball])):
+        if not (1 <= j <= len(wavelet_basis(tree, ball))):
             raise DomainError(f"no wavelet with index {j} at ball {ball}")
 
     # nonzero coefficients by ball, each with its rank in expansion.coeffs
     by_ball: dict[int, list[tuple[int, complex, Mapping[int, complex]]]] = {}
     for rank, ((ball, j), c) in enumerate(expansion.coeffs.items()):
         if c != 0:
-            by_ball.setdefault(ball, []).append((rank, c, basis_cache[ball][j - 1].values))
+            by_ball.setdefault(ball, []).append((rank, c, wavelet_basis(tree, ball)[j - 1].values))
     const = expansion.mean * normalized_constant(tree)
     values: dict[int, complex] = {}
     for t in targets:

@@ -276,6 +276,22 @@ class TestErrorPaths:
     def test_missing_file_exit_two(self, capsys):
         assert main(["validate", "no-such-file.json"]) == 2
 
+    @pytest.mark.parametrize("solution,message", [
+        ({"anchor": {"value": [1.0, 0.0]}, "coeffs": []}, "no 'vertex'"),
+        ([{"anchor": {"vertex": [3, 3]}}], "JSON object"),
+        ({"anchor": {"vertex": [3, 3]}, "coeffs": [{"vertex": [3.7, 0], "j": [1, 1]}]}, "non-integral"),
+        ({"anchor": {"vertex": [3, 3]}, "coeffs": [{"vertex": [1, 0], "j": [1, 1.5]}]}, "non-integral"),
+    ])
+    def test_malformed_solution_exit_two(self, tmp_path, capsys, solution, message):
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(solution))
+        assert main([
+            "eval", str(path), "--space", "padic(2,2)", "--space", "padic(2,2)", "--at", "[[0,0]]",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert "Traceback" not in err
+
     def test_missing_required_flag_exit_two(self, capsys):
         assert main(["spectrum", "--space", "padic(2,1)"]) == 2
 

@@ -17,7 +17,7 @@ from ultrawave.distributions import (
     extended_leaf_values,
     lizorkin_pair,
 )
-from ultrawave.errors import AnchorError, DomainError, ParameterError, UnknownBallError
+from ultrawave.errors import AnchorError, DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import TableSymbol, apply_dense, spectrum
 from ultrawave.products import vertex_key
 from ultrawave.trees import BallTree, build_padic_tree
@@ -447,3 +447,196 @@ def test_random_sparse_closed_vs_naive_1d(seed):
         closed = eval_on_char(u, ball)
         naive = naive_eval_on_char(u, ball)
         assert abs(closed - naive) < 1e-12 * max(1.0, abs(naive))
+
+
+def per_key_as_nd_key(key):
+    vertex, j = key
+    if isinstance(vertex, int):
+        vertex = (vertex,)
+    if isinstance(j, int):
+        j = (j,)
+    return tuple(vertex), tuple(j)
+
+
+def per_key_stored(factors, anchor, coeffs):
+    """Reference: the key-by-key validation loop, every component of every key checked."""
+    n = len(factors)
+    stored = {}
+    for key, c in coeffs.items():
+        key = per_key_as_nd_key(key)
+        vertex, j = key
+        if len(vertex) != n or len(j) != n:
+            raise ParameterError(f"key {key} does not have arity {n}")
+        for i, (tree, b, ji) in enumerate(zip(factors, vertex, j)):
+            ball = tree.check_ball(b)
+            if ji == 0:
+                if b != anchor[i]:
+                    raise DomainError(
+                        f"index {key}: j=0 components exist only at the anchor ball of factor {i}"
+                    )
+            elif ji >= 1:
+                if not tree.children[ball]:
+                    raise DomainError(f"index {key}: wavelets do not attach to the minimal ball {b}")
+                if ji > len(wavelet_basis(tree, b)):
+                    raise DomainError(f"index {key}: no wavelet with index {ji} at ball {b}")
+            else:
+                raise DomainError(f"index {key}: negative j")
+        stored[key] = complex(c)
+    return stored
+
+
+def outcome(build):
+    """The repr of what ``build`` returns (types of ids included), or its exception."""
+    try:
+        return "ok", repr(list(build().items()))
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+# ball 1 has one positive-measure subball (4 has measure 0): no wavelets attach there
+DEGENERATE_TREE = BallTree(
+    [None, 0, 0, 1, 1, 2, 2, 3, 3],
+    [2.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.5, 0.25, 0.75],
+    [1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25, 0.1, 0.1],
+)
+
+
+def valid_key_set(rng, trees, anchor):
+    """Every extended index of the product (a random sample when there are many), shuffled.
+
+    Includes the boundary keys (``j == 0`` on the anchor ball of some factors).
+    """
+    families = [[(a0, 0)] + [(w.ball, w.j) for w in tree_wavelets(t)] for t, a0 in zip(trees, anchor)]
+    combos = list(itertools.product(*families))
+    if len(combos) > 1500:
+        combos = [combos[int(k)] for k in rng.choice(len(combos), size=1500, replace=False)]
+    rng.shuffle(combos)
+    coeffs = {}
+    for k, combo in enumerate(combos):
+        key = (tuple(b for b, _ in combo), tuple(j for _, j in combo))
+        coeffs[key] = 0.0 if k % 9 == 0 else complex(rng.standard_normal(), rng.standard_normal())
+    return coeffs
+
+
+def injected_faults(rng, trees, anchor, valid):
+    """(name, [(key, value), ...]) entries to insert into a valid key set."""
+    n = len(trees)
+    i = int(rng.integers(n))
+    tree = trees[i]
+    b = int(rng.choice(tree.non_leaf_balls()))
+    vertex, j = next(iter(valid))
+
+    def at(ball, ji):
+        return (vertex[:i] + (ball,) + vertex[i + 1:], j[:i] + (ji,) + j[i + 1:])
+
+    off_anchor = next(x for x in range(tree.n_vertices) if x != anchor[i])
+    leaf = tree.leaves[int(rng.integers(len(tree.leaves)))]
+    return [
+        ("longer vertex", [((vertex + (0,), j), 1.0)]),
+        ("shorter j", [((vertex, j[:-1]), 1.0)]),
+        ("id past the tree", [(at(tree.n_vertices, 1), 1.0)]),
+        ("negative id", [(at(-1, 1), 1.0)]),
+        ("numpy ids", [((tuple(np.int64(x) for x in vertex), tuple(np.int64(x) for x in j)), 2.0)]),
+        ("bool id", [(at(True, 1), 1.0), (at(False, 1), 1.0)]),
+        ("float id", [(at(float(b), 1), 1.0)]),
+        ("j = 0 off the anchor", [(at(off_anchor, 0), 1.0)]),
+        ("wavelet at a leaf", [(at(leaf, 1), 1.0)]),
+        ("j past the basis", [(at(b, len(wavelet_basis(tree, b)) + 1), 1.0)]),
+        ("negative j", [(at(b, -1), 1.0)]),
+        ("bad key, then bad value", [(at(b, -1), 1.0), (at(b, 1), "not a number")]),
+        ("bad value, then bad key", [(at(b, 1), "not a number"), (at(b, -1), 1.0)]),
+        ("None value", [(at(b, 1), None)]),
+    ]
+
+
+def with_inserted(rng, coeffs, entries):
+    """The key set with the entries at random places; an equal valid key (2 == 2.0 == np.int64(2)) is dropped."""
+    replaced = {key for key, _ in entries}
+    items = [(key, c) for key, c in coeffs.items() if key not in replaced]
+    for entry in entries:
+        items.insert(int(rng.integers(len(items) + 1)), entry)
+    return dict(items)
+
+
+class TestComponentValidation:
+    """``GeneralizedFunction`` checks distinct components, with the per-key loop as its oracle."""
+
+    @staticmethod
+    def random_setup(rng, n, degenerate=False):
+        shape = {1: (4, 3), 2: (3, 3), 3: (2, 3)}[n]
+        trees = [random_measured_tree(rng, max_depth=shape[0], max_branching=shape[1]) for _ in range(n)]
+        if degenerate:
+            trees[0] = DEGENERATE_TREE
+        anchor = tuple(int(rng.choice(t.n_vertices)) for t in trees)
+        return trees, anchor
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(4)])
+    def test_valid_key_sets_match_per_key_loop(self, n, seed):
+        rng = np.random.default_rng(500 + 10 * n + seed)
+        trees, anchor = self.random_setup(rng, n, degenerate=seed == 3)
+        coeffs = valid_key_set(rng, trees, anchor)
+        assert any(0 in j for _, j in coeffs)
+        got = outcome(lambda: GeneralizedFunction(trees, anchor, coeffs).coeffs)
+        assert got[0] == "ok"
+        assert got == outcome(lambda: per_key_stored(trees, anchor, coeffs))
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(3)])
+    def test_injected_faults_match_per_key_loop(self, n, seed):
+        rng = np.random.default_rng(700 + 10 * n + seed)
+        trees, anchor = self.random_setup(rng, n)
+        valid = valid_key_set(rng, trees, anchor)
+        for name, entries in injected_faults(rng, trees, anchor, valid):
+            coeffs = with_inserted(rng, valid, entries)
+            got = outcome(lambda: GeneralizedFunction(trees, anchor, coeffs).coeffs)
+            assert got == outcome(lambda: per_key_stored(trees, anchor, coeffs)), name
+            if name not in ("numpy ids", "bool id"):
+                assert got[0] != "ok", name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degenerate_ball_matches_per_key_loop(self, n):
+        rng = np.random.default_rng(900 + n)
+        trees, anchor = self.random_setup(rng, n, degenerate=True)
+        valid = valid_key_set(rng, trees, anchor)
+        vertex, j = next(iter(valid))
+        bad = ((1,) + vertex[1:], (1,) + j[1:])  # ball 1 of DEGENERATE_TREE
+        coeffs = with_inserted(rng, valid, [(bad, 1.0)])
+        got = outcome(lambda: GeneralizedFunction(trees, anchor, coeffs).coeffs)
+        assert got[0] is DegenerateBallError
+        assert got == outcome(lambda: per_key_stored(trees, anchor, coeffs))
+
+    def test_one_dim_shorthand_keys_and_anchor_value(self):
+        t = build_padic_tree(3, 2)
+        coeffs = {(0, 1): 1.0, ((1,), 2): 2.0, (2, (1,)): 3.0, ((0,), (2,)): 4.0}
+        u = GeneralizedFunction([t], (4,), coeffs, anchor_value=0.5)
+        assert u.coeffs == {
+            ((0,), (1,)): 1.0, ((1,), (2,)): 2.0, ((2,), (1,)): 3.0, ((0,), (2,)): 4.0, ((4,), (0,)): 0.5,
+        }
+
+    @pytest.mark.parametrize("j", [1.5, 1.0, np.float64(2.0), "1", None])
+    def test_non_integral_j_rejected(self, j):
+        t = build_padic_tree(3, 2)
+        with pytest.raises(DomainError, match="not an integer"):
+            GeneralizedFunction([t], (1,), {((0,), (j,)): 1})
+
+    def test_integer_j_types_accepted(self):
+        t = build_padic_tree(3, 2)
+        u = GeneralizedFunction([t], (1,), {((0,), (np.int64(2),)): 1, ((1,), (True,)): 2})
+        assert u.coeffs == {((0,), (2,)): 1, ((1,), (1,)): 2}
+
+
+def items_by_vertex(u):
+    """Reference: the vertex index built from the fully sorted coefficients."""
+    index = {}
+    for (vertex, j), c in sorted(u.coeffs.items(), key=lambda kc: kc[0]):
+        if c != 0:
+            index.setdefault(vertex, []).append((j, c))
+    return index
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(3)])
+def test_vertex_index_equals_sorted_build(n, seed):
+    rng = np.random.default_rng(300 + 10 * n + seed)
+    u = random_product_function(rng, n, n_keys=80)
+    index = u._coeffs_by_vertex()
+    assert {v: repr(g) for v, g in index.items()} == {v: repr(g) for v, g in items_by_vertex(u).items()}
+    assert any(len(g) > 1 for g in index.values())

@@ -1,11 +1,16 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measured_tree
 from ultrawave.distributions import GeneralizedFunction, LizorkinSeries
-from ultrawave.errors import FileFormatError, SpaceValidationError
+from ultrawave.cli import main
+from ultrawave.errors import FileFormatError, SpaceValidationError, UltrawaveError
 from ultrawave.io import (
     expansion_from_obj,
     expansion_to_obj,
@@ -199,3 +204,151 @@ class TestProblemFiles:
         with pytest.raises(FileFormatError) as err:
             load_problem(str(path))
         assert "broken.json" in str(err.value)
+
+
+class TestNonIntegralIds:
+    @pytest.mark.parametrize("entry", [
+        {"ball": 3.7, "j": 1, "re": 1.0},
+        {"ball": 3, "j": 1.5, "re": 1.0},
+        {"vertex": [3, 0.5], "j": [1, 1], "re": 1.0},
+        {"vertex": [3, 0], "j": [1, 1.25], "re": 1.0},
+        {"vertex": [3, float("nan")], "j": [1, 1], "re": 1.0},
+        {"vertex": [3, float("inf")], "j": [1, 1], "re": 1.0},
+        {"vertex": [3, "1.5"], "j": [1, 1], "re": 1.0},
+    ])
+    def test_coefficient_entry_rejected_with_location(self, entry):
+        trees = [build_padic_tree(2, 2)] * (1 if "ball" in entry else 2)
+        obj = {"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}
+        with pytest.raises(FileFormatError, match="^sol.json: ") as err:
+            genfun_from_obj(obj, trees, location="sol.json")
+        assert err.value.location == "sol.json"
+
+    def test_every_coefficient_loader_rejects_them(self):
+        bad = [{"ball": 1, "j": 1.5, "re": 1.0}]
+        with pytest.raises(FileFormatError, match="non-integral"):
+            expansion_from_obj({"mean": 0.0, "coeffs": bad})
+        with pytest.raises(FileFormatError, match="non-integral"):
+            lizorkin_from_obj({"mean": 0.0, "coeffs": bad}, 1)
+
+    @pytest.mark.parametrize("vertex", [[3.5, 3], [3, "x"], 3, None])
+    def test_anchor_vertex_rejected(self, vertex, tmp_path):
+        trees = [build_padic_tree(2, 2)] * 2
+        with pytest.raises(FileFormatError, match="anchor vertex"):
+            genfun_from_obj({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
+        problem = {"spaces": ["padic(2,2)"] * 2, "operator": {"factors": ["homog(beta=1)"] * 2},
+                   "anchor": {"vertex": vertex}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(FileFormatError, match="anchor vertex"):
+            load_problem(str(path))
+
+    def test_integral_floats_load_as_ints(self):
+        trees = [build_padic_tree(2, 2)] * 2
+        as_ints = {"anchor": {"vertex": [3, 4]},
+                   "coeffs": [{"vertex": [0, 1], "j": [1, 1], "re": 2.0}, {"vertex": [3, 2], "j": [0, 1]}]}
+        as_floats = {"anchor": {"vertex": [3.0, 4.0]},
+                     "coeffs": [{"vertex": [0.0, 1.0], "j": [1.0, 1], "re": 2.0},
+                                {"vertex": [3, 2.0], "j": [0.0, 1.0]}]}
+        u, v = genfun_from_obj(as_ints, trees), genfun_from_obj(as_floats, trees)
+        assert repr(v.anchor) == repr(u.anchor) == "(3, 4)"
+        assert repr(list(v.coeffs.items())) == repr(list(u.coeffs.items()))
+        one = genfun_from_obj({"anchor": {"vertex": [3.0]}, "coeffs": [{"ball": 1.0, "j": 1.0}]}, trees[:1])
+        assert repr(list(one.coeffs)) == "[((1,), (1,)), ((3,), (0,))]"
+
+
+class TestMalformedSolutions:
+    @pytest.mark.parametrize("obj,message", [
+        ([], "JSON object"),
+        ({"anchor": {"value": [1.0, 0.0]}, "coeffs": []}, "no 'vertex'"),
+        ({"anchor": [0, 0]}, "missing 'anchor'"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": {"ball": 1}}, "must be a list"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": None}, "must be a list"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [[0, 1]]}, "bad coefficient entry"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [7]}, "bad coefficient entry"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"vertex": [0, 0]}]}, "bad coefficient entry"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"ball": 0}]}, "bad coefficient entry"),
+        ({"anchor": {"vertex": [0, 0], "value": "ab"}}, "expected"),
+        ({"anchor": {"vertex": [0, 0], "value": [1, None]}}, "expected"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"vertex": [1, 1], "j": [1, 1], "re": 10**400}]},
+         "bad complex entry"),
+    ])
+    def test_schema_errors_name_the_location(self, obj, message):
+        trees = [build_padic_tree(2, 2)] * 2
+        with pytest.raises(FileFormatError, match=message) as err:
+            genfun_from_obj(obj, trees, location="sol.json")
+        assert err.value.location == "sol.json"
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 20) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+)
+SOLUTION_KEYS = st.sampled_from(["anchor", "vertex", "value", "coeffs", "ball", "j", "re", "im"])
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(SOLUTION_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def solution_objects(draw):
+    """A valid two-factor solution on padic(2,2)**2 with random parts replaced by junk."""
+    obj = {
+        "anchor": {"vertex": [3, 4], "value": [0.5, 0.0]},
+        "coeffs": [
+            {"vertex": [0, 1], "j": [1, 1], "re": 1.0, "im": 0.0},
+            {"vertex": [3, 2], "j": [0, 1], "re": 0.5, "im": -1.0},
+            {"ball": 1, "j": 1, "re": 2.0},
+        ],
+    }
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(["top", "anchor", "vertex", "value", "coeffs", "entry", "field"]))
+        junk = draw(JSON_VALUES)
+        entries = obj["coeffs"] if isinstance(obj.get("coeffs"), list) else []
+        anchor = obj["anchor"] if isinstance(obj.get("anchor"), dict) else {}
+        if target == "top":
+            obj[draw(SOLUTION_KEYS)] = junk
+        elif target == "anchor":
+            obj["anchor"] = junk
+        elif target in ("vertex", "value"):
+            anchor[target] = junk
+        elif target == "coeffs":
+            obj["coeffs"] = junk
+        elif entries and target == "entry":
+            entries[draw(st.integers(0, len(entries) - 1))] = junk
+        elif entries:
+            entry = entries[draw(st.integers(0, len(entries) - 1))]
+            if isinstance(entry, dict):
+                entry[draw(SOLUTION_KEYS)] = junk
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=solution_objects())
+def test_malformed_solutions_raise_only_library_errors(obj):
+    trees = [build_padic_tree(2, 2)] * 2
+    try:
+        genfun_from_obj(obj, trees)
+    except UltrawaveError:
+        pass
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(obj=solution_objects())
+def test_eval_exits_two_on_malformed_solutions(obj):
+    trees = [build_padic_tree(2, 2)] * 2
+    try:
+        genfun_from_obj(obj, trees)
+        expected = 0
+    except UltrawaveError:
+        expected = 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sol.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        argv = ["eval", path, "--space", "padic(2,2)", "--space", "padic(2,2)",
+                "--at", "[[0, 0]]", "--out", os.path.join(tmp, "out.json")]
+        assert main(argv) == expected

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_leaf_function, random_measured_tree
-from ultrawave.errors import DegenerateBallError, DomainError, ParameterError
+from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
@@ -121,6 +121,44 @@ class TestBasisConstruction:
         ws = wavelet_basis(t, 0)
         assert len(ws) == 1
         assert ws[0].values[2] == 0
+
+
+class TestBasisMemo:
+    def test_built_once_per_tree_and_ball(self):
+        t = build_padic_tree(3, 2)
+        first = wavelet_basis(t, np.int64(1))
+        assert isinstance(first, tuple)
+        assert all(type(w.ball) is int and w.ball == 1 for w in first)
+        assert wavelet_basis(t, 1) is first
+        assert wavelet_basis(t, True) is first
+        assert wavelet_basis(build_padic_tree(3, 2), 1) is not first
+        assert wavelet_basis(build_padic_tree(3, 2), 1) == first
+
+    def test_memo_matches_a_fresh_build(self):
+        rng = np.random.default_rng(41)
+        t = random_measured_tree(rng, max_depth=3)
+        memo = [wavelet_basis(t, b) for b in t.non_leaf_balls()]
+        again = [wavelet_basis(t, b) for b in t.non_leaf_balls()]
+        fresh = random_measured_tree(np.random.default_rng(41), max_depth=3)
+        assert all(a is b for a, b in zip(memo, again))
+        assert memo == [wavelet_basis(fresh, b) for b in fresh.non_leaf_balls()]
+
+    @pytest.mark.parametrize("bad", [1.0, 2.0, -1, 13, "1", None])
+    def test_bad_ids_raise_after_memoizing(self, bad):
+        t = build_padic_tree(3, 2)
+        for b in t.non_leaf_balls():
+            wavelet_basis(t, b)
+        with pytest.raises(UnknownBallError):
+            wavelet_basis(t, bad)
+
+    def test_leaf_and_degenerate_errors_repeat(self):
+        t = build_padic_tree(2, 1)
+        d = BallTree([None, 0, 0], [1.0, 1.0, 0.0], [1.0, 0.5, 0.5])
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                wavelet_basis(t, 1)
+            with pytest.raises(DegenerateBallError):
+                wavelet_basis(d, 0)
 
 
 class TestEvaluate:
