@@ -24,6 +24,8 @@ from .errors import (
     UnsolvableError,
 )
 from .io import (
+    _int_tuple,
+    _read_json,
     fmt17,
     load_operator,
     load_problem,
@@ -72,6 +74,16 @@ def _emit_rows(rows: list[dict], columns: list[str], config: RunConfig) -> None:
         text = write_json(rows, config.out)
         if not config.out:
             sys.stdout.write(text + "\n")
+
+
+def _emit_vertex_rows(rows: list[dict], n: int, columns: list[str], config: RunConfig) -> None:
+    """Rows with an n-factor ``vertex``; CSV spreads it over vertex_1..vertex_n."""
+    if config.format == "csv":
+        names = [f"vertex_{i + 1}" for i in range(n)]
+        flat = [{**dict(zip(names, row["vertex"])), **{c: row[c] for c in columns}} for row in rows]
+        _emit_rows(flat, names + columns, config)
+    else:
+        _emit_rows(rows, [], config)
 
 
 def _require(value, flag: str):
@@ -136,16 +148,7 @@ def _cmd_characteristics(config: RunConfig) -> int:
                 "im": c.eigenvalue.imag,
             }
         )
-    if config.format == "csv":
-        n = len(trees)
-        flat = []
-        for row in rows:
-            rec = {f"vertex_{i + 1}": row["vertex"][i] for i in range(n)}
-            rec.update(abs=row["abs"], re=row["re"], im=row["im"])
-            flat.append(rec)
-        _emit_rows(flat, [f"vertex_{i + 1}" for i in range(n)] + ["abs", "re", "im"], config)
-    else:
-        _emit_rows(rows, [], config)
+    _emit_vertex_rows(rows, len(trees), ["abs", "re", "im"], config)
     return 0
 
 
@@ -172,17 +175,11 @@ def _parse_at(at: str) -> list[tuple[int, ...]]:
     try:
         data = json.loads(at)
     except json.JSONDecodeError:
-        with open(at, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(at)
     if not isinstance(data, list):
         raise FileFormatError("--at expects a JSON list of vertices")
-    out = []
-    for item in data:
-        if isinstance(item, int):
-            out.append((item,))
-        else:
-            out.append(tuple(int(b) for b in item))
-    return out
+    return [_int_tuple([item] if isinstance(item, int) else item, "vertex", item, "--at")
+            for item in data]
 
 
 def _cmd_eval(config: RunConfig) -> int:
@@ -195,16 +192,7 @@ def _cmd_eval(config: RunConfig) -> int:
     for v in sorted(vertices):
         value = eval_on_char_nd(u, v)
         rows.append({"vertex": list(v), "re": value.real, "im": value.imag})
-    if config.format == "csv":
-        n = len(trees)
-        flat = []
-        for row in rows:
-            rec = {f"vertex_{i + 1}": row["vertex"][i] for i in range(n)}
-            rec.update(re=row["re"], im=row["im"])
-            flat.append(rec)
-        _emit_rows(flat, [f"vertex_{i + 1}" for i in range(n)] + ["re", "im"], config)
-    else:
-        _emit_rows(rows, [], config)
+    _emit_vertex_rows(rows, len(trees), ["re", "im"], config)
     return 0
 
 

@@ -83,6 +83,11 @@ class LizorkinSeries:
             vertex, j = _as_nd_key(key)
             if len(vertex) != self.n or len(j) != self.n:
                 raise ParameterError(f"key {key} does not have arity {self.n}")
+            for ji in j:
+                try:
+                    operator_index(ji)
+                except TypeError:
+                    raise DomainError(f"index {key}: j={ji!r} is not an integer") from None
             if any(ji < 1 for ji in j):
                 raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
             clean[(vertex, j)] = complex(c)

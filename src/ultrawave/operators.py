@@ -8,6 +8,11 @@ these operators; the eigenvalue at a ball I is the finite sum
     lambda_I = T(I) * nu(I) + sum over strict ancestors J of
                T(J) * (nu(J) - nu(child of J on the path to I)).
 
+``eigenvalue`` evaluates this sum for one ball, O(depth).  ``spectrum``
+computes every eigenvalue in one top-down pass that carries the ancestor
+sum from parent to child, O(n) with one symbol value per non-leaf ball; the
+two agree up to the summation order (about 1e-16 relative per level).
+
 ``apply_dense`` applies the kernel definition directly on leaf values and is
 kept deliberately independent of the eigenvalue formula: it is the O(n^2)
 oracle the spectral path is tested against.
@@ -117,7 +122,38 @@ class Spectrum:
 
 
 def spectrum(tree: BallTree, symbol: Symbol, tail: bool | None = None) -> Spectrum:
-    return Spectrum({b: eigenvalue(tree, symbol, b, tail) for b in tree.non_leaf_balls()})
+    """Every eigenvalue in one top-down pass, keyed in ascending ball id.
+
+    The ancestor sum of a ball's child is the ball's own sum plus one term,
+    ``P(child) = P(v) + T(v) * (nu(v) - nu(child))``, so
+    ``lambda_v = T(v) * nu(v) + P(v)`` costs one symbol value per ball.  When
+    a symbol value or the tail fails, the per-ball ``eigenvalue`` loop runs
+    instead and raises exactly the error it raises for the first ball.
+    """
+    balls = tree.non_leaf_balls()
+    if not balls:
+        return Spectrum({})
+    try:
+        t = {b: symbol.value(tree, b) for b in balls}
+        extra = _tail_sum(tree, symbol) if _wants_tail(symbol, tail) else None
+    except Exception:
+        for b in balls:
+            eigenvalue(tree, symbol, b, tail)
+        raise
+    measure, children = tree.measure, tree.children
+    lam = {}
+    stack = [(tree.root, None)]  # (ball, its ancestor sum P; None at the root)
+    while stack:
+        v, pv = stack.pop()
+        tv, nv = t[v], measure[v]
+        lam[v] = tv * nv if pv is None else tv * nv + pv
+        for c in children[v]:
+            if children[c]:
+                term = tv * (nv - measure[c])
+                stack.append((c, term if pv is None else pv + term))
+    if extra is None:
+        return Spectrum({b: lam[b] for b in balls})
+    return Spectrum({b: lam[b] + extra for b in balls})
 
 
 @dataclass(frozen=True)

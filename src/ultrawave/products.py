@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateBallError, DomainError, ParameterError
-from .operators import Symbol, eigenvalue
+from .operators import Symbol, spectrum
 from .trees import BallTree
 from .wavelets import Wavelet, evaluate, normalized_constant, wavelet_basis
 
@@ -353,7 +353,7 @@ class MultiOperator:
         cache = self._spectra[i]
         if cache is None:
             tree, symbol = self.factors[i]
-            cache = {b: eigenvalue(tree, symbol, b) for b in tree.non_leaf_balls()}
+            cache = spectrum(tree, symbol).eigenvalues
             self._spectra[i] = cache
         return cache[ball]
 

@@ -263,18 +263,6 @@ def _depth_of(parent: Sequence[int | None], i: int) -> int:
     return d
 
 
-def sup(tree: BallTree, a: int, b: int) -> int:
-    return tree.sup(a, b)
-
-
-def maximal_subballs(tree: BallTree, i: int) -> tuple[int, ...]:
-    return tree.maximal_subballs(i)
-
-
-def branching_index(tree: BallTree, i: int) -> int:
-    return tree.branching_index(i)
-
-
 @dataclass(frozen=True)
 class Violation:
     condition: int  # 1 = sup closure, 2 = interval closure, 3 = sibling closure

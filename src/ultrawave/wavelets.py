@@ -10,9 +10,13 @@ Basis choice inside one ball:
 
 * all subball measures equal and positive -> character construction,
   ``value(I_k) = (p*m)**-0.5 * exp(2*pi*1j*j*k/p)``,
-* otherwise -> deterministic Gram-Schmidt of zero-mean indicator differences
-  in subball order, with phases fixed so the first nonzero value is real
-  positive.
+* otherwise -> the Gram-Schmidt orthonormalization of the zero-mean
+  indicator differences ``1_{I_0}/w_0 - 1_{I_t}/w_t`` (t = 1, 2, ...) in
+  subball order, with phases fixed so the first nonzero value is real
+  positive.  Its rows have a closed form, the unbalanced Haar rows: with
+  ``W = w_0 + ... + w_{t-1}`` and ``s = sqrt(1/W + 1/w_t)``, row t is
+  ``(1/W)/s`` on the first t subballs, ``-(1/w_t)/s`` on subball t and 0
+  after it.
 
 Zero-measure subballs never enter the construction; a ball left with fewer
 than two positive-measure subballs contributes no wavelets.
@@ -20,6 +24,7 @@ than two positive-measure subballs contributes no wavelets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -47,26 +52,28 @@ class Wavelet:
     values: Mapping[int, complex]
 
 
-def _character_rows(p: int, m: float) -> list[np.ndarray]:
+@functools.cache
+def _roots_of_unity(p: int) -> tuple[tuple[complex, ...], ...]:
+    """Rows ``exp(2*pi*1j*j*k/p)``, k = 0..p-1, for j = 1..p-1."""
     k = np.arange(p)
+    return tuple(tuple(map(complex, np.exp(2j * np.pi * j * k / p))) for j in range(1, p))
+
+
+def _character_rows(p: int, m: float) -> list[list[complex]]:
     c = 1.0 / math.sqrt(p * m)
-    return [c * np.exp(2j * np.pi * j * k / p) for j in range(1, p)]
+    return [[c * z for z in row] for row in _roots_of_unity(p)]
 
 
-def _gram_schmidt_rows(weights: np.ndarray) -> list[np.ndarray]:
+def _haar_rows(weights: list[float]) -> list[list[float]]:
+    """Gram-Schmidt rows of the indicator differences, in closed form."""
     q = len(weights)
-    rows: list[np.ndarray] = []
+    rows = []
+    total = weights[0]
     for t in range(1, q):
-        v = np.zeros(q, dtype=complex)
-        v[0] = 1.0 / weights[0]
-        v[t] = -1.0 / weights[t]
-        for _ in range(2):  # re-orthogonalize for 1e-12-level Gram defects
-            for b in rows:
-                v = v - np.sum(np.conj(b) * v * weights) * b
-        v = v / math.sqrt(float(np.sum(np.abs(v) ** 2 * weights)))
-        lead = v[np.flatnonzero(np.abs(v) > 1e-13)[0]]
-        v = v * (abs(lead) / lead)
-        rows.append(v)
+        w = weights[t]
+        s = math.sqrt(1.0 / total + 1.0 / w)
+        rows.append([(1.0 / total) / s] * t + [-(1.0 / w) / s] + [0.0] * (q - t - 1))
+        total += w
     return rows
 
 
@@ -100,12 +107,11 @@ def wavelet_basis(tree: BallTree, ball: int) -> tuple[Wavelet, ...]:
     if homogeneous:
         rows = _character_rows(len(kids), m0)
     else:
-        rows = _gram_schmidt_rows(np.array([tree.measure[c] for c in pos]))
+        rows = _haar_rows([tree.measure[c] for c in pos])
     wavelets = []
     for j, row in enumerate(rows, start=1):
-        values = {c: 0.0 + 0.0j for c in kids}
-        for c, v in zip(pos, row):
-            values[c] = complex(v)
+        values = dict.fromkeys(kids, 0j)
+        values.update(zip(pos, map(complex, row)))
         wavelets.append(Wavelet(idx, j, values))
     basis = memo[idx] = tuple(wavelets)
     return basis
@@ -204,9 +210,8 @@ def analyze(tree: BallTree, f: TestFunction) -> WaveletExpansion:
     for w in tree_wavelets(tree):
         if allowed is not None and w.ball not in allowed:
             continue
-        coeffs[(w.ball, w.j)] = sum(
-            np.conj(w.values[c]) * integral[c] for c in tree.children[w.ball]
-        )
+        values = w.values
+        coeffs[(w.ball, w.j)] = sum(values[c].conjugate() * integral[c] for c in tree.children[w.ball])
     mean = integral[tree.root] * normalized_constant(tree)
     return WaveletExpansion(complex(mean), coeffs)
 

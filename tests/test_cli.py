@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ultrawave.cli import main
-from ultrawave.io import load_problem
+from ultrawave.io import fmt17, load_problem
 from ultrawave.operators import HomogeneousSymbol, operator_matrix
 from ultrawave.distributions import eval_on_char_nd
 from ultrawave.solver import solve
@@ -257,6 +257,23 @@ class TestCsvVariants:
         assert lines[0] == "vertex_1,vertex_2,abs,re,im"
         assert [l.split(",")[:2] for l in lines[1:]] == [["0", "0"], ["1", "1"], ["2", "2"]]
 
+    def test_eval_csv(self, tmp_path, capsys):
+        path = write_wave_problem(tmp_path)
+        out = tmp_path / "solution.json"
+        main(["solve", path, "--out", str(out)])
+        capsys.readouterr()
+        args = ["eval", str(out), "--space", "padic(2,2)", "--space", "padic(2,2)",
+                "--at", "[[3,3],[0,0],[1,2],[0,4]]"]
+        assert main(args) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert main(args + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "vertex_1,vertex_2,re,im"
+        assert lines[1:] == [
+            f"{r['vertex'][0]},{r['vertex'][1]},{fmt17(r['re'])},{fmt17(r['im'])}" for r in rows
+        ]
+        assert any(r["re"] != 0.0 for r in rows)
+
     def test_eval_at_file(self, tmp_path, capsys):
         path = write_wave_problem(tmp_path)
         out = tmp_path / "solution.json"
@@ -291,6 +308,44 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("at,message", [
+        ("[[3.7, 0], [3, 0]]", "non-integral id or index 3.7"),
+        ('[["x", 0]]', "bad vertex ['x', 0]"),
+        ("[null]", "bad vertex None"),
+        ("[3.5]", "bad vertex 3.5"),
+        ('[{"vertex": [0, 0]}]', "bad vertex"),
+        ('{"at": [[0, 0]]}', "a JSON list of vertices"),
+    ])
+    def test_bad_at_exit_two(self, tmp_path, capsys, at, message):
+        path = write_wave_problem(tmp_path)
+        out = tmp_path / "solution.json"
+        main(["solve", path, "--out", str(out)])
+        capsys.readouterr()
+        assert main([
+            "eval", str(out), "--space", "padic(2,2)", "--space", "padic(2,2)", "--at", at,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_integral_at_items_load_as_before(self, tmp_path, capsys):
+        path = write_wave_problem(tmp_path)
+        out = tmp_path / "solution.json"
+        main(["solve", path, "--out", str(out)])
+        capsys.readouterr()
+        spaces = ["--space", "padic(2,2)", "--space", "padic(2,2)"]
+        assert main(["eval", str(out), *spaces, "--at", "[[3.0, 0], [1, 2.0]]"]) == 0
+        floats = capsys.readouterr().out
+        assert main(["eval", str(out), *spaces, "--at", "[[3, 0], [1, 2]]"]) == 0
+        assert floats == capsys.readouterr().out
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({
+            "anchor": {"vertex": [3], "value": [0.0, 0.0]},
+            "coeffs": [{"vertex": [0], "j": [1], "re": 1.0, "im": 0.0}],
+        }))
+        assert main(["eval", str(one), "--space", "padic(2,2)", "--at", "[5, 2]"]) == 0
+        assert [r["vertex"] for r in json.loads(capsys.readouterr().out)] == [[2], [5]]
 
     def test_missing_required_flag_exit_two(self, capsys):
         assert main(["spectrum", "--space", "padic(2,1)"]) == 2

@@ -228,6 +228,21 @@ class TestPairings:
         with pytest.raises(DomainError):
             LizorkinSeries.one_dim({(0, 0): 1.0})
 
+    @pytest.mark.parametrize("j", [1.5, 1.0, "1", None])
+    def test_non_integer_index_rejected(self, j):
+        key = ((0,), (j,))
+        with pytest.raises(DomainError, match=f"index .*: j={j!r} is not an integer"):
+            LizorkinSeries(1, {key: 1.0})
+        with pytest.raises(DomainError, match=f"index .*: j={j!r} is not an integer"):
+            LizorkinSeries(2, {((0, 1), (1, j)): 1.0})
+        t = build_padic_tree(2, 2)
+        with pytest.raises(DomainError, match=f"index .*: j={j!r} is not an integer"):
+            GeneralizedFunction([t], [3], {key: 1.0})
+
+    def test_integer_like_indices_kept(self):
+        phi = LizorkinSeries(1, {((0,), (np.int64(2),)): 1.0, ((1,), (True,)): 2.0})
+        assert phi.coeffs == {((0,), (2,)): 1.0, ((1,), (True,)): 2.0}
+
 
 class TestEvalNd:
     def test_pure_anchor_term(self):

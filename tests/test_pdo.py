@@ -14,7 +14,8 @@ from ultrawave.operators import (
     operator_matrix,
     spectrum,
 )
-from ultrawave.trees import build_padic_tree
+from ultrawave.products import MultiOperator
+from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import TestFunction, evaluate, tree_wavelets
 
 
@@ -207,3 +208,139 @@ def test_parent_recursion(seed):
             - sym.value(t, p) * t.measure[b]
         )
         assert abs(lam - rec) <= 1e-12 * max(scale, 1.0)
+
+
+# -- the one-pass spectrum against the per-ball eigenvalue sum ----------------
+
+
+def relabeled(rng, tree, perm=None):
+    """The same tree with vertex v renamed ``perm[v]`` (default: a random permutation)."""
+    n = tree.n_vertices
+    if perm is None:
+        perm = [int(i) for i in rng.permutation(n)]
+    parent, measure, diameter = [None] * n, [0.0] * n, [0.0] * n
+    for v in range(n):
+        p = tree.parent[v]
+        parent[perm[v]] = None if p is None else perm[p]
+        measure[perm[v]] = tree.measure[v]
+        diameter[perm[v]] = tree.diameter[v]
+    return BallTree(parent, measure, diameter)
+
+
+class CountingSymbol:
+    """Wraps a symbol and counts its ``value`` calls per ball."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {}
+
+    def value(self, tree, ball):
+        self.calls[ball] = self.calls.get(ball, 0) + 1
+        return self.inner.value(tree, ball)
+
+
+def assert_matches_eigenvalues(tree, symbol, tail=None):
+    spec = spectrum(tree, symbol, tail)
+    want = {b: eigenvalue(tree, symbol, b, tail) for b in tree.non_leaf_balls()}
+    assert list(spec.eigenvalues) == sorted(want)
+    scale = max(abs(v) for v in want.values())
+    for b, lam in want.items():
+        assert type(spec[b]) is complex
+        assert abs(spec[b] - lam) <= 1e-13 * scale
+
+
+class TestOnePassSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_table_symbols_random_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_measured_tree(rng, max_depth=6)
+        assert_matches_eigenvalues(t, random_table_symbol(rng, t))
+        u = relabeled(rng, t)
+        assert_matches_eigenvalues(u, random_table_symbol(rng, u))
+
+    @pytest.mark.parametrize("p,depth", [(2, 9), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("beta,tail", [(0.5, None), (1.7, True), (1.7, False), (3.0, True)])
+    def test_homogeneous_symbols(self, p, depth, beta, tail):
+        t = build_padic_tree(p, depth)
+        assert_matches_eigenvalues(t, HomogeneousSymbol(c=0.7 - 0.2j, beta=beta), tail)
+        assert_matches_eigenvalues(t, HomogeneousSymbol(c=2.0, beta=beta, tail=beta > 1.0))
+
+    def test_homogeneous_symbol_on_relabeled_random_tree(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            t = relabeled(rng, random_measured_tree(rng, max_depth=5))
+            assert_matches_eigenvalues(t, HomogeneousSymbol(c=-1.5j, beta=0.8))
+
+    def test_one_symbol_value_per_non_leaf_ball(self):
+        rng = np.random.default_rng(8)
+        t = relabeled(rng, random_measured_tree(rng, max_depth=5))
+        sym = CountingSymbol(random_table_symbol(rng, t))
+        spectrum(t, sym)
+        assert sym.calls == {b: 1 for b in t.non_leaf_balls()}
+
+    def test_divergent_tail_raises_like_eigenvalue(self):
+        t = build_padic_tree(2, 3)
+        sym = HomogeneousSymbol(beta=0.5, tail=True)
+        with pytest.raises(DivergenceError) as per_ball:
+            eigenvalue(t, sym, t.root)
+        with pytest.raises(DivergenceError) as one_pass:
+            spectrum(t, sym)
+        assert str(one_pass.value) == str(per_ball.value)
+
+    def test_errors_are_the_first_balls_error(self):
+        t = relabeled(None, build_padic_tree(2, 3), perm=range(14, -1, -1))  # root last
+        balls = t.non_leaf_balls()
+        chain = [balls[0], *t.ancestors(balls[0])]  # what the first ball's eigenvalue reads
+        off_chain = [b for b in balls if b not in chain]
+        top = chain[-1]
+        assert off_chain and min(off_chain) < top
+
+        def table_without(*missing):
+            return TableSymbol({b: 1.0 for b in balls if b not in missing})
+
+        cases = [
+            (table_without(balls[0]), None),
+            (table_without(balls[-1]), None),
+            (table_without(top, min(off_chain)), None),  # the chain's error, not the smaller id's
+            (table_without(off_chain[-1]), True),  # no tail for a table symbol comes first
+            (table_without(top), True),
+            (TableSymbol({b: 1.0 for b in balls}), True),
+            (HomogeneousSymbol(beta=2.0, tail=True), None),  # not a p-adic tree
+        ]
+        for sym, tail in cases:
+            with pytest.raises(Exception) as per_ball:
+                for b in balls:
+                    eigenvalue(t, sym, b, tail)
+            with pytest.raises(Exception) as one_pass:
+                spectrum(t, sym, tail)
+            assert type(one_pass.value) is type(per_ball.value)
+            assert str(one_pass.value) == str(per_ball.value)
+
+    def test_two_term_sums_bitwise(self):
+        # at the root and its children both orders add the same terms in the same order
+        rng = np.random.default_rng(12)
+        t = relabeled(rng, random_measured_tree(rng, max_depth=4))
+        negative_zero = TableSymbol({b: complex(-1.5, -0.0) for b in t.non_leaf_balls()})
+        for sym in (HomogeneousSymbol(beta=0.6), negative_zero, random_table_symbol(rng, t)):
+            spec = spectrum(t, sym)
+            for b in (t.root, *t.children[t.root]):
+                if t.children[b]:
+                    z, want = spec[b], eigenvalue(t, sym, b)
+                    assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_tree_without_non_leaf_balls_is_empty(self):
+        t = BallTree([None], [1.0], [0.0])
+        assert spectrum(t, HomogeneousSymbol(beta=0.5, tail=True)).eigenvalues == {}
+        assert spectrum(t, TableSymbol({}), tail=True).eigenvalues == {}
+
+    def test_factor_eigenvalue_reads_the_spectrum(self):
+        rng = np.random.default_rng(4)
+        t1 = relabeled(rng, random_measured_tree(rng, max_depth=5))
+        t2 = build_padic_tree(3, 3)
+        s1, s2 = random_table_symbol(rng, t1), HomogeneousSymbol(c=1.5, beta=1.4, tail=True)
+        op = MultiOperator([(t1, s1), (t2, s2)], [((0,), 1.0), ((1,), -1.0)])
+        for i, (t, s) in enumerate(op.factors):
+            spec = spectrum(t, s)
+            for b in t.non_leaf_balls():
+                assert op.factor_eigenvalue(i, b) == spec[b]

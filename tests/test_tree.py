@@ -13,10 +13,11 @@ from ultrawave.trees import (
     RegularSubtree,
     build_padic_tree,
     full_subtree,
-    sup,
     tree_from_leaf_measures,
     validate_regular_subtree,
 )
+
+sup = BallTree.sup
 
 
 class TestPadicBuilder:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import random_leaf_function, random_measured_tree
 from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
-from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree
+from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree, tree_from_leaf_measures
 from ultrawave.wavelets import (
     TestFunction,
     WaveletExpansion,
+    _character_rows,
+    _haar_rows,
     analyze,
     evaluate,
     normalized_constant,
@@ -304,3 +306,131 @@ def test_cross_ball_orthogonality_without_orthonormalization():
                 continue
             vb = np.array([evaluate(t, b, x) for x in t.leaves])
             assert abs(np.sum(np.conj(va) * vb * nu)) < 1e-12
+
+
+# -- closed-form bases against the numpy constructions they replaced ----------
+
+
+def numpy_character_rows(p, m):
+    k = np.arange(p)
+    c = 1.0 / math.sqrt(p * m)
+    return [c * np.exp(2j * np.pi * j * k / p) for j in range(1, p)]
+
+
+def numpy_gram_schmidt_rows(weights):
+    q = len(weights)
+    rows = []
+    for t in range(1, q):
+        v = np.zeros(q, dtype=complex)
+        v[0] = 1.0 / weights[0]
+        v[t] = -1.0 / weights[t]
+        for _ in range(2):
+            for b in rows:
+                v = v - np.sum(np.conj(b) * v * weights) * b
+        v = v / math.sqrt(float(np.sum(np.abs(v) ** 2 * weights)))
+        lead = v[np.flatnonzero(np.abs(v) > 1e-13)[0]]
+        v = v * (abs(lead) / lead)
+        rows.append(v)
+    return rows
+
+
+def numpy_basis(tree, ball):
+    """Subball values of the basis at ``ball``, built the numpy way."""
+    kids = tree.children[ball]
+    pos = [c for c in kids if tree.measure[c] > 0.0]
+    m0 = tree.measure[pos[0]]
+    if len(pos) == len(kids) and all(math.isclose(tree.measure[c], m0, rel_tol=1e-12) for c in kids):
+        rows = numpy_character_rows(len(kids), m0)
+    else:
+        rows = numpy_gram_schmidt_rows(np.array([tree.measure[c] for c in pos]))
+    out = []
+    for row in rows:
+        values = {c: 0.0 + 0.0j for c in kids}
+        values.update((c, complex(v)) for c, v in zip(pos, row))
+        out.append(values)
+    return out
+
+
+def with_zero_leaves(rng, tree, fraction=0.3):
+    """The same tree with a random share of its leaf measures set to 0."""
+    leaf_measure = {x: (0.0 if rng.random() < fraction else tree.measure[x]) for x in tree.leaves}
+    if not any(leaf_measure.values()):
+        leaf_measure[tree.leaves[0]] = 1.0
+    return tree_from_leaf_measures(tree.parent, leaf_measure, tree.diameter)
+
+
+class TestClosedFormBases:
+    @pytest.mark.parametrize("p", range(2, 12))
+    def test_character_rows_bitwise(self, p):
+        for m in (1.0, 1.0 / p, 1.0 / 3.0, 0.1, 2.0 ** -40, 7.25, 1e-300):
+            new = _character_rows(p, m)
+            old = numpy_character_rows(p, m)
+            assert [bits(dict(enumerate(r))) for r in new] == [
+                bits(dict(enumerate(map(complex, r)))) for r in old
+            ]
+
+    @pytest.mark.parametrize("p", range(2, 12))
+    def test_character_bases_bitwise_on_padic_trees(self, p):
+        t = build_padic_tree(p, 2 if p <= 5 else 1)
+        for b in t.non_leaf_balls():
+            basis = wavelet_basis(t, b)
+            assert [bits(w.values) for w in basis] == [bits(v) for v in numpy_basis(t, b)]
+            assert all(type(z) is complex for w in basis for z in w.values.values())
+
+    def test_haar_rows_match_gram_schmidt(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            q = int(rng.integers(2, 8))
+            weights = rng.uniform(0.05, 3.0, size=q) * 10.0 ** rng.uniform(-6, 6)
+            new = _haar_rows([float(w) for w in weights])
+            old = numpy_gram_schmidt_rows(weights)
+            scale = max(abs(complex(v)) for row in old for v in row)
+            assert len(new) == len(old) == q - 1
+            for r_new, r_old in zip(new, old):
+                assert max(abs(a - complex(b)) for a, b in zip(r_new, r_old)) <= 1e-14 * scale
+                first = next(a for a in r_new if a != 0.0)
+                assert first > 0.0  # the phase rule
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_random_trees_with_zero_measures(self, seed):
+        rng = np.random.default_rng(seed)
+        t = with_zero_leaves(rng, random_measured_tree(rng))
+        for b in t.non_leaf_balls():
+            if sum(t.measure[c] > 0.0 for c in t.children[b]) < 2:
+                with pytest.raises(DegenerateBallError):
+                    wavelet_basis(t, b)
+                continue
+            basis = wavelet_basis(t, b)
+            old = numpy_basis(t, b)
+            scale = max(abs(z) for v in old for z in v.values())
+            assert [list(w.values) for w in basis] == [list(v) for v in old]
+            for w, v in zip(basis, old):
+                assert max(abs(w.values[c] - v[c]) for c in v) <= 1e-14 * scale
+                assert all(w.values[c] == 0 for c in t.children[b] if t.measure[c] == 0.0)
+        G = gram(t)
+        assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
+
+
+def conj_analyze_coeffs(tree, f):
+    """Wavelet coefficients summed from ``np.conj`` of each basis value."""
+    lv = f.leaf_values()
+    integral = [0.0 + 0.0j] * tree.n_vertices
+    for v in sorted(range(tree.n_vertices), key=lambda i: -tree.depth[i]):
+        kids = tree.children[v]
+        integral[v] = sum(integral[c] for c in kids) if kids else lv[v] * tree.measure[v]
+    return {
+        (w.ball, w.j): sum(np.conj(w.values[c]) * integral[c] for c in tree.children[w.ball])
+        for w in tree_wavelets(tree)
+    }
+
+
+@pytest.mark.parametrize("p,depth", [(2, 7), (3, 4), (5, 2), (7, 2)])
+def test_analyze_bitwise_equals_numpy_conjugate(p, depth):
+    t = build_padic_tree(p, depth)
+    f = random_leaf_function(np.random.default_rng(p * 100 + depth), t)
+    got = analyze(t, f).coeffs
+    want = conj_analyze_coeffs(t, f)
+    assert list(got) == list(want)
+    assert bits(got) == bits(want)
+    assert all(type(c) is complex for c in got.values())
