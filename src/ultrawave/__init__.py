@@ -7,6 +7,7 @@ from .errors import (
     DomainError,
     FileFormatError,
     IllConditionedError,
+    NonFiniteError,
     ParameterError,
     SpaceValidationError,
     UltrawaveError,

@@ -2,7 +2,8 @@
 
 Subcommands: validate, wavelets, spectrum, characteristics, solve, eval.
 Exit codes: 0 success, 2 parse/validation failure, 3 solvability violation,
-4 numeric (divergent tail or ill-conditioned division).
+4 numeric (divergent tail, ill-conditioned division or a non-finite result
+in JSON output).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     DivergenceError,
     FileFormatError,
     IllConditionedError,
+    NonFiniteError,
     ParameterError,
     SpaceValidationError,
     UltrawaveError,
@@ -216,7 +218,7 @@ def run(config: RunConfig) -> int:
     except UnsolvableError as exc:
         sys.stderr.write(f"unsolvable: {exc}\n")
         return 3
-    except (IllConditionedError, DivergenceError) as exc:
+    except (IllConditionedError, DivergenceError, NonFiniteError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 4
     except (FileFormatError, SpaceValidationError, ParameterError, UnknownBallError, OSError) as exc:

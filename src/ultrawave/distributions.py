@@ -13,18 +13,19 @@ Pairings with indicator functions reduce to finite sums: per factor, a
 wavelet term contributes only when its ball lies strictly above the argument
 ball or strictly above the anchor ball, and at most up to their sup; all
 higher terms cancel exactly.  ``eval_on_char_nd`` implements that closed
-form.  It looks the stored coefficients up by vertex and visits only the
-candidate balls on each factor's path (the anchor ball and the strict
-ancestors of the argument and of the anchor up to their sup), so a pairing
-costs O(depth**n) lookups whatever the number of stored coefficients.  The
-candidates are visited in sorted key order, so the sum is the one the
+form without any index over the stored coefficients.  Per factor it lists
+the candidate (ball, j) pairs: j = 0 at the anchor ball, and every wavelet
+index at the strict ancestors of the argument and of the anchor up to their
+sup.  It then probes ``coeffs`` once per combination, so a pairing costs
+prod_i (1 + sum over those balls b of (#children(b) - 1)) lookups (at most
+225 on padic(2,7)**2) whatever the number of stored coefficients.  The
+combinations are visited in sorted key order, so the sum is the one the
 all-terms scan gives, bit for bit; that honest all-terms summation lives in
 the test suite as its oracle.
 
 Construction validates each distinct (factor, ball, j) component once
 rather than every component of every key, so it costs O(keys + distinct
-components) plus one wavelet-basis lookup per distinct component, and the
-pairing index groups the keys by vertex without sorting them all.  Any
+components) plus one wavelet-basis lookup per distinct component.  Any
 failure, or an id that is not an exact ``int``, hands the keys to the
 key-by-key check, which raises at the first bad key or value in insertion
 order.
@@ -49,7 +50,6 @@ from .trees import BallTree
 from .wavelets import WaveletExpansion, TestFunction, synthesize, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-VertexIndex = dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]]  # vertex -> [(j, c)]
 
 MEAN_ZERO_RTOL = 1e-12
 
@@ -139,10 +139,9 @@ class GeneralizedFunction:
                 stored[k] = complex(c)
         if anchor_value is not None:
             stored[self.anchor_key] = complex(anchor_value)
-        # read-only, so the cached order and vertex index below never go stale
+        # read-only, so the cached order below never goes stale
         self.coeffs: Mapping[Key, complex] = MappingProxyType(stored)
         self._items: tuple[tuple[Key, complex], ...] | None = None
-        self._by_vertex: VertexIndex | None = None
 
     @property
     def n(self) -> int:
@@ -165,10 +164,15 @@ class GeneralizedFunction:
         every value converts, every component is an exact ``int`` and every
         distinct component is valid.
         """
-        try:
-            stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
-        except Exception:  # the per-key loop raises it again at the right key
-            return None
+        if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
+                and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
+                and set(map(type, coeffs.values())) <= {complex}):
+            stored = dict(coeffs)  # already normalized: what the comprehension below would build
+        else:
+            try:
+                stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
+            except Exception:  # the per-key loop raises it again at the right key
+                return None
         if not stored:
             return stored
         n = self.n
@@ -238,23 +242,6 @@ class GeneralizedFunction:
             self._items = tuple(sorted(self.coeffs.items(), key=itemgetter(0)))
         return self._items
 
-    def _coeffs_by_vertex(self) -> VertexIndex:
-        """Nonzero stored coefficients grouped by vertex, each group in sorted j order.
-
-        Grouped in insertion order and each (mostly one-entry) group sorted
-        by j, which gives every group the order it has in ``items()``
-        without sorting all the keys.  Built on first use and cached.
-        """
-        if self._by_vertex is None:
-            index: VertexIndex = {}
-            for (vertex, j), c in self.coeffs.items():
-                if c != 0:
-                    index.setdefault(vertex, []).append((j, c))
-            for group in index.values():
-                group.sort(key=itemgetter(0))
-            self._by_vertex = index
-        return self._by_vertex
-
     @classmethod
     def one_dim(
         cls,
@@ -289,46 +276,65 @@ def _indicator_integral(
     return 0.0 + 0.0j if child is None else values[child] * tree.measure[target]
 
 
+def _candidate_terms(
+    tree: BallTree, b0: int, a0: int
+) -> list[tuple[int, list[tuple[int, complex | float]]]]:
+    """One factor's candidate balls, in id order, each with its (j, factor of the term) pairs.
+
+    j = 0 pairs only with the anchor ball ``a0``; the wavelet indices pair
+    with the strict ancestors of the argument ``b0`` and of ``a0`` up to
+    their sup (a degenerate ball there carries none).  The factor is what
+    the term of a coefficient at (ball, j) is multiplied by on this factor.
+    """
+    s = tree.sup(b0, a0)
+    up_arg, up_anchor = _toward(tree, b0, s), _toward(tree, a0, s)
+    ratio = tree.measure[b0] / tree.measure[a0]
+    out = []
+    for ball in sorted({a0, *up_arg, *up_anchor}):
+        js: list[tuple[int, complex | float]] = [(0, tree.measure[b0])] if ball == a0 else []
+        if ball in up_arg or ball in up_anchor:
+            try:
+                basis = wavelet_basis(tree, ball)
+            except DegenerateBallError:
+                basis = ()
+            for w in basis:
+                js.append((w.j, _indicator_integral(tree, ball, w.values, b0, up_arg)
+                           - ratio * _indicator_integral(tree, ball, w.values, a0, up_anchor)))
+        out.append((ball, js))
+    return out
+
+
 def eval_on_char_nd(u: GeneralizedFunction, vertex: Sequence[int]) -> complex:
     """Pairing with the indicator of a product ball, via the finite closed form.
 
-    Per factor only the anchor ball and the strict ancestors of the argument
-    and of the anchor up to their sup can carry a nonzero term.  The product
-    of those candidate balls is walked in sorted order and each vertex is
-    looked up in ``u._coeffs_by_vertex()``, so the terms are added in the
-    sorted key order of an all-terms scan (whose other terms are exactly 0j).
+    Per factor only the anchor ball (with j = 0) and the strict ancestors of
+    the argument and of the anchor up to their sup (with every wavelet
+    index) can carry a nonzero term.  The candidate vertices are walked in
+    sorted order and, for each, the product of its per-factor index lists
+    in sorted order, so every key is probed with ``u.coeffs.get`` in the
+    sorted key order of an all-terms scan (whose other terms are exactly
+    0j); missing keys and zero values add nothing.  There is no index: a
+    pairing costs prod_i (1 + sum over the candidate balls b of factor i of
+    (#children(b) - 1)) lookups, at most 225 on padic(2,7)**2, however many
+    coefficients ``u`` stores.
     """
     vertex = tuple(vertex)
     if len(vertex) != u.n:
         raise ParameterError(f"vertex arity {len(vertex)} does not match {u.n} factors")
     vertex = tuple(tree.check_ball(b) for tree, b in zip(u.factors, vertex))
-    index = u._coeffs_by_vertex()
-    paths = []
-    for tree, b0, a0 in zip(u.factors, vertex, u.anchor):
-        s = tree.sup(b0, a0)
-        paths.append((_toward(tree, b0, s), _toward(tree, a0, s)))
-    candidates = [sorted({a0, *up_arg, *up_anchor})
-                  for a0, (up_arg, up_anchor) in zip(u.anchor, paths)]
+    candidates = [_candidate_terms(tree, b0, a0) for tree, b0, a0 in zip(u.factors, vertex, u.anchor)]
+    get = u.coeffs.get
     total = 0.0 + 0.0j
-    for kv in itertools.product(*candidates):
-        for kj, c in index.get(kv, ()):
+    for balls in itertools.product(*candidates):
+        kv = tuple(ball for ball, _ in balls)
+        for jw in itertools.product(*(js for _, js in balls)):
+            c = get((kv, tuple(j for j, _ in jw)))
+            if not c:  # missing, 0j or -0j
+                continue
             term = c
-            for i in range(u.n):
-                tree = u.factors[i]
-                ball, ji = kv[i], kj[i]
-                b0, a0 = vertex[i], u.anchor[i]
-                up_arg, up_anchor = paths[i]
-                if ji == 0:
-                    term *= tree.measure[b0]
-                    continue
-                if ball not in up_arg and ball not in up_anchor:
-                    break  # the all-terms scan adds exactly 0j for this key
-                values = wavelet_basis(tree, ball)[ji - 1].values
-                term *= _indicator_integral(tree, ball, values, b0, up_arg) - (
-                    tree.measure[b0] / tree.measure[a0]
-                ) * _indicator_integral(tree, ball, values, a0, up_anchor)
-            else:
-                total += term
+            for _, factor in jw:
+                term *= factor
+            total += term
     return complex(total)
 
 

@@ -33,6 +33,10 @@ class DivergenceError(UltrawaveError, ArithmeticError):
     """The upward extension series for a symbol does not converge."""
 
 
+class NonFiniteError(UltrawaveError, ArithmeticError):
+    """A result holds NaN or infinity, which JSON output cannot represent."""
+
+
 class DomainError(UltrawaveError, ValueError):
     """A value lies outside the domain an operation is defined on."""
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import os
 import re
+from itertools import chain, repeat
+from operator import contains, itemgetter
 from typing import Any, Mapping, Sequence
 
-from .distributions import GeneralizedFunction, LizorkinSeries
-from .errors import FileFormatError
+from .distributions import GeneralizedFunction, Key, LizorkinSeries
+from .errors import FileFormatError, NonFiniteError
 from .operators import HomogeneousSymbol, Symbol, TableSymbol
 from .products import MultiOperator
 from .solver import CauchyProblem, Solution
@@ -56,10 +58,15 @@ def _pair_of(value: Any, location: str) -> complex:
 def _int_tuple(values: Any, what: str, owner: Any, location: str) -> tuple[int, ...]:
     """Ball ids or wavelet indices from a JSON list.
 
-    Each must be an integer; an integral float such as ``3.0`` loads as 3,
-    a non-integral one is an error (never truncated).  ``what`` and
-    ``owner`` name the record in the error message.
+    Each must be a number with an integer value: an integral float such as
+    ``3.0`` loads as 3, a non-integral one is an error (never truncated), and
+    so is a string or a boolean (``"3"`` and ``true`` are not ids).  ``what``
+    and ``owner`` name the record in the error message.
     """
+    if isinstance(values, (list, tuple)):
+        for x in values:
+            if isinstance(x, (str, bool)):
+                raise FileFormatError(f"bad {what} {owner!r}: id or index {x!r} is not a number", location)
     try:
         out = tuple(map(int, values)) if isinstance(values, (list, tuple)) else None
     except (TypeError, ValueError, OverflowError):
@@ -260,6 +267,68 @@ def _coeff_entry_key(rec: Mapping[str, Any], location: str) -> tuple[tuple[int, 
             _int_tuple(j, "coefficient entry", rec, location))
 
 
+def _strict_coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, complex]:
+    """Coefficient records to a ``(vertex, j) -> complex`` dict, checking each record in turn.
+
+    Raises ``FileFormatError`` at the first bad record.  ``one_dim`` also
+    rejects a record whose vertex has more than one ball.
+    """
+    coeffs = {}
+    for rec in records:
+        key = _coeff_entry_key(rec, location)  # first: it also rejects a record that is not an object
+        if one_dim and len(key[0]) != 1:
+            raise FileFormatError("a wavelet expansion is one-dimensional", location)
+        coeffs[key] = _complex_of(rec, location)
+    return coeffs
+
+
+_VERTEX, _BALL, _J, _RE, _IM = map(itemgetter, ("vertex", "ball", "j", "re", "im"))
+
+
+def _fast_coeff_records(records, one_dim: bool = False) -> dict[Key, complex] | None:
+    """The strict loader's dict, built column by column when every record has exact types.
+
+    ``records`` must be a list of ``dict`` records, either all with scalar
+    ``ball``/``j`` (a ``vertex`` next to ``ball`` is ignored, as the strict
+    loader ignores it) or all with list ``vertex``/``j``, with exact ``int``
+    ids and indices and ``float`` ``re``/``im``.  Returns None on any miss;
+    the strict loader then decides.
+    """
+    if type(records) is not list or not set(map(type, records)) <= {dict}:
+        return None
+    try:
+        js, res, ims = (list(map(get, records)) for get in (_J, _RE, _IM))
+        if any(map(contains, records, repeat("ball"))):
+            keys = list(zip(zip(map(_BALL, records)), zip(js)))
+        else:
+            vertices = list(map(_VERTEX, records))
+            if not set(map(type, chain(vertices, js))) <= {list}:
+                return None
+            keys = list(zip(map(tuple, vertices), map(tuple, js)))
+    except KeyError:
+        return None
+    if not set(map(type, chain.from_iterable(chain.from_iterable(keys)))) <= {int}:
+        return None
+    if not set(map(type, chain(res, ims))) <= {float}:
+        return None
+    if one_dim and not set(map(len, map(itemgetter(0), keys))) <= {1}:
+        return None
+    return dict(zip(keys, map(complex, res, ims)))
+
+
+def _coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, complex]:
+    """Coefficient records to a ``(vertex, j) -> complex`` dict in record order.
+
+    Keys are ``(tuple, tuple)`` of exact ints and values are ``complex``, so
+    ``GeneralizedFunction`` and ``LizorkinSeries`` take them as they are.
+    Records of exact JSON types load column by column; anything else runs the
+    strict per-record loader from the first record, so errors and their
+    messages do not depend on which path ran.
+    """
+    coeffs = _fast_coeff_records(records, one_dim)
+    return _strict_coeff_records(records, location, one_dim) if coeffs is None else coeffs
+
+
 def _coeff_entry_obj(key, value: complex) -> dict[str, Any]:
     vertex, j = key
     if len(vertex) == 1:
@@ -274,13 +343,8 @@ def _coeff_entry_obj(key, value: complex) -> dict[str, Any]:
 
 def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> WaveletExpansion:
     mean = _pair_of(obj.get("mean", 0.0), location)
-    coeffs = {}
-    for rec in obj.get("coeffs", []):
-        vertex, j = _coeff_entry_key(rec, location)
-        if len(vertex) != 1:
-            raise FileFormatError("a wavelet expansion is one-dimensional", location)
-        coeffs[(vertex[0], j[0])] = _complex_of(rec, location)
-    return WaveletExpansion(mean, coeffs)
+    coeffs = _coeff_records(obj.get("coeffs", []), location, one_dim=True)
+    return WaveletExpansion(mean, {(vertex[0], j[0]): c for (vertex, j), c in coeffs.items()})
 
 
 def expansion_to_obj(e: WaveletExpansion) -> dict[str, Any]:
@@ -296,10 +360,7 @@ def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") 
     mean = _pair_of(obj.get("mean", 0.0), location)
     if mean != 0:
         raise FileFormatError("a right-hand side series must have zero mean coefficient", location)
-    coeffs = {}
-    for rec in obj.get("coeffs", []):
-        coeffs[_coeff_entry_key(rec, location)] = _complex_of(rec, location)
-    return LizorkinSeries(n, coeffs)
+    return LizorkinSeries(n, _coeff_records(obj.get("coeffs", []), location))
 
 
 def load_lizorkin(spec: str | Mapping[str, Any], n: int, base_dir: str = ".") -> LizorkinSeries:
@@ -334,11 +395,7 @@ def genfun_from_obj(
     records = obj.get("coeffs", [])
     if not isinstance(records, list):
         raise FileFormatError("'coeffs' must be a list", location)
-    coeffs = {}
-    for rec in records:
-        key = _coeff_entry_key(rec, location)  # first: it also rejects a record that is not an object
-        coeffs[key] = _complex_of(rec, location)
-    return GeneralizedFunction(trees, anchor, coeffs, value)
+    return GeneralizedFunction(trees, anchor, _coeff_records(records, location), value)
 
 
 def solution_to_obj(sol: Solution) -> dict[str, Any]:
@@ -374,9 +431,7 @@ def problem_from_obj(
     op = load_operator(obj["operator"], trees, base_dir)
     rhs = load_lizorkin(obj.get("rhs", {"mean": [0.0, 0.0], "coeffs": []}), len(trees), base_dir)
     anchor, anchor_value = _anchor_of(obj, location)
-    boundary = {}
-    for rec in obj.get("boundary", []):
-        boundary[_coeff_entry_key(rec, location)] = _complex_of(rec, location)
+    boundary = _coeff_records(obj.get("boundary", []), location)
     free: str | int | dict = "zero"
     fp = obj.get("free_params", "zero")
     if fp == "zero":
@@ -384,7 +439,7 @@ def problem_from_obj(
     elif isinstance(fp, Mapping) and "seed" in fp:
         free = int(fp["seed"])
     elif isinstance(fp, list):
-        free = {_coeff_entry_key(rec, location): _complex_of(rec, location) for rec in fp}
+        free = _coeff_records(fp, location)
     else:
         raise FileFormatError(f"unsupported free_params value {fp!r}", location)
     problem = CauchyProblem(
@@ -408,9 +463,15 @@ def write_json(obj: Any, path: str | None) -> str:
     """Compact single-line JSON, written to ``path`` (with a newline) when given.
 
     Without ``indent`` CPython serializes with its C encoder; an indented
-    dump falls back to the pure-Python one.
+    dump falls back to the pure-Python one.  The objects written here hold
+    no reference cycles, so the circular-reference check is skipped.  NaN
+    and infinity are not JSON: they raise ``NonFiniteError`` before
+    anything is written.
     """
-    text = json.dumps(obj)
+    try:
+        text = json.dumps(obj, check_circular=False, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"cannot write a non-finite value as JSON ({exc})") from None
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

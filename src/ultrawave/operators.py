@@ -25,6 +25,8 @@ geometric series with ratio ``p**(1-beta)`` that converges iff beta > 1.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -61,6 +63,12 @@ class HomogeneousSymbol:
     c: complex = 1.0
     beta: float = 1.0
     tail: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.beta) and cmath.isfinite(self.c)):
+            raise ParameterError(
+                f"homogeneous symbol needs a finite beta and c, got beta={self.beta!r}, c={self.c!r}"
+            )
 
     def value(self, tree: BallTree, ball: int) -> complex:
         d = tree.diameter[tree.check_ball(ball)]

@@ -234,20 +234,19 @@ def synthesize(
     """
     targets = subtree.minimal if subtree is not None else tree.leaves
     top = subtree.top if subtree is not None else tree.root
-    for ball, j in expansion.coeffs:
-        tree.check_ball(ball)
-        ok_member = subtree is None or (ball in subtree and ball not in subtree.minimal)
-        ok_ancestor = subtree is not None and ball != top and tree.is_ancestor(ball, top)
-        if not (ok_member or ok_ancestor):
-            raise DomainError(f"coefficient at ball {ball} lies outside the synthesis domain")
-        if not (1 <= j <= len(wavelet_basis(tree, ball))):
-            raise DomainError(f"no wavelet with index {j} at ball {ball}")
-
-    # nonzero coefficients by ball, each with its rank in expansion.coeffs
+    # nonzero coefficients by checked ball id, each with its rank in expansion.coeffs
     by_ball: dict[int, list[tuple[int, complex, Mapping[int, complex]]]] = {}
     for rank, ((ball, j), c) in enumerate(expansion.coeffs.items()):
+        b = tree.check_ball(ball)
+        ok_member = subtree is None or (b in subtree and b not in subtree.minimal)
+        ok_ancestor = subtree is not None and b != top and tree.is_ancestor(b, top)
+        if not (ok_member or ok_ancestor):
+            raise DomainError(f"coefficient at ball {ball} lies outside the synthesis domain")
+        basis = wavelet_basis(tree, b)
+        if not (1 <= j <= len(basis)):
+            raise DomainError(f"no wavelet with index {j} at ball {ball}")
         if c != 0:
-            by_ball.setdefault(ball, []).append((rank, c, wavelet_basis(tree, ball)[j - 1].values))
+            by_ball.setdefault(b, []).append((rank, c, basis[j - 1].values))
     const = expansion.mean * normalized_constant(tree)
     values: dict[int, complex] = {}
     for t in targets:

@@ -1,4 +1,12 @@
+from hypothesis import settings
+
 from ultrawave.trees import BallTree
+
+# One profile for every property test: no per-example deadline (timings on a
+# shared host vary too much for one), and a failure prints the blob that
+# reproduces it with ``@reproduce_failure``.
+settings.register_profile("ultrawave", deadline=None, print_blob=True)
+settings.load_profile("ultrawave")
 
 
 def random_measured_tree(rng, max_depth=4, max_branching=4, grow_prob=0.6) -> BallTree:

@@ -247,7 +247,7 @@ def _random_problem_1d(rng):
     ), t
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 10**9))
 def test_random_1d_residual_and_anchor(seed):
     rng = np.random.default_rng(seed)
@@ -262,7 +262,7 @@ def test_random_1d_residual_and_anchor(seed):
     assert abs(eval_on_char(sol.u, anchor) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(seed=st.integers(0, 10**9))
 def test_random_2d_residual_and_boundary(seed):
     rng = np.random.default_rng(seed)

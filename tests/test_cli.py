@@ -347,6 +347,54 @@ class TestErrorPaths:
         assert main(["eval", str(one), "--space", "padic(2,2)", "--at", "[5, 2]"]) == 0
         assert [r["vertex"] for r in json.loads(capsys.readouterr().out)] == [[2], [5]]
 
+    @pytest.mark.parametrize("at", ['[[true, 0]]', '[["3", 0]]', '[true]', '[[0, " 7 "]]'])
+    def test_string_and_boolean_at_items_exit_two(self, tmp_path, capsys, at):
+        path = write_wave_problem(tmp_path)
+        out = tmp_path / "solution.json"
+        main(["solve", path, "--out", str(out)])
+        capsys.readouterr()
+        assert main([
+            "eval", str(out), "--space", "padic(2,2)", "--space", "padic(2,2)", "--at", at,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --at: bad vertex") and "is not a number" in err
+
+    @pytest.mark.parametrize("ids", [{"vertex": ["3", 0]}, {"j": [1, True]}])
+    def test_string_and_boolean_ids_in_files_exit_two(self, tmp_path, capsys, ids):
+        entry = {"vertex": [3, 0], "j": [1, 1], "re": 1.0, "im": 0.0, **ids}
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps({"anchor": {"vertex": [3, 3]}, "coeffs": [entry]}))
+        assert main(["eval", str(solution), "--space", "padic(2,2)", "--space", "padic(2,2)",
+                     "--at", "[[0, 0]]"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {solution}: bad coefficient entry")
+        obj = json.loads(json.dumps(WAVE_PROBLEM))
+        obj["boundary"] = [entry]
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        assert main(["solve", str(problem), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problem}: bad coefficient entry") and "is not a number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("symbol", ["homog(beta=nan)", "homog(beta=inf)", "homog(beta=1, c=nan)"])
+    def test_non_finite_homogeneous_symbol_exit_two(self, capsys, symbol):
+        assert main(["spectrum", "--space", "padic(2,2)", "--symbol", symbol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: homogeneous symbol needs a finite")
+
+    def test_non_finite_json_output_exit_four(self, tmp_path, capsys):
+        symbol = tmp_path / "symbol.json"
+        # json.load accepts the Infinity token, so the table value loads as inf
+        symbol.write_text('{"kind": "table", "entries": [{"ball": 0, "re": Infinity, "im": 0.0}, '
+                          '{"ball": 1, "re": 1.0, "im": 0.0}, {"ball": 2, "re": 1.0, "im": 0.0}]}')
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--space", "padic(2,1)", "--symbol", str(symbol), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("numeric failure: cannot write a non-finite value")
+        assert not out.exists()
+        assert main(["spectrum", "--space", "padic(2,1)", "--symbol", str(symbol)]) == 4
+        assert capsys.readouterr().out == ""
+
     def test_missing_required_flag_exit_two(self, capsys):
         assert main(["spectrum", "--space", "padic(2,1)"]) == 2
 

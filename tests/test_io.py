@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from conftest import random_measured_tree
 from ultrawave.distributions import GeneralizedFunction, LizorkinSeries
 from ultrawave.cli import main
-from ultrawave.errors import FileFormatError, SpaceValidationError, UltrawaveError
+from ultrawave.errors import FileFormatError, NonFiniteError, ParameterError, SpaceValidationError, UltrawaveError
 from ultrawave.io import (
+    _coeff_records,
+    _fast_coeff_records,
+    _strict_coeff_records,
     expansion_from_obj,
     expansion_to_obj,
     genfun_from_obj,
@@ -26,6 +29,7 @@ from ultrawave.io import (
     space_from_obj,
     space_to_obj,
     symbol_to_obj,
+    write_json,
 )
 from ultrawave.operators import HomogeneousSymbol, TableSymbol
 from ultrawave.trees import build_padic_tree
@@ -256,6 +260,105 @@ class TestNonIntegralIds:
         assert repr(list(one.coeffs)) == "[((1,), (1,)), ((3,), (0,))]"
 
 
+class TestStringAndBooleanIds:
+    """JSON strings and booleans are not ids or indices, whatever they spell."""
+
+    @pytest.mark.parametrize("entry", [
+        {"ball": "3", "j": 1, "re": 1.0, "im": 0.0},
+        {"ball": 3, "j": True, "re": 1.0, "im": 0.0},
+        {"vertex": ["3", 0], "j": [1, 1], "re": 1.0, "im": 0.0},
+        {"vertex": [" 7 ", True], "j": [1, 1], "re": 1.0, "im": 0.0},
+        {"vertex": [3, 0], "j": [1, False], "re": 1.0, "im": 0.0},
+        {"vertex": [3, 0], "j": ["1", 1], "re": 1.0, "im": 0.0},
+    ])
+    def test_every_coefficient_loader_rejects_them(self, entry, tmp_path):
+        one_dim = "ball" in entry
+        trees = [build_padic_tree(2, 2)] * (1 if one_dim else 2)
+        with pytest.raises(FileFormatError, match="^sol.json: bad coefficient entry .* is not a number"):
+            genfun_from_obj({"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}, trees,
+                            location="sol.json")
+        with pytest.raises(FileFormatError, match="is not a number"):
+            lizorkin_from_obj({"mean": 0.0, "coeffs": [entry]}, len(trees))
+        if one_dim:
+            with pytest.raises(FileFormatError, match="is not a number"):
+                expansion_from_obj({"mean": 0.0, "coeffs": [entry]})
+            return
+        for part in ("boundary", "free_params"):
+            problem = {"spaces": ["padic(2,2)"] * 2, "operator": {"factors": ["homog(beta=1)"] * 2},
+                       "anchor": {"vertex": [3, 3]}, part: [entry]}
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            with pytest.raises(FileFormatError, match=f"^{path}: .* is not a number"):
+                load_problem(str(path))
+
+    @pytest.mark.parametrize("vertex", [["3", 4], [3, True], [False, 4]])
+    def test_anchor_vertex_rejected(self, vertex):
+        trees = [build_padic_tree(2, 2)] * 2
+        with pytest.raises(FileFormatError, match="anchor vertex .* is not a number"):
+            genfun_from_obj({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
+
+
+class TestRecordLoaderPaths:
+    VERTEX = [{"vertex": [0, 1], "j": [1, 1], "re": 1.0, "im": -0.0},
+              {"vertex": [3, 2], "j": [0, 1], "re": 0.5, "im": -1.0},
+              {"vertex": [0, 1], "j": [1, 1], "re": 2.0, "im": 0.0}]
+    BALL = [{"ball": 1, "j": 1, "re": 2.0, "im": 0.0}, {"ball": 0, "j": 1, "re": -0.0, "im": 3.0}]
+
+    @pytest.mark.parametrize("records", [VERTEX, BALL, []])
+    def test_exact_types_take_the_fast_path(self, records):
+        fast = _fast_coeff_records(records)
+        assert fast is not None
+        assert repr(list(fast.items())) == repr(list(_strict_coeff_records(records, "f").items()))
+
+    @pytest.mark.parametrize("change", [
+        lambda r: r[0].update(re=1),  # an int value
+        lambda r: r[0].pop("im"),  # a missing value part
+        lambda r: r[0].update(ball=0),  # a ball-form record among vertex-form ones
+        lambda r: r[1]["vertex"].__setitem__(0, 3.0),  # a float id
+        lambda r: r[1]["j"].__setitem__(1, True),  # a boolean index
+        lambda r: r[2].update(vertex=(0, 1)),  # not a JSON list
+        lambda r: r.append({"ball": 1, "j": 1, "re": 2.0, "im": 0.0}),  # mixed forms
+        lambda r: r.append([0, 1]),  # not an object
+    ])
+    def test_any_miss_declines(self, change):
+        records = json.loads(json.dumps(self.VERTEX))
+        change(records)
+        assert _fast_coeff_records(records) is None
+
+    def test_ball_wins_over_vertex_as_in_the_strict_loader(self):
+        records = [dict(rec, vertex=[5, 5]) for rec in self.BALL]
+        fast = _fast_coeff_records(records)
+        assert list(fast) == [((1,), (1,)), ((0,), (1,))]
+        assert repr(list(fast.items())) == repr(list(_strict_coeff_records(records, "f").items()))
+
+    def test_one_dim_declines_longer_vertices(self):
+        assert _fast_coeff_records(self.VERTEX, one_dim=True) is None
+        with pytest.raises(FileFormatError, match="one-dimensional"):
+            expansion_from_obj({"mean": 0.0, "coeffs": self.VERTEX})
+        assert expansion_from_obj({"mean": 0.0, "coeffs": self.BALL}).coeffs == {(1, 1): 2.0, (0, 1): 3j}
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("beta,c", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, complex("nan")),
+                                        (1.0, float("-inf")), (0.5, complex(1.0, float("inf")))])
+    def test_homogeneous_symbol_rejects_non_finite_parameters(self, beta, c):
+        with pytest.raises(ParameterError, match="finite beta and c"):
+            HomogeneousSymbol(c=c, beta=beta)
+
+    def test_write_json_refuses_nan_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "out.json"
+        for bad in (float("nan"), float("inf"), [1.0, {"x": float("-inf")}]):
+            with pytest.raises(NonFiniteError):
+                write_json({"value": bad}, str(path))
+            assert not path.exists()
+
+    def test_write_json_text_is_the_default_encoding(self, tmp_path):
+        obj = {"a": [1.0, -0.0, 1e-300, 2.5e300], "b": {"c": None, "d": True}, "e": "x\u00e9"}
+        path = tmp_path / "out.json"
+        assert write_json(obj, str(path)) == json.dumps(obj)
+        assert path.read_text(encoding="utf-8") == json.dumps(obj) + "\n"
+
+
 class TestMalformedSolutions:
     @pytest.mark.parametrize("obj,message", [
         ([], "JSON object"),
@@ -326,7 +429,7 @@ def solution_objects(draw):
     return obj
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(obj=solution_objects())
 def test_malformed_solutions_raise_only_library_errors(obj):
     trees = [build_padic_tree(2, 2)] * 2
@@ -336,7 +439,7 @@ def test_malformed_solutions_raise_only_library_errors(obj):
         pass
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(obj=solution_objects())
 def test_eval_exits_two_on_malformed_solutions(obj):
     trees = [build_padic_tree(2, 2)] * 2
@@ -352,3 +455,67 @@ def test_eval_exits_two_on_malformed_solutions(obj):
         argv = ["eval", path, "--space", "padic(2,2)", "--space", "padic(2,2)",
                 "--at", "[[0, 0]]", "--out", os.path.join(tmp, "out.json")]
         assert main(argv) == expected
+
+
+ID = st.integers(0, 6)
+
+
+@st.composite
+def coefficient_records(draw):
+    """A list of valid vertex- and ball-form records with junk mixed in.
+
+    Small id ranges make repeated keys common.
+    """
+    form = draw(st.sampled_from(["vertex", "ball", "mixed"]))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["vertex", "ball"])) if form == "mixed" else form
+        if kind == "vertex":
+            k = draw(st.integers(1, 3))
+            rec = {"vertex": draw(st.lists(ID, min_size=k, max_size=k)),
+                   "j": draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))}
+        else:
+            rec = {"ball": draw(ID), "j": draw(st.integers(0, 3))}
+        rec["re"], rec["im"] = draw(st.floats()), draw(st.floats())
+        records.append(rec)
+    for _ in range(draw(st.integers(0, 2))):
+        if not records:
+            break
+        i = draw(st.integers(0, len(records) - 1))
+        rec = records[i]
+        how = draw(st.sampled_from(["record", "field", "drop", "id", "both forms"]))
+        if how == "record" or not isinstance(rec, dict):
+            records[i] = draw(JSON_VALUES)
+        elif how == "field":
+            rec[draw(st.sampled_from(["vertex", "ball", "j", "re", "im"]))] = draw(JSON_VALUES)
+        elif how == "drop" and rec:
+            rec.pop(draw(st.sampled_from(sorted(rec))))
+        elif how == "both forms" and draw(st.booleans()):
+            rec.update(ball=1, vertex=[1])
+        elif how == "both forms":
+            rec.update(ball=[1], vertex=1)
+        else:
+            ids = rec.get("vertex", rec.get("j"))
+            junk = draw(st.sampled_from(["3", True, False, 2.0, 2.5, float("nan"), None, 10**30, [1]]))
+            if isinstance(ids, list) and ids:
+                ids[draw(st.integers(0, len(ids) - 1))] = junk
+            else:
+                rec["j"] = junk
+    return records
+
+
+def loader_outcome(load):
+    """("ok", repr of the items, id and value types included) or the exception type and message."""
+    try:
+        return "ok", repr(list(load().items()))
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(records=coefficient_records(), one_dim=st.booleans())
+def test_fast_and_strict_record_loaders_agree(records, one_dim):
+    fast = loader_outcome(lambda: _coeff_records(records, "f.json", one_dim))
+    assert fast == loader_outcome(lambda: _strict_coeff_records(records, "f.json", one_dim))
+    if fast[0] != "ok":
+        assert fast[0] is FileFormatError and fast[1].startswith("f.json: ")

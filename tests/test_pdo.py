@@ -158,7 +158,7 @@ class TestConvergence:
             eigenvalue(t, HomogeneousSymbol(beta=2.0, tail=True), t.root)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 10**9))
 def test_eigenfunction_property_random(seed):
     rng = np.random.default_rng(seed)
@@ -173,7 +173,7 @@ def test_eigenfunction_property_random(seed):
         assert err <= 1e-10 * max(abs(lam), scale) * np.abs(vec).max()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 10**9))
 def test_apply_dense_linearity(seed):
     rng = np.random.default_rng(seed)
@@ -189,7 +189,7 @@ def test_apply_dense_linearity(seed):
     assert np.abs(lhs - rhs).max() < 1e-12 * scale
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 10**9))
 def test_parent_recursion(seed):
     # lambda_I = lambda_P + T(I) nu(I) - T(P) nu(I), an algebraic consequence
@@ -250,7 +250,7 @@ def assert_matches_eigenvalues(tree, symbol, tail=None):
 
 
 class TestOnePassSpectrum:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 10**9))
     def test_table_symbols_random_trees(self, seed):
         rng = np.random.default_rng(seed)

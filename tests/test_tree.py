@@ -171,7 +171,7 @@ class TestValidation:
         assert math.isclose(t.measure[0], 1.65)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 10**9))
 def test_random_trees_revalidate(seed):
     rng = np.random.default_rng(seed)
@@ -181,7 +181,7 @@ def test_random_trees_revalidate(seed):
     assert validate_regular_subtree(t, range(t.n_vertices)).ok
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 10**9))
 def test_random_tree_sup_descendant_equivalence(seed):
     rng = np.random.default_rng(seed)
