@@ -53,7 +53,6 @@ from .products import (
     MultiWavelet,
     ProductSpace,
     decreasing_edges,
-    multi_eigenvalue,
     multiwavelet_basis,
     product,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .distributions import eval_on_char_nd
 from .errors import (
@@ -20,9 +20,7 @@ from .errors import (
     IllConditionedError,
     NonFiniteError,
     ParameterError,
-    SpaceValidationError,
     UltrawaveError,
-    UnknownBallError,
     UnsolvableError,
 )
 from .io import (
@@ -42,23 +40,14 @@ from .solver import characteristics, solve
 from .wavelets import tree_wavelets
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    spaces: list[str] = field(default_factory=list)
-    symbol: str | None = None
-    operator: str | None = None
-    problem: str | None = None
-    at: str | None = None
-    out: str | None = None
-    format: str = "json"
-    epsilon: float | None = None
-    seed: int | None = None
+def _emit_json(obj, out: str | None) -> None:
+    text = write_json(obj, out)
+    if not out:
+        sys.stdout.write(text + "\n")
 
 
-def _emit_rows(rows: list[dict], columns: list[str], config: RunConfig) -> None:
-    if config.format == "csv":
+def _emit_rows(rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
+    if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
             cells = []
@@ -67,25 +56,23 @@ def _emit_rows(rows: list[dict], columns: list[str], config: RunConfig) -> None:
                 cells.append(fmt17(v) if isinstance(v, float) else str(v))
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
-        if config.out:
-            with open(config.out, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     else:
-        text = write_json(rows, config.out)
-        if not config.out:
-            sys.stdout.write(text + "\n")
+        _emit_json(rows, args.out)
 
 
-def _emit_vertex_rows(rows: list[dict], n: int, columns: list[str], config: RunConfig) -> None:
+def _emit_vertex_rows(rows: list[dict], n: int, columns: list[str], args: argparse.Namespace) -> None:
     """Rows with an n-factor ``vertex``; CSV spreads it over vertex_1..vertex_n."""
-    if config.format == "csv":
+    if args.format == "csv":
         names = [f"vertex_{i + 1}" for i in range(n)]
         flat = [{**dict(zip(names, row["vertex"])), **{c: row[c] for c in columns}} for row in rows]
-        _emit_rows(flat, names + columns, config)
+        _emit_rows(flat, names + columns, args)
     else:
-        _emit_rows(rows, [], config)
+        _emit_rows(rows, [], args)
 
 
 def _require(value, flag: str):
@@ -94,13 +81,13 @@ def _require(value, flag: str):
     return value
 
 
-def _one_space(config: RunConfig):
-    spec = config.input or (config.spaces[0] if config.spaces else None)
+def _one_space(args: argparse.Namespace):
+    spec = args.input or (args.space[0] if args.space else None)
     return load_space(_require(spec, "a space file or --space"))
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    tree = _one_space(config)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    tree = _one_space(args)
     report = {
         "ok": True,
         "vertices": tree.n_vertices,
@@ -108,38 +95,36 @@ def _cmd_validate(config: RunConfig) -> int:
         "total_measure": tree.total_measure,
         "zero_measure_balls": sorted(tree.zero_measure),
     }
-    text = write_json(report, config.out)
-    if not config.out:
-        sys.stdout.write(text + "\n")
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_wavelets(config: RunConfig) -> int:
-    tree = _one_space(config)
+def _cmd_wavelets(args: argparse.Namespace) -> int:
+    tree = _one_space(args)
     rows = []
     for w in tree_wavelets(tree):
         for sub in tree.children[w.ball]:
             v = complex(w.values[sub])
             rows.append({"ball": w.ball, "j": w.j, "subball": sub, "re": v.real, "im": v.imag})
-    _emit_rows(rows, ["ball", "j", "subball", "re", "im"], config)
+    _emit_rows(rows, ["ball", "j", "subball", "re", "im"], args)
     return 0
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    tree = _one_space(config)
-    symbol = load_symbol(_require(config.symbol, "--symbol"))
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    tree = _one_space(args)
+    symbol = load_symbol(_require(args.symbol, "--symbol"))
     spec = spectrum(tree, symbol)
     rows = [{"ball": b, "re": lam.real, "im": lam.imag} for b, lam in spec.items()]
-    _emit_rows(rows, ["ball", "re", "im"], config)
+    _emit_rows(rows, ["ball", "re", "im"], args)
     return 0
 
 
-def _cmd_characteristics(config: RunConfig) -> int:
-    if not config.spaces:
+def _cmd_characteristics(args: argparse.Namespace) -> int:
+    if not args.space:
         raise ParameterError("this command requires --space (repeat once per factor)")
-    trees = [load_space(s) for s in config.spaces]
-    op = load_operator(_require(config.operator, "--operator"), trees)
-    eps = config.epsilon if config.epsilon is not None else 1e-9
+    trees = [load_space(s) for s in args.space]
+    op = load_operator(_require(args.operator, "--operator"), trees)
+    eps = args.epsilon if args.epsilon is not None else 1e-9
     rows = []
     for c in characteristics(op, eps):
         rows.append(
@@ -150,21 +135,19 @@ def _cmd_characteristics(config: RunConfig) -> int:
                 "im": c.eigenvalue.imag,
             }
         )
-    _emit_vertex_rows(rows, len(trees), ["abs", "re", "im"], config)
+    _emit_vertex_rows(rows, len(trees), ["abs", "re", "im"], args)
     return 0
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    path = _require(config.input or config.problem, "a problem file")
+def _cmd_solve(args: argparse.Namespace) -> int:
+    path = _require(args.input or args.problem, "a problem file")
     problem, _trees = load_problem(path)
-    overrides = {"epsilon": config.epsilon, "free_values": config.seed}
+    overrides = {"epsilon": args.epsilon, "free_values": args.seed}
     overrides = {name: value for name, value in overrides.items() if value is not None}
     if overrides:
         problem = replace(problem, **overrides)  # re-runs the problem's checks
     sol = solve(problem)
-    text = write_json(solution_to_obj(sol), config.out)
-    if not config.out:
-        sys.stdout.write(text + "\n")
+    _emit_json(solution_to_obj(sol), args.out)
     sys.stderr.write(
         f"solved: residual max_rel={fmt17(sol.residual.max_rel)}, "
         f"{len(sol.characteristic_vertices)} characteristic vertices, "
@@ -184,17 +167,17 @@ def _parse_at(at: str) -> list[tuple[int, ...]]:
             for item in data]
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    if not config.spaces:
+def _cmd_eval(args: argparse.Namespace) -> int:
+    if not args.space:
         raise ParameterError("this command requires --space (repeat once per factor)")
-    trees = [load_space(s) for s in config.spaces]
-    u = load_solution(_require(config.input, "a solution file"), trees)
-    vertices = _parse_at(_require(config.at, "--at"))
+    trees = [load_space(s) for s in args.space]
+    u = load_solution(_require(args.input, "a solution file"), trees)
+    vertices = _parse_at(_require(args.at, "--at"))
     rows = []
     for v in sorted(vertices):
         value = eval_on_char_nd(u, v)
         rows.append({"vertex": list(v), "re": value.real, "im": value.imag})
-    _emit_vertex_rows(rows, len(trees), ["re", "im"], config)
+    _emit_vertex_rows(rows, len(trees), ["re", "im"], args)
     return 0
 
 
@@ -208,23 +191,16 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        sys.stderr.write(f"unknown command {config.command!r}\n")
-        return 2
+def run(args: argparse.Namespace) -> int:
     try:
-        return handler(config)
+        return _COMMANDS[args.command](args)
     except UnsolvableError as exc:
         sys.stderr.write(f"unsolvable: {exc}\n")
         return 3
     except (IllConditionedError, DivergenceError, NonFiniteError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 4
-    except (FileFormatError, SpaceValidationError, ParameterError, UnknownBallError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except UltrawaveError as exc:
+    except (UltrawaveError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
@@ -258,21 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input=args.input,
-        spaces=args.space,
-        symbol=args.symbol,
-        operator=args.operator,
-        problem=args.problem,
-        at=args.at,
-        out=args.out,
-        format=args.format,
-        epsilon=args.epsilon,
-        seed=args.seed,
-    )
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -45,18 +45,13 @@ from typing import Mapping, Sequence
 
 from .errors import AnchorError, DegenerateBallError, DomainError, ParameterError
 from .operators import Spectrum
-from .products import MultiOperator, component_key
+from .products import MultiOperator
 from .trees import BallTree
 from .wavelets import WaveletExpansion, TestFunction, synthesize, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 MEAN_ZERO_RTOL = 1e-12
-
-
-def _key_order(key: Key):
-    vertex, j = key
-    return tuple(component_key(c) for c in vertex), j
 
 
 def _as_nd_key(key) -> Key:
@@ -68,6 +63,13 @@ def _as_nd_key(key) -> Key:
     if isinstance(j, int):
         j = (j,)
     return tuple(vertex), tuple(j)
+
+
+def _require_integer(key, name: str, x) -> None:
+    try:
+        operator_index(x)
+    except TypeError:
+        raise DomainError(f"index {key}: {name}={x!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,10 @@ class LizorkinSeries:
             vertex, j = _as_nd_key(key)
             if len(vertex) != self.n or len(j) != self.n:
                 raise ParameterError(f"key {key} does not have arity {self.n}")
+            for b in vertex:
+                _require_integer(key, "ball", b)
             for ji in j:
-                try:
-                    operator_index(ji)
-                except TypeError:
-                    raise DomainError(f"index {key}: j={ji!r} is not an integer") from None
+                _require_integer(key, "j", ji)
             if any(ji < 1 for ji in j):
                 raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
             clean[(vertex, j)] = complex(c)
@@ -101,7 +102,7 @@ class LizorkinSeries:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _key_order(kv[0]))
+        return sorted(self.coeffs.items(), key=itemgetter(0))
 
     def coefficient(self, vertex, j) -> complex:
         return self.coeffs.get(_as_nd_key((vertex, j)), 0.0 + 0.0j)
@@ -208,10 +209,7 @@ class GeneralizedFunction:
             raise ParameterError(f"key {key} does not have arity {self.n}")
         for i, (tree, b, ji) in enumerate(zip(self.factors, vertex, j)):
             ball = tree.check_ball(b)
-            try:
-                operator_index(ji)
-            except TypeError:
-                raise DomainError(f"index {key}: j={ji!r} is not an integer") from None
+            _require_integer(key, "j", ji)
             if ji == 0:
                 if b != self.anchor[i]:
                     raise DomainError(
@@ -235,8 +233,8 @@ class GeneralizedFunction:
     def items(self) -> tuple[tuple[Key, complex], ...]:
         """Stored coefficients in sorted key order, sorted once and cached.
 
-        Every vertex component is a checked ball id, so plain tuple order is
-        the ``_key_order`` order.
+        Every vertex component is a checked ball id, so this is plain tuple
+        order: by vertex, then by j.
         """
         if self._items is None:
             self._items = tuple(sorted(self.coeffs.items(), key=itemgetter(0)))

@@ -37,19 +37,49 @@ def _read_json(path: str) -> Any:
         raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", location=path) from exc
 
 
+def _number(x: Any) -> float:
+    """A JSON number as a float; a string or a boolean (``"1.5"``, ``true``) is not a number."""
+    if isinstance(x, (str, bool)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
+def _integer(x: Any) -> int:
+    """A JSON number with an integer value (``3`` or ``3.0``, never ``2.7``) as an int."""
+    if isinstance(x, (str, bool)):
+        raise TypeError(f"{x!r} is not a number")
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return i
+
+
+def _field(rec: Any, key: str, what: str, location: str, integer: bool = False) -> int | float:
+    """``rec[key]`` as a number (an int with ``integer``); ``what`` names ``rec`` in errors."""
+    if not isinstance(rec, Mapping):
+        raise FileFormatError(f"{what} must be a JSON object, got {rec!r}", location)
+    if key not in rec:
+        raise FileFormatError(f"{what} has no {key!r}", location)
+    value = rec[key]
+    try:
+        return _integer(value) if integer else _number(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if integer else "a number"
+        raise FileFormatError(f"{what}: {key!r} must be {kind}, got {value!r}", location) from None
+
+
 def _complex_of(entry: Mapping[str, Any], location: str) -> complex:
     try:
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        return complex(_number(entry.get("re", 0.0)), _number(entry.get("im", 0.0)))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad complex entry {entry!r}", location=location) from exc
 
 
 def _pair_of(value: Any, location: str) -> complex:
     try:
-        if isinstance(value, (int, float)):
-            return complex(value)
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
+            return complex(_number(value[0]), _number(value[1]))
+        return complex(_number(value))
     except (TypeError, ValueError, OverflowError):
         pass
     raise FileFormatError(f"expected [re, im], got {value!r}", location=location)
@@ -99,10 +129,25 @@ def _pair(z: complex) -> list[float]:
 # -- spaces ----------------------------------------------------------------
 
 
+def _vertex_record(rec: Any, location: str) -> tuple[int, int | None, float, float]:
+    """An explicit-space vertex record as ``(id, parent, measure, diameter)``; exact JSON types skip ``_field``."""
+    if type(rec) is dict:
+        i, p, m, d = rec.get("id"), rec.get("parent"), rec.get("measure"), rec.get("diameter")
+        if type(i) is int and (p is None or type(p) is int) and type(m) is float and type(d) is float:
+            return i, p, m, d
+    i = _field(rec, "id", "vertex record", location, integer=True)
+    what = f"vertex record {i}"
+    p = None if rec.get("parent") is None else _field(rec, "parent", what, location, integer=True)
+    return i, p, _field(rec, "measure", what, location), _field(rec, "diameter", what, location)
+
+
 def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
+    if not isinstance(obj, Mapping):
+        raise FileFormatError(f"a space must be a JSON object, got {obj!r}", location)
     kind = obj.get("kind")
     if kind == "padic":
-        return build_padic_tree(int(obj["p"]), int(obj["depth"]))
+        return build_padic_tree(*(_field(obj, key, "padic space", location, integer=True)
+                                  for key in ("p", "depth")))
     if kind == "explicit":
         vertices = obj.get("vertices")
         if not isinstance(vertices, list) or not vertices:
@@ -113,17 +158,11 @@ def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
         diameter = [0.0] * n
         seen = set()
         for rec in vertices:
-            try:
-                i = int(rec["id"])
-            except (KeyError, TypeError, ValueError):
-                raise FileFormatError(f"vertex record without usable id: {rec!r}", location) from None
+            i, p, m, d = _vertex_record(rec, location)
             if not (0 <= i < n) or i in seen:
                 raise FileFormatError(f"vertex ids must be unique integers 0..{n - 1}; got {i}", location)
             seen.add(i)
-            p = rec.get("parent")
-            parent[i] = None if p is None else int(p)
-            measure[i] = float(rec["measure"])
-            diameter[i] = float(rec["diameter"])
+            parent[i], measure[i], diameter[i] = p, m, d
         return BallTree(parent, measure, diameter)
     raise FileFormatError(f"unknown space kind {kind!r}", location)
 

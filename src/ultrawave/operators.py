@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     DivergenceError,
     DomainError,
+    NonFiniteError,
     ParameterError,
     UnsupportedTailError,
 )
@@ -74,7 +75,11 @@ class HomogeneousSymbol:
         d = tree.diameter[tree.check_ball(ball)]
         if d <= 0.0:
             raise DomainError(f"ball {ball} has zero diameter; symbol undefined")
-        return complex(self.c) * d ** -self.beta
+        try:
+            scale = d ** -self.beta
+        except OverflowError:
+            raise NonFiniteError(f"symbol value at ball {ball} overflows: diameter {d} ** -{self.beta}") from None
+        return complex(self.c) * scale
 
 
 Symbol = TableSymbol | HomogeneousSymbol
@@ -86,6 +91,14 @@ def _wants_tail(symbol: Symbol, tail: bool | None) -> bool:
     return tail
 
 
+def _tail_ratio(p: int, beta: float) -> float:
+    """The tail's geometric ratio ``p**(1-beta)``; ``inf`` when a float cannot hold it."""
+    try:
+        return float(p) ** (1.0 - beta)
+    except OverflowError:
+        return math.inf
+
+
 def _tail_sum(tree: BallTree, symbol: Symbol) -> complex:
     if not isinstance(symbol, HomogeneousSymbol):
         raise UnsupportedTailError("analytic tails exist only for scale-homogeneous symbols")
@@ -94,7 +107,7 @@ def _tail_sum(tree: BallTree, symbol: Symbol) -> complex:
     p = tree.padic[0]
     if symbol.c == 0:
         return 0.0 + 0.0j
-    ratio = float(p) ** (1.0 - symbol.beta)
+    ratio = _tail_ratio(p, symbol.beta)
     if ratio >= 1.0:
         raise DivergenceError(
             f"upward extension diverges: geometric ratio p**(1-beta) = {ratio} >= 1"
@@ -185,7 +198,7 @@ def check_convergence(tree: BallTree, symbol: Symbol, tail: bool | None = None) 
     if symbol.c == 0:
         return ConvergenceReport(True, 0.0, "zero symbol: tail is identically zero")
     p = tree.padic[0]
-    ratio = float(p) ** (1.0 - symbol.beta)
+    ratio = _tail_ratio(p, symbol.beta)
     if ratio >= 1.0:
         return ConvergenceReport(
             False, ratio, f"geometric ratio p**(1-beta) = {ratio} >= 1; partial sums grow"

@@ -22,10 +22,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBallError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .operators import Symbol, spectrum
 from .trees import BallTree
-from .wavelets import Wavelet, evaluate, normalized_constant, wavelet_basis
+from .wavelets import Wavelet, evaluate, normalized_constant, tree_wavelets
 
 
 class _Top:
@@ -48,12 +48,8 @@ Component = int | _Top
 Vertex = tuple[Component, ...]
 
 
-def component_key(c: Component) -> tuple[int, int]:
-    return (1, 0) if c is TOP else (0, c)
-
-
 def vertex_key(v: Vertex) -> tuple[tuple[int, int], ...]:
-    return tuple(component_key(c) for c in v)
+    return tuple((1, 0) if c is TOP else (0, c) for c in v)
 
 
 @dataclass(frozen=True)
@@ -289,16 +285,8 @@ def multiwavelet_basis(space: ProductSpace, augmented: bool = True) -> Iterator[
     """All tensor wavelets over generic vertices, in deterministic order."""
     per_factor: list[list[tuple[Component, int | None, Wavelet | None]]] = []
     for f in space.factors:
-        entries: list[tuple[Component, int | None, Wavelet | None]] = []
-        for ball in f.tree.non_leaf_balls():
-            try:
-                basis = wavelet_basis(f.tree, ball)
-            except DegenerateBallError:
-                continue
-            entries.extend((ball, w.j, w) for w in basis)
-        if augmented and f.top_present:
-            entries.append((TOP, None, None))
-        per_factor.append(entries)
+        top = [(TOP, None, None)] if augmented and f.top_present else []
+        per_factor.append([(w.ball, w.j, w) for w in tree_wavelets(f.tree)] + top)
     for combo in itertools.product(*per_factor):
         yield MultiWavelet(
             vertex=tuple(e[0] for e in combo),
@@ -412,7 +400,3 @@ class MultiOperator:
 
     def space(self) -> ProductSpace:
         return product([t for t, _ in self.factors])
-
-
-def multi_eigenvalue(op: MultiOperator, vertex: Vertex) -> complex:
-    return op.eigenvalue(vertex)

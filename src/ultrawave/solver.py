@@ -195,7 +195,7 @@ def _solvability(items, char_set: set[tuple[int, ...]], threshold: float) -> Sol
 
 def check_solvability(problem: CauchyProblem) -> SolvabilityReport:
     """Necessary conditions: the rhs must vanish at every characteristic vertex."""
-    chars = _classify(problem.operator, problem.epsilon, _factor_spectra(problem.operator))
+    chars = characteristics(problem.operator, problem.epsilon)
     return _solvability(
         problem.rhs.items(), {c.vertex for c in chars}, problem.epsilon * problem.rhs.norm_inf()
     )

@@ -27,7 +27,6 @@ from ultrawave.operators import HomogeneousSymbol, TableSymbol, eigenvalue, oper
 from ultrawave.products import (
     MultiOperator,
     decreasing_edges,
-    multi_eigenvalue,
     multiwavelet_basis,
     product,
 )
@@ -126,7 +125,7 @@ def test_c05_tensor_oracle():
     op_scale = np.abs(dense).max()
     for w in multiwavelet_basis(space):
         vec = w.leaf_vector(space)
-        lam = multi_eigenvalue(op, w.vertex)
+        lam = op.eigenvalue(w.vertex)
         lhs = dense @ vec
         rhs = lam * vec
         denom = max(np.abs(rhs).max(), op_scale * np.abs(vec).max())

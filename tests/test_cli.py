@@ -413,3 +413,59 @@ class TestErrorPaths:
         # the upward tail adds the same convergent sum to every eigenvalue
         shifts = {b: tailed[b] - plain[b] for b in plain}
         assert all(abs(s - 0.5) < 1e-12 for s in shifts.values())
+
+
+class TestMergedErrorPaths:
+    def test_solve_into_missing_directory_exit_two(self, tmp_path, capsys):
+        path = write_wave_problem(tmp_path)
+        out = tmp_path / "missing" / "solution.json"
+        assert main(["solve", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+        assert "Traceback" not in captured.err and not out.exists()
+
+    def test_unknown_command_is_argparse_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symbol,message", [
+        ("homog(beta=2000)", "numeric failure: symbol value at ball 1 overflows"),
+        ("homog(beta=-2000,tail=1)", "numeric failure: upward extension diverges"),
+    ])
+    def test_overflow_exit_four(self, capsys, symbol, message):
+        assert main(["spectrum", "--space", "padic(2,2)", "--symbol", symbol]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+
+    @pytest.mark.parametrize("space,message", [
+        ({"kind": "padic", "p": 2}, "padic space has no 'depth'"),
+        ({"kind": "padic", "p": "x", "depth": 2}, "'p' must be an integer"),
+        ({"kind": "padic", "p": 2, "depth": 2.7}, "'depth' must be an integer, got 2.7"),
+        ({"kind": "explicit", "vertices": [{"id": 0, "parent": None, "diameter": 1.0}]},
+         "vertex record 0 has no 'measure'"),
+        ({"kind": "explicit", "vertices": [{"id": 0, "measure": "1.0", "diameter": 1.0}]},
+         "'measure' must be a number"),
+        ([1, 2], "a space must be a JSON object"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "spectrum"])
+    def test_space_schema_errors_exit_two(self, tmp_path, capsys, space, message, command):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        assert main([command, str(path), "--symbol", "homog(beta=1)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    @pytest.mark.parametrize("value", ['"1.5"', "true"])
+    def test_string_and_boolean_values_exit_two(self, tmp_path, capsys, value):
+        solution = tmp_path / "solution.json"
+        solution.write_text('{"anchor": {"vertex": [3, 3]}, "coeffs": '
+                            '[{"vertex": [0, 0], "j": [1, 1], "re": %s, "im": 0.0}]}' % value)
+        assert main(["eval", str(solution), "--space", "padic(2,2)", "--space", "padic(2,2)",
+                     "--at", "[[0, 0]]"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {solution}: bad complex entry")
+        solution.write_text('{"anchor": {"vertex": [3, 3], "value": [0.0, %s]}, "coeffs": []}' % value)
+        assert main(["eval", str(solution), "--space", "padic(2,2)", "--space", "padic(2,2)",
+                     "--at", "[[0, 0]]"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {solution}: expected [re, im]")

@@ -20,7 +20,7 @@ from ultrawave.distributions import (
 )
 from ultrawave.errors import AnchorError, DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import TableSymbol, apply_dense, spectrum
-from ultrawave.products import vertex_key
+from ultrawave.products import TOP, vertex_key
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
@@ -736,3 +736,35 @@ def test_pairing_lookups_do_not_grow_with_stored_coefficients():
         counts.append(counting.lookups)
     assert counts[0] == counts[1] == sum(documented_lookups(u, v) for v in queries)
     assert counts[0] <= len(queries) * 225
+
+
+def old_series_key_order(key):
+    """The deleted ``_key_order``: TOP above every ball, then j."""
+    vertex, j = key
+    return tuple((1, 0) if c is TOP else (0, c) for c in vertex), j
+
+
+class TestLizorkinKeyOrder:
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(3)])
+    def test_items_match_old_key_order_on_shuffled_keys(self, n, seed):
+        rng = np.random.default_rng(900 + 10 * n + seed)
+        coeffs = {}
+        for _ in range(60):
+            vertex = tuple(int(b) if rng.random() < 0.5 else np.int64(b) for b in rng.integers(0, 9, n))
+            j = tuple(True if rng.random() < 0.2 else np.int32(ji) for ji in rng.integers(1, 4, n))
+            coeffs[(vertex, j)] = complex(*rng.standard_normal(2))
+        keys = list(coeffs)
+        rng.shuffle(keys)
+        series = LizorkinSeries(n, {k: coeffs[k] for k in keys})
+        assert series.items() == sorted(series.coeffs.items(), key=lambda kv: old_series_key_order(kv[0]))
+
+    @pytest.mark.parametrize("ball", ["a", 1.5, TOP, None])
+    def test_non_integer_vertex_component_rejected(self, ball):
+        with pytest.raises(DomainError, match=r"ball=.* is not an integer"):
+            LizorkinSeries(2, {((0, ball), (1, 1)): 1.0})
+        with pytest.raises(DomainError, match=r"ball=.* is not an integer"):
+            LizorkinSeries.one_dim({(ball, 1): 1.0})
+
+    def test_numpy_int_vertex_components_accepted(self):
+        series = LizorkinSeries(2, {((np.int64(3), np.int32(0)), (1, 1)): 2.0})
+        assert series.coefficient((3, 0), (1, 1)) == 2.0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -13,7 +14,9 @@ from ultrawave.cli import main
 from ultrawave.errors import FileFormatError, NonFiniteError, ParameterError, SpaceValidationError, UltrawaveError
 from ultrawave.io import (
     _coeff_records,
+    _complex_of,
     _fast_coeff_records,
+    _pair_of,
     _strict_coeff_records,
     expansion_from_obj,
     expansion_to_obj,
@@ -519,3 +522,81 @@ def test_fast_and_strict_record_loaders_agree(records, one_dim):
     assert fast == loader_outcome(lambda: _strict_coeff_records(records, "f.json", one_dim))
     if fast[0] != "ok":
         assert fast[0] is FileFormatError and fast[1].startswith("f.json: ")
+
+
+class TestStringAndBooleanNumbers:
+    """JSON strings and booleans are not numbers either: values, pairs and measures."""
+
+    @pytest.mark.parametrize("entry", [
+        {"ball": 0, "j": 1, "re": "1.5", "im": 0.0},
+        {"ball": 0, "j": 1, "re": 1.5, "im": True},
+        {"ball": 0, "j": 1, "re": False},
+    ])
+    def test_coefficient_values_rejected(self, entry):
+        with pytest.raises(FileFormatError, match="^series: bad complex entry"):
+            lizorkin_from_obj({"mean": 0.0, "coeffs": [entry]}, 1)
+        with pytest.raises(FileFormatError, match="^f: bad complex entry"):
+            _complex_of(entry, "f")
+
+    @pytest.mark.parametrize("value", [["1", True], ["1", 0.0], [0.0, False], True, "2", None])
+    def test_pairs_rejected(self, value):
+        with pytest.raises(FileFormatError, match=r"^f: expected \[re, im\]"):
+            _pair_of(value, "f")
+
+    def test_json_ints_stay_numbers(self):
+        assert _pair_of([1, 2], "f") == 1 + 2j and _pair_of(3, "f") == 3
+        assert _complex_of({"re": 1, "im": -2}, "f") == 1 - 2j
+        series = lizorkin_from_obj({"mean": 0, "coeffs": [{"ball": 0, "j": 1, "re": 1, "im": 2}]}, 1)
+        assert series.coeffs == {((0,), (1,)): 1 + 2j}
+
+    @pytest.mark.parametrize("field", ["measure", "diameter"])
+    @pytest.mark.parametrize("value", ["1.0", True])
+    def test_explicit_measures_rejected(self, field, value):
+        obj = {"kind": "explicit", "vertices": [
+            {"id": i, "parent": [None, 0, 0][i], "measure": [1.0, 0.5, 0.5][i], "diameter": [1.0, 0.5, 0.5][i]}
+            for i in range(3)
+        ]}
+        assert space_from_obj(obj).n_vertices == 3
+        obj["vertices"][0][field] = value
+        with pytest.raises(FileFormatError, match=f"^s: vertex record 0: '{field}' must be a number"):
+            space_from_obj(obj, "s")
+
+
+EXPLICIT_ROOT = {"id": 0, "parent": None, "measure": 1.0, "diameter": 1.0}
+
+
+class TestSpaceSchema:
+    @pytest.mark.parametrize("obj,message", [
+        ({"kind": "padic", "p": 2}, "padic space has no 'depth'"),
+        ({"kind": "padic", "depth": 2}, "padic space has no 'p'"),
+        ({"kind": "padic", "p": "x", "depth": 2}, "'p' must be an integer, got 'x'"),
+        ({"kind": "padic", "p": 2, "depth": 2.7}, "'depth' must be an integer, got 2.7"),
+        ({"kind": "padic", "p": 2, "depth": True}, "'depth' must be an integer, got True"),
+        ({"kind": "padic", "p": 2, "depth": None}, "'depth' must be an integer, got None"),
+        ({"kind": "explicit", "vertices": [{"id": 0, "parent": None, "diameter": 1.0}]},
+         "vertex record 0 has no 'measure'"),
+        ({"kind": "explicit", "vertices": [{"id": 0, "measure": 1.0}]}, "vertex record 0 has no 'diameter'"),
+        ({"kind": "explicit", "vertices": [{"parent": None, "measure": 1.0, "diameter": 1.0}]},
+         "vertex record has no 'id'"),
+        ({"kind": "explicit", "vertices": [{**EXPLICIT_ROOT, "id": 0.5}]}, "'id' must be an integer"),
+        ({"kind": "explicit", "vertices": [{**EXPLICIT_ROOT, "id": "0"}]}, "'id' must be an integer"),
+        ({"kind": "explicit", "vertices": [EXPLICIT_ROOT, {**EXPLICIT_ROOT, "id": 1, "parent": 0.5}]},
+         "vertex record 1: 'parent' must be an integer, got 0.5"),
+        ({"kind": "explicit", "vertices": [7]}, "vertex record must be a JSON object, got 7"),
+        ([{"kind": "padic", "p": 2, "depth": 2}], "a space must be a JSON object"),
+        ("padic(2,2)", "a space must be a JSON object"),
+    ])
+    def test_schema_errors_name_the_location(self, obj, message):
+        with pytest.raises(FileFormatError, match=f"^space.json: .*{re.escape(message)}") as err:
+            space_from_obj(obj, "space.json")
+        assert err.value.location == "space.json"
+
+    def test_integral_floats_load_as_ints(self):
+        assert space_from_obj({"kind": "padic", "p": 2.0, "depth": 2.0}).n_vertices == 7
+        t = space_from_obj({"kind": "explicit", "vertices": [
+            {"id": 0.0, "measure": 1, "diameter": 1},
+            {"id": 1, "parent": 0.0, "measure": 0.5, "diameter": 0.5},
+            {"id": 2.0, "parent": 0, "measure": 0.5, "diameter": 0.5},
+        ]})
+        assert list(t.parent) == [None, 0, 0] and type(t.parent[1]) is int
+        assert list(t.measure) == [1.0, 0.5, 0.5]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_leaf_function, random_measured_tree, random_table_symbol
-from ultrawave.errors import DivergenceError, ParameterError, UnsupportedTailError
+from ultrawave.errors import DivergenceError, NonFiniteError, ParameterError, UnsupportedTailError
 from ultrawave.operators import (
     HomogeneousSymbol,
     TableSymbol,
@@ -344,3 +344,38 @@ class TestOnePassSpectrum:
             spec = spectrum(t, s)
             for b in t.non_leaf_balls():
                 assert op.factor_eigenvalue(i, b) == spec[b]
+
+
+class TestOverflow:
+    def test_overflowing_symbol_value_is_non_finite(self):
+        t = build_padic_tree(2, 2)
+        sym = HomogeneousSymbol(beta=2000.0)
+        assert sym.value(t, t.root) == 1.0  # diameter 1: no overflow at the root
+        with pytest.raises(NonFiniteError, match="overflows"):
+            sym.value(t, t.children[t.root][0])
+
+    @pytest.mark.parametrize("symbol,error", [
+        (HomogeneousSymbol(beta=2000.0), NonFiniteError),
+        (HomogeneousSymbol(beta=-2000.0, tail=True), DivergenceError),
+    ])
+    def test_spectrum_raises_like_eigenvalue(self, symbol, error):
+        t = build_padic_tree(2, 2)
+        per_ball = None
+        for b in t.non_leaf_balls():
+            try:
+                eigenvalue(t, symbol, b)
+            except error as exc:
+                per_ball = exc
+                break
+        assert per_ball is not None
+        with pytest.raises(error) as one_pass:
+            spectrum(t, symbol)
+        assert str(one_pass.value) == str(per_ball)
+
+    def test_overflowing_tail_ratio_diverges(self):
+        t = build_padic_tree(2, 2)
+        sym = HomogeneousSymbol(beta=-2000.0, tail=True)
+        with pytest.raises(DivergenceError, match="inf >= 1"):
+            eigenvalue(t, sym, t.root)
+        report = check_convergence(t, sym)
+        assert not report.converges and report.ratio == float("inf")

@@ -4,19 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_table_symbol
-from ultrawave.errors import DomainError, ParameterError
+from conftest import random_measured_tree, random_table_symbol
+from ultrawave.errors import DegenerateBallError, DomainError, ParameterError
 from ultrawave.operators import TableSymbol, eigenvalue, operator_matrix
 from ultrawave.products import (
     TOP,
     AugmentedFactor,
     MultiOperator,
     decreasing_edges,
-    multi_eigenvalue,
     multiwavelet_basis,
     product,
 )
-from ultrawave.trees import build_padic_tree
+from ultrawave.trees import build_padic_tree, tree_from_leaf_measures
+from ultrawave.wavelets import wavelet_basis
 
 
 def lift(mats, sizes, i):
@@ -170,6 +170,46 @@ class TestMultiWavelets:
         G = np.conj(B) @ (B * nu[None, :]).T
         assert np.max(np.abs(G - np.eye(len(basis)))) < 1e-10
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("augmented", [True, False])
+    def test_basis_matches_old_per_ball_loop_with_degenerate_balls(self, seed, augmented):
+        rng = np.random.default_rng(700 + seed)
+        factors = []
+        for _ in range(2):
+            t = random_measured_tree(rng, max_depth=3, max_branching=3)
+            leaf_measure = {x: 0.0 if rng.random() < 0.4 else t.measure[x] for x in t.leaves}
+            leaf_measure[t.leaves[0]] = 1.0
+            factors.append(tree_from_leaf_measures(t.parent, leaf_measure, t.diameter))
+        space = product(factors)
+        degenerate = 0
+        for t in factors:
+            for b in t.non_leaf_balls():
+                try:
+                    wavelet_basis(t, b)
+                except DegenerateBallError:
+                    degenerate += 1
+        assert degenerate > 0  # zero-measure leaves leave some balls without wavelets
+        got = [(w.vertex, w.j, w.parts) for w in multiwavelet_basis(space, augmented)]
+        want = [
+            (tuple(e[0] for e in combo), tuple(e[1] for e in combo), tuple(e[2] for e in combo))
+            for combo in itertools.product(*(old_factor_entries(f, augmented) for f in space.factors))
+        ]
+        assert got == want
+
+
+def old_factor_entries(f, augmented):
+    """The deleted per-ball loop of ``multiwavelet_basis`` for one factor."""
+    entries = []
+    for ball in f.tree.non_leaf_balls():
+        try:
+            basis = wavelet_basis(f.tree, ball)
+        except DegenerateBallError:
+            continue
+        entries.extend((ball, w.j, w) for w in basis)
+    if augmented and f.top_present:
+        entries.append((TOP, None, None))
+    return entries
+
 
 class TestMultiEigenvalue:
     def test_antisymmetric_difference_on_diagonal(self):
@@ -177,7 +217,7 @@ class TestMultiEigenvalue:
         sym = TableSymbol({b: 1.0 + 0.5j for b in t.non_leaf_balls()})
         op = MultiOperator([(t, sym), (t, sym)], [((0,), 1.0), ((1,), -1.0)])
         for b in t.non_leaf_balls():
-            assert multi_eigenvalue(op, (b, b)) == 0
+            assert op.eigenvalue((b, b)) == 0
 
     def test_single_product_term(self):
         t1, t2 = build_padic_tree(2, 1), build_padic_tree(2, 1)
@@ -185,7 +225,7 @@ class TestMultiEigenvalue:
             [(t1, TableSymbol({0: 2.0})), (t2, TableSymbol({0: 3.0}))],
             [((0, 1), 1.0)],
         )
-        assert multi_eigenvalue(op, (0, 0)) == 6
+        assert op.eigenvalue((0, 0)) == 6
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(21)
@@ -194,7 +234,7 @@ class TestMultiEigenvalue:
         op = MultiOperator([(t1, s1), (t2, s2)], [((0, 1), 1.0)])
         space = op.space()
         for v in space.generic_vertices():
-            lam = multi_eigenvalue(op, v)
+            lam = op.eigenvalue(v)
             expected = eigenvalue(t1, s1, v[0]) * eigenvalue(t2, s2, v[1])
             assert lam == expected
 
@@ -202,7 +242,7 @@ class TestMultiEigenvalue:
         t = build_padic_tree(2, 1)
         op = MultiOperator.single(t, TableSymbol({0: 1.0}))
         with pytest.raises(DomainError):
-            multi_eigenvalue(op, (1,))
+            op.eigenvalue((1,))
 
     def test_dense_tensor_oracle(self):
         rng = np.random.default_rng(42)
@@ -216,6 +256,6 @@ class TestMultiEigenvalue:
         space = product([t1, t2])
         for w in multiwavelet_basis(space):
             vec = w.leaf_vector(space)
-            lam = multi_eigenvalue(op, w.vertex)
+            lam = op.eigenvalue(w.vertex)
             err = np.abs(dense @ vec - lam * vec).max()
             assert err <= 1e-10 * max(1.0, abs(lam)) * np.abs(vec).max()
