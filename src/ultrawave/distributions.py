@@ -30,6 +30,14 @@ failure, or an id that is not an exact ``int``, hands the keys to the
 key-by-key check, which raises at the first bad key or value in insertion
 order.
 
+A rank-1 test function costs one bottom-up pass of ball integrals per
+factor.  ``eval_on_product`` turns each factor's pass into a (ball, j) ->
+term factor table, then multiplies every stored coefficient by one table
+entry per factor: O(sum of n_i * p_i + coefficients * n), whatever the size
+of the balls.  ``eval_extended`` and ``eval_on_test`` read it.  Masses are
+summed up the tree rather than over sorted leaves, so values may differ
+from the old leaf sums in the last bits.
+
 A Lizorkin series is the same coefficient data without an anchor, restricted
 to true wavelet indices (all ``j[i] >= 1``); it pairs with mean-zero
 expansions coefficient by coefficient.
@@ -47,7 +55,7 @@ from .errors import AnchorError, DegenerateBallError, DomainError, ParameterErro
 from .operators import Spectrum
 from .products import MultiOperator
 from .trees import BallTree
-from .wavelets import WaveletExpansion, TestFunction, synthesize, wavelet_basis
+from .wavelets import WaveletExpansion, TestFunction, ball_integrals, synthesize, tree_wavelets, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -342,41 +350,35 @@ def eval_on_char(u: GeneralizedFunction, ball: int) -> complex:
     return eval_on_char_nd(u, (ball,))
 
 
+def _term_factors(
+    tree: BallTree, a0: int, leaf_values: Mapping[int, complex]
+) -> dict[tuple[int, int], complex]:
+    """One factor's (ball, j) -> term factor table for the leaf values of f.
+
+    With f's mass M: M at (a0, 0), and at a wavelet its integral against f
+    minus M / nu(a0) times its integral over the anchor ball a0.
+    """
+    integral = ball_integrals(tree, leaf_values)
+    mass = integral[tree.root]
+    ratio = mass / tree.measure[a0]
+    up_anchor = _toward(tree, a0, tree.root)
+    table = {(a0, 0): mass}
+    for w in tree_wavelets(tree):
+        wi = sum(w.values[c] * integral[c] for c in tree.children[w.ball])
+        table[(w.ball, w.j)] = wi - ratio * _indicator_integral(tree, w.ball, w.values, a0, up_anchor)
+    return table
+
+
 def eval_on_product(u: GeneralizedFunction, factor_values: Sequence[Mapping[int, complex]]) -> complex:
     """Apply ``u`` to a rank-1 test function given by per-factor leaf values."""
     if len(factor_values) != u.n:
         raise ParameterError(f"need one leaf-value map per factor, got {len(factor_values)}")
-    masses = []
-    for tree, fv in zip(u.factors, factor_values):
-        masses.append(sum(complex(fv[x]) * tree.measure[x] for x in sorted(fv)))
-    up_anchor = [_toward(tree, a0, tree.root) for tree, a0 in zip(u.factors, u.anchor)]
-    total = 0.0 + 0.0j
+    tables = [_term_factors(tree, a0, fv) for tree, a0, fv in zip(u.factors, u.anchor, factor_values)]
+    total = 0j
     for (kv, kj), c in u.items():
-        if c == 0:
-            continue
-        term = c
-        for i in range(u.n):
-            tree = u.factors[i]
-            fv = factor_values[i]
-            ball, ji = kv[i], kj[i]
-            if ji == 0:
-                term *= masses[i]
-                continue
-            w = wavelet_basis(tree, ball)[ji - 1]
-            integral = 0.0 + 0.0j
-            for child in tree.children[ball]:
-                val = w.values[child]
-                if val == 0:
-                    continue
-                integral += val * sum(
-                    complex(fv.get(x, 0.0)) * tree.measure[x] for x in tree.leaves_under(child)
-                )
-            a0 = u.anchor[i]
-            anchored = _indicator_integral(tree, ball, w.values, a0, up_anchor[i])
-            term *= integral - masses[i] / tree.measure[a0] * anchored
-            if term == 0:
-                break
-        total += term
+        for table, b, j in zip(tables, kv, kj):
+            c *= table[b, j]
+        total += c
     return complex(total)
 
 
@@ -399,35 +401,25 @@ def extended_leaf_values(
     ``j == 0`` is the anchor indicator when ``ball`` is the anchor and the
     zero function otherwise.
     """
-    out: dict[int, complex] = {}
     if j == 0:
-        if ball == anchor_ball:
-            for x in tree.leaves_under(anchor_ball):
-                out[x] = 1.0 + 0.0j
-        return out
+        return dict.fromkeys(tree.leaves_under(anchor_ball), 1.0 + 0.0j) if ball == anchor_ball else {}
     if tree.is_leaf(ball):
-        return out
-    for w in wavelet_basis(tree, ball):
-        if w.j == j:
-            for child, val in w.values.items():
-                v = complex(val).conjugate() if conjugate else complex(val)
-                if v == 0:
-                    continue
-                for x in tree.leaves_under(child):
-                    out[x] = v
-            return out
-    raise DomainError(f"no wavelet with index {j} at ball {ball}")
+        return {}
+    basis = wavelet_basis(tree, ball)
+    if not 1 <= j <= len(basis):
+        raise DomainError(f"no wavelet with index {j} at ball {ball}")
+    out: dict[int, complex] = {}
+    for child, val in basis[j - 1].values.items():
+        v = complex(val).conjugate() if conjugate else complex(val)
+        if v != 0:
+            out.update(dict.fromkeys(tree.leaves_under(child), v))
+    return out
 
 
 def eval_extended(u: GeneralizedFunction, vertex: Sequence[int], j: Sequence[int]) -> complex:
     """Value of ``u`` on the conjugate of an extended family member."""
-    vertex = tuple(vertex)
-    j = tuple(j)
-    factor_values = [
-        extended_leaf_values(tree, a0, b, ji, conjugate=True)
-        for tree, a0, b, ji in zip(u.factors, u.anchor, vertex, j)
-    ]
-    return eval_on_product(u, factor_values)
+    return eval_on_product(u, [extended_leaf_values(tree, a0, b, ji, conjugate=True)
+                               for tree, a0, b, ji in zip(u.factors, u.anchor, vertex, j)])
 
 
 def lizorkin_pair(phi: LizorkinSeries, f: WaveletExpansion | Mapping[Key, complex]) -> complex:

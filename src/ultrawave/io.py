@@ -25,16 +25,17 @@ from .wavelets import WaveletExpansion
 
 _PADIC_RE = re.compile(r"^padic\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 _HOMOG_RE = re.compile(r"^homog\((.*)\)$")
+_HOMOG_ARGS = {"beta": float, "c": complex, "tail": lambda text: text.lower() in ("1", "true", "yes")}
 
 
 def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read file: {exc}", location=path) from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", location=path) from exc
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, or a NUL in the path
+        raise FileFormatError(f"cannot read file: {exc}", location=path) from exc
 
 
 def _number(x: Any) -> float:
@@ -54,10 +55,31 @@ def _integer(x: Any) -> int:
     return i
 
 
+def _object(obj: Any, what: str, location: str) -> Mapping[str, Any]:
+    """``obj`` if it is a JSON object; ``what`` names it in the error."""
+    if not isinstance(obj, Mapping):
+        raise FileFormatError(f"{what} must be a JSON object, got {obj!r}", location)
+    return obj
+
+
+def _list(obj: Mapping[str, Any], key: str, location: str) -> list:
+    """``obj[key]`` (an empty list when absent) if it is a JSON list."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise FileFormatError(f"{key!r} must be a list, got {value!r}", location)
+    return value
+
+
+def _spec(value: Any, what: str, location: str) -> str | Mapping[str, Any]:
+    """A part of a composite file: a JSON object, or a string naming a file or a shorthand."""
+    if not isinstance(value, (str, Mapping)):
+        raise FileFormatError(f"{what} must be a string or a JSON object, got {value!r}", location)
+    return value
+
+
 def _field(rec: Any, key: str, what: str, location: str, integer: bool = False) -> int | float:
     """``rec[key]`` as a number (an int with ``integer``); ``what`` names ``rec`` in errors."""
-    if not isinstance(rec, Mapping):
-        raise FileFormatError(f"{what} must be a JSON object, got {rec!r}", location)
+    _object(rec, what, location)
     if key not in rec:
         raise FileFormatError(f"{what} has no {key!r}", location)
     value = rec[key]
@@ -86,28 +108,25 @@ def _pair_of(value: Any, location: str) -> complex:
 
 
 def _int_tuple(values: Any, what: str, owner: Any, location: str) -> tuple[int, ...]:
-    """Ball ids or wavelet indices from a JSON list.
+    """Ball ids or wavelet indices from a JSON list, each by the rule of ``_integer``.
 
-    Each must be a number with an integer value: an integral float such as
-    ``3.0`` loads as 3, a non-integral one is an error (never truncated), and
-    so is a string or a boolean (``"3"`` and ``true`` are not ids).  ``what``
-    and ``owner`` name the record in the error message.
+    An integral float such as ``3.0`` loads as 3, a non-integral one is an
+    error (never truncated), and so is anything that is not a number (``"3"``
+    and ``true`` are not ids).  ``what`` and ``owner`` name the record in the
+    error message.
     """
-    if isinstance(values, (list, tuple)):
-        for x in values:
-            if isinstance(x, (str, bool)):
-                raise FileFormatError(f"bad {what} {owner!r}: id or index {x!r} is not a number", location)
-    try:
-        out = tuple(map(int, values)) if isinstance(values, (list, tuple)) else None
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None:
+    if not isinstance(values, (list, tuple)):
         raise FileFormatError(f"bad {what} {owner!r}", location)
-    if out != tuple(values):
-        for x, i in zip(values, out):
-            if isinstance(x, float) and x != i:
-                raise FileFormatError(f"non-integral id or index {x!r} in {what} {owner!r}", location)
-    return out
+    out = []
+    for x in values:
+        try:
+            out.append(_integer(x))
+        except TypeError:
+            raise FileFormatError(
+                f"bad {what} {owner!r}: id or index {x!r} is not a number", location) from None
+        except (ValueError, OverflowError):
+            raise FileFormatError(f"non-integral id or index {x!r} in {what} {owner!r}", location) from None
+    return tuple(out)
 
 
 def _anchor_of(obj: Mapping[str, Any], location: str) -> tuple[tuple[int, ...], complex]:
@@ -142,9 +161,7 @@ def _vertex_record(rec: Any, location: str) -> tuple[int, int | None, float, flo
 
 
 def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
-    if not isinstance(obj, Mapping):
-        raise FileFormatError(f"a space must be a JSON object, got {obj!r}", location)
-    kind = obj.get("kind")
+    kind = _object(obj, "a space", location).get("kind")
     if kind == "padic":
         return build_padic_tree(*(_field(obj, key, "padic space", location, integer=True)
                                   for key in ("p", "depth")))
@@ -198,15 +215,21 @@ def space_to_obj(tree: BallTree) -> dict[str, Any]:
 
 
 def symbol_from_obj(obj: Mapping[str, Any], location: str = "symbol") -> Symbol:
-    kind = obj.get("kind")
+    kind = _object(obj, "a symbol", location).get("kind")
     if kind == "table":
         entries = {}
-        for rec in obj.get("entries", []):
-            entries[int(rec["ball"])] = _complex_of(rec, location)
+        for rec in _list(obj, "entries", location):
+            ball = _field(rec, "ball", "table entry", location, integer=True)  # first: rec may not be an object
+            entries[ball] = _complex_of(rec, location)
         return TableSymbol(entries)
     if kind == "homogeneous":
         c = _pair_of(obj.get("c", 1.0), location)
-        return HomogeneousSymbol(c=c, beta=float(obj.get("beta", 1.0)), tail=bool(obj.get("tail", False)))
+        beta = _field(obj, "beta", "homogeneous symbol", location) if "beta" in obj else 1.0
+        tail = obj.get("tail", False)
+        if not isinstance(tail, bool):  # bool("false") would switch the tail on
+            raise FileFormatError(f"homogeneous symbol: 'tail' must be true or false, got {tail!r}",
+                                  location)
+        return HomogeneousSymbol(c=c, beta=beta, tail=tail)
     raise FileFormatError(f"unknown symbol kind {kind!r}", location)
 
 
@@ -220,14 +243,12 @@ def _homog_shorthand(text: str) -> HomogeneousSymbol | None:
         if "=" not in part:
             raise FileFormatError(f"bad homog() argument {part!r}", location=text)
         key, val = (s.strip() for s in part.split("=", 1))
-        if key == "beta":
-            kwargs["beta"] = float(val)
-        elif key == "c":
-            kwargs["c"] = complex(val)
-        elif key == "tail":
-            kwargs["tail"] = val.lower() in ("1", "true", "yes")
-        else:
+        if key not in _HOMOG_ARGS:
             raise FileFormatError(f"unknown homog() key {key!r}", location=text)
+        try:
+            kwargs[key] = _HOMOG_ARGS[key](val)
+        except ValueError:
+            raise FileFormatError(f"bad homog() value {part!r}", location=text) from None
     if "beta" not in kwargs:
         raise FileFormatError("homog() needs beta=...", location=text)
     return HomogeneousSymbol(**kwargs)
@@ -261,16 +282,15 @@ def symbol_to_obj(symbol: Symbol) -> dict[str, Any]:
 def operator_from_obj(
     obj: Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "operator"
 ) -> MultiOperator:
-    factor_specs = obj.get("factors")
+    factor_specs = _object(obj, "an operator", location).get("factors")
     if not isinstance(factor_specs, list) or len(factor_specs) != len(trees):
-        raise FileFormatError(
-            f"operator lists {len(factor_specs or [])} factor symbols for {len(trees)} spaces", location
-        )
-    symbols = [load_symbol(s, base_dir) for s in factor_specs]
+        raise FileFormatError(f"operator needs {len(trees)} factor symbols, got {factor_specs!r}", location)
+    symbols = [load_symbol(_spec(s, "a factor symbol", location), base_dir) for s in factor_specs]
     terms = []
-    for rec in obj.get("terms", []):
-        indices = tuple(int(i) - 1 for i in rec.get("indices", []))
-        terms.append((indices, _complex_of(rec, location)))
+    for rec in _list(obj, "terms", location):
+        rec = _object(rec, "an operator term", location)
+        indices = _int_tuple(rec.get("indices", []), "operator term", rec, location)
+        terms.append((tuple(i - 1 for i in indices), _complex_of(rec, location)))
     return MultiOperator(list(zip(trees, symbols)), terms)
 
 
@@ -327,13 +347,13 @@ _VERTEX, _BALL, _J, _RE, _IM = map(itemgetter, ("vertex", "ball", "j", "re", "im
 def _fast_coeff_records(records, one_dim: bool = False) -> dict[Key, complex] | None:
     """The strict loader's dict, built column by column when every record has exact types.
 
-    ``records`` must be a list of ``dict`` records, either all with scalar
+    ``records`` must hold only ``dict`` records, either all with scalar
     ``ball``/``j`` (a ``vertex`` next to ``ball`` is ignored, as the strict
     loader ignores it) or all with list ``vertex``/``j``, with exact ``int``
     ids and indices and ``float`` ``re``/``im``.  Returns None on any miss;
     the strict loader then decides.
     """
-    if type(records) is not list or not set(map(type, records)) <= {dict}:
+    if not set(map(type, records)) <= {dict}:
         return None
     try:
         js, res, ims = (list(map(get, records)) for get in (_J, _RE, _IM))
@@ -358,12 +378,15 @@ def _fast_coeff_records(records, one_dim: bool = False) -> dict[Key, complex] | 
 def _coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, complex]:
     """Coefficient records to a ``(vertex, j) -> complex`` dict in record order.
 
-    Keys are ``(tuple, tuple)`` of exact ints and values are ``complex``, so
-    ``GeneralizedFunction`` and ``LizorkinSeries`` take them as they are.
+    ``records`` must be a list.  Keys are ``(tuple, tuple)`` of exact ints
+    and values are ``complex``, so ``GeneralizedFunction`` and
+    ``LizorkinSeries`` take them as they are.
     Records of exact JSON types load column by column; anything else runs the
     strict per-record loader from the first record, so errors and their
     messages do not depend on which path ran.
     """
+    if not isinstance(records, list):
+        raise FileFormatError(f"coefficient records must be a list, got {records!r}", location)
     coeffs = _fast_coeff_records(records, one_dim)
     return _strict_coeff_records(records, location, one_dim) if coeffs is None else coeffs
 
@@ -381,6 +404,7 @@ def _coeff_entry_obj(key, value: complex) -> dict[str, Any]:
 
 
 def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> WaveletExpansion:
+    _object(obj, "an expansion", location)
     mean = _pair_of(obj.get("mean", 0.0), location)
     coeffs = _coeff_records(obj.get("coeffs", []), location, one_dim=True)
     return WaveletExpansion(mean, {(vertex[0], j[0]): c for (vertex, j), c in coeffs.items()})
@@ -396,6 +420,7 @@ def expansion_to_obj(e: WaveletExpansion) -> dict[str, Any]:
 
 
 def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") -> LizorkinSeries:
+    _object(obj, "a series", location)
     mean = _pair_of(obj.get("mean", 0.0), location)
     if mean != 0:
         raise FileFormatError("a right-hand side series must have zero mean coefficient", location)
@@ -428,13 +453,8 @@ def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
 def genfun_from_obj(
     obj: Mapping[str, Any], trees: Sequence[BallTree], location: str = "function"
 ) -> GeneralizedFunction:
-    if not isinstance(obj, Mapping):
-        raise FileFormatError("a generalized function must be a JSON object", location)
-    anchor, value = _anchor_of(obj, location)
-    records = obj.get("coeffs", [])
-    if not isinstance(records, list):
-        raise FileFormatError("'coeffs' must be a list", location)
-    return GeneralizedFunction(trees, anchor, _coeff_records(records, location), value)
+    anchor, value = _anchor_of(_object(obj, "a generalized function", location), location)
+    return GeneralizedFunction(trees, anchor, _coeff_records(obj.get("coeffs", []), location), value)
 
 
 def solution_to_obj(sol: Solution) -> dict[str, Any]:
@@ -463,12 +483,15 @@ def load_solution(spec: str | Mapping[str, Any], trees: Sequence[BallTree], base
 def problem_from_obj(
     obj: Mapping[str, Any], base_dir: str = ".", location: str = "problem"
 ) -> tuple[CauchyProblem, list[BallTree]]:
-    space_specs = obj.get("spaces")
+    space_specs = _object(obj, "a problem", location).get("spaces")
     if not isinstance(space_specs, list) or not space_specs:
         raise FileFormatError("problem needs a non-empty 'spaces' list", location)
-    trees = [load_space(s, base_dir) for s in space_specs]
-    op = load_operator(obj["operator"], trees, base_dir)
-    rhs = load_lizorkin(obj.get("rhs", {"mean": [0.0, 0.0], "coeffs": []}), len(trees), base_dir)
+    trees = [load_space(_spec(s, "a space", location), base_dir) for s in space_specs]
+    if "operator" not in obj:
+        raise FileFormatError("problem has no 'operator'", location)
+    op = load_operator(_spec(obj["operator"], "the operator", location), trees, base_dir)
+    rhs = _spec(obj.get("rhs", {"mean": [0.0, 0.0], "coeffs": []}), "the rhs", location)
+    rhs = load_lizorkin(rhs, len(trees), base_dir)
     anchor, anchor_value = _anchor_of(obj, location)
     boundary = _coeff_records(obj.get("boundary", []), location)
     free: str | int | dict = "zero"
@@ -476,7 +499,7 @@ def problem_from_obj(
     if fp == "zero":
         free = "zero"
     elif isinstance(fp, Mapping) and "seed" in fp:
-        free = int(fp["seed"])
+        free = _field(fp, "seed", "free_params", location, integer=True)
     elif isinstance(fp, list):
         free = _coeff_records(fp, location)
     else:
@@ -487,7 +510,7 @@ def problem_from_obj(
         anchor=anchor,
         anchor_value=anchor_value,
         boundary=boundary,
-        epsilon=float(obj.get("epsilon", 1e-9)),
+        epsilon=_field(obj, "epsilon", "problem", location) if "epsilon" in obj else 1e-9,
         free_values=free,
     )
     return problem, trees

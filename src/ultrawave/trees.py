@@ -16,6 +16,15 @@ Structural invariants enforced at construction:
 
 Zero-measure balls are allowed but flagged; downstream constructions skip
 them where a positive measure is required.
+
+Construction walks the parent list once.  The walk builds the children,
+finds the root, and raises ``SpaceValidationError`` for an out-of-range
+parent, for other than one root and for a vertex the root does not reach
+(how a cycle shows); ``tree_from_leaf_measures`` runs the same walk.  Its
+child-ordered pre-order is kept as ``order`` with each ball's position and
+subtree size: a ball's descendants are one slice of ``order``, so
+``is_ancestor`` is an O(1) comparison, ``leaves_under`` a slice, and
+``reversed(order)`` serves every bottom-up pass.
 """
 
 from __future__ import annotations
@@ -55,38 +64,23 @@ class BallTree:
         self.diameter = tuple(float(d) for d in diameter)
         self.padic = padic
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        roots = []
-        for i, p in enumerate(self.parent):
-            if p is None:
-                roots.append(i)
-            elif not (0 <= p < n):
-                raise SpaceValidationError(f"vertex {i} has out-of-range parent {p}", ball=i)
-            else:
-                children[p].append(i)
-        if len(roots) != 1:
-            raise SpaceValidationError(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0]
-        self.children = tuple(tuple(c) for c in children)
-
-        depth = [-1] * n
-        depth[self.root] = 0
-        stack = [self.root]
-        order = []
-        while stack:
-            v = stack.pop()
-            order.append(v)
+        self.root, self.children, order = _walk(self.parent)
+        self.order = tuple(order)
+        depth = [0] * n
+        pos = [0] * n
+        for k, v in enumerate(order):
+            pos[v] = k
             for c in self.children[v]:
                 depth[c] = depth[v] + 1
-                stack.append(c)
-        if len(order) != n:
-            missing = next(i for i in range(n) if depth[i] < 0)
-            raise SpaceValidationError(f"vertex {missing} is not reachable from the root", ball=missing)
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[self.parent[v]] += size[v]
         self.depth = tuple(depth)
+        self._pos = tuple(pos)
+        self._size = tuple(size)
 
         self.leaves = tuple(i for i in range(n) if not self.children[i])
         self.zero_measure = frozenset(i for i in range(n) if self.measure[i] == 0.0)
-        self._leaves_under_cache: dict[int, tuple[int, ...]] = {}
         self._wavelet_bases: dict[int, tuple] = {}  # filled by wavelets.wavelet_basis
         self._validate()
 
@@ -155,12 +149,10 @@ class BallTree:
             p = self.parent[p]
 
     def is_ancestor(self, a: int, d: int) -> bool:
-        """True iff ``a`` contains ``d`` (a ball contains itself)."""
-        self.check_ball(a)
-        self.check_ball(d)
-        while self.depth[d] > self.depth[a]:
-            d = self.parent[d]
-        return d == a
+        """True iff ``a`` contains ``d`` (a ball contains itself); O(1) through the pre-order."""
+        a = self.check_ball(a)
+        start = self._pos[a]
+        return start <= self._pos[self.check_ball(d)] < start + self._size[a]
 
     def sup(self, a: int, b: int) -> int:
         """Minimal ball containing both arguments (lowest common ancestor)."""
@@ -188,18 +180,42 @@ class BallTree:
         return d
 
     def leaves_under(self, i: int) -> tuple[int, ...]:
+        """The leaves inside ball ``i``, in pre-order: a slice of ``order``."""
         i = self.check_ball(i)
-        cached = self._leaves_under_cache.get(i)
-        if cached is None:
-            if not self.children[i]:
-                cached = (i,)
-            else:
-                acc: list[int] = []
-                for c in self.children[i]:
-                    acc.extend(self.leaves_under(c))
-                cached = tuple(acc)
-            self._leaves_under_cache[i] = cached
-        return cached
+        start = self._pos[i]
+        children = self.children
+        return tuple(v for v in self.order[start:start + self._size[i]] if not children[v])
+
+
+def _walk(parent: Sequence[int | None]) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
+    """The root, the children (in id order) and the child-ordered pre-order of a parent list.
+
+    Raises ``SpaceValidationError`` for an out-of-range parent, for a number
+    of roots other than one, and for a vertex the root does not reach, which
+    is how a cycle in the parent list shows.
+    """
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    for i, p in enumerate(parent):
+        if p is None:
+            roots.append(i)
+        elif not (0 <= p < n):
+            raise SpaceValidationError(f"vertex {i} has out-of-range parent {p}", ball=i)
+        else:
+            children[p].append(i)
+    if len(roots) != 1:
+        raise SpaceValidationError(f"expected exactly one root, found {len(roots)}")
+    order = []
+    stack = roots
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    if len(order) != n:
+        missing = min(set(range(n)).difference(order))
+        raise SpaceValidationError(f"vertex {missing} is not reachable from the root", ball=missing)
+    return order[0], tuple(map(tuple, children)), order
 
 
 def build_padic_tree(p: int, depth: int) -> BallTree:
@@ -240,27 +256,11 @@ def tree_from_leaf_measures(
     Forcing additivity bottom-up avoids drift between levels when the caller
     only knows the point masses.
     """
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, p in enumerate(parent):
-        if p is not None:
-            children[p].append(i)
-    measure = [0.0] * n
-    order = sorted(range(n), key=lambda i: -_depth_of(parent, i))
-    for i in order:
-        if children[i]:
-            measure[i] = math.fsum(measure[c] for c in children[i])
-        else:
-            measure[i] = float(leaf_measure[i])
+    _, children, order = _walk(parent)
+    measure = [0.0] * len(parent)
+    for i in reversed(order):
+        measure[i] = math.fsum(measure[c] for c in children[i]) if children[i] else float(leaf_measure[i])
     return BallTree(parent, measure, diameter)
-
-
-def _depth_of(parent: Sequence[int | None], i: int) -> int:
-    d = 0
-    while parent[i] is not None:
-        i = parent[i]
-        d += 1
-    return d
 
 
 @dataclass(frozen=True)

@@ -166,10 +166,9 @@ class TestFunction:
         """Expansion to all tree leaves (0 outside the subtree's support)."""
         if self.subtree is None:
             return {x: complex(v) for x, v in self.values.items()}
-        out = {x: 0.0 + 0.0j for x in self.tree.leaves}
+        out = dict.fromkeys(self.tree.leaves, 0j)
         for b, v in self.values.items():
-            for x in self.tree.leaves_under(b):
-                out[x] = complex(v)
+            out.update(dict.fromkeys(self.tree.leaves_under(b), complex(v)))
         return out
 
     def leaf_vector(self) -> np.ndarray:
@@ -185,6 +184,20 @@ class WaveletExpansion:
     coeffs: Mapping[tuple[int, int], complex] = field(default_factory=dict)
 
 
+def ball_integrals(tree: BallTree, leaf_values: Mapping[int, complex]) -> list[complex]:
+    """The integral of f over every ball, in one bottom-up pass over ``reversed(tree.order)``.
+
+    A leaf missing from ``leaf_values`` counts as 0; a ball sums its
+    subballs' integrals in child order, so the walk does not change a bit.
+    """
+    integral: list[complex] = [0j] * tree.n_vertices
+    children, measure = tree.children, tree.measure
+    for v in reversed(tree.order):
+        kids = children[v]
+        integral[v] = sum(integral[c] for c in kids) if kids else leaf_values.get(v, 0j) * measure[v]
+    return integral
+
+
 def analyze(tree: BallTree, f: TestFunction) -> WaveletExpansion:
     """Wavelet coefficients ``<wavelet, f>`` plus the mean coefficient.
 
@@ -193,14 +206,7 @@ def analyze(tree: BallTree, f: TestFunction) -> WaveletExpansion:
     function of f's resolution: every non-leaf ball on the full tree, or the
     non-minimal members of f's subtree plus the strict ancestors of its top.
     """
-    lv = f.leaf_values()
-    integral = [0.0 + 0.0j] * tree.n_vertices
-    for v in sorted(range(tree.n_vertices), key=lambda i: -tree.depth[i]):
-        kids = tree.children[v]
-        if kids:
-            integral[v] = sum(integral[c] for c in kids)
-        else:
-            integral[v] = lv[v] * tree.measure[v]
+    integral = ball_integrals(tree, f.leaf_values())
     if f.subtree is None:
         allowed = None
     else:

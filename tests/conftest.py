@@ -43,6 +43,20 @@ def random_measured_tree(rng, max_depth=4, max_branching=4, grow_prob=0.6) -> Ba
     return BallTree(parent, measure, diameter)
 
 
+def permuted_tree(rng, tree) -> BallTree:
+    """The same tree with its vertex ids shuffled, so children no longer follow their parent's id."""
+    perm = [int(x) for x in rng.permutation(tree.n_vertices)]
+    parent = [None] * tree.n_vertices
+    measure = [0.0] * tree.n_vertices
+    diameter = [0.0] * tree.n_vertices
+    for i in range(tree.n_vertices):
+        p = tree.parent[i]
+        parent[perm[i]] = None if p is None else perm[p]
+        measure[perm[i]] = tree.measure[i]
+        diameter[perm[i]] = tree.diameter[i]
+    return BallTree(parent, measure, diameter)
+
+
 def random_table_symbol(rng, tree: BallTree, real=False):
     from ultrawave.operators import TableSymbol
 

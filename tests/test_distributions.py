@@ -14,6 +14,7 @@ from ultrawave.distributions import (
     eval_extended,
     eval_on_char,
     eval_on_char_nd,
+    eval_on_product,
     eval_on_test,
     extended_leaf_values,
     lizorkin_pair,
@@ -768,3 +769,72 @@ class TestLizorkinKeyOrder:
     def test_numpy_int_vertex_components_accepted(self):
         series = LizorkinSeries(2, {((np.int64(3), np.int32(0)), (1, 1)): 2.0})
         assert series.coefficient((3, 0), (1, 1)) == 2.0
+
+
+def leaf_enumerating_eval_on_product(u, factor_values):
+    """``eval_on_product`` as it was: leaf sums under every child, for every stored coefficient.
+
+    Returns the value and the sum of the magnitudes of its terms, where a
+    term's magnitude multiplies, per factor, the magnitudes of every leaf
+    term of its integrals: the scale of the rounding error of any order of
+    summation.
+    """
+    def leaves(tree, b):
+        kids = tree.children[b]
+        return [b] if not kids else [x for c in kids for x in leaves(tree, c)]
+
+    def child_toward(tree, b, d):  # the child of b on the path to d, or None when d is not below b
+        while d is not None and tree.parent[d] != b:
+            d = tree.parent[d]
+        return d
+
+    def mass(tree, fv, xs, magnitude=False):
+        return sum((abs if magnitude else complex)(fv.get(x, 0.0)) * tree.measure[x] for x in xs)
+
+    masses = [mass(t, fv, sorted(fv)) for t, fv in zip(u.factors, factor_values)]
+    total, scale = 0j, 0.0
+    for (kv, kj), c in u.items():
+        term, size = c, abs(c)
+        for tree, fv, a0, m, b, j in zip(u.factors, factor_values, u.anchor, masses, kv, kj):
+            m_abs = mass(tree, fv, sorted(fv), magnitude=True)
+            if j == 0:
+                term, size = term * m, size * m_abs
+                continue
+            w = wavelet_basis(tree, b)[j - 1].values
+            integral = sum(w[ch] * mass(tree, fv, leaves(tree, ch)) for ch in tree.children[b])
+            integral_abs = sum(abs(w[ch]) * mass(tree, fv, leaves(tree, ch), True) for ch in tree.children[b])
+            toward = child_toward(tree, b, a0)
+            anchored = 0j if toward is None else w[toward] * tree.measure[a0]
+            term *= integral - m / tree.measure[a0] * anchored
+            size *= integral_abs + m_abs / tree.measure[a0] * abs(anchored)
+        total += term
+        scale += size
+    return total, scale
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(4)])
+def test_term_factor_tables_match_leaf_enumeration(n, seed):
+    """eval_on_product, eval_extended and eval_on_test agree with the leaf sums to 1e-12 of their scale."""
+    rng = np.random.default_rng(500 + 10 * n + seed)
+    u = random_product_function(rng, n, n_keys=80)
+
+    def close(got, want):
+        value, scale = want
+        assert abs(got - value) <= 1e-12 * scale, (got, value, scale)
+
+    full = [{x: complex(rng.standard_normal(), rng.standard_normal()) for x in t.leaves} for t in u.factors]
+    partial = [{x: z for x, z in fv.items() if rng.random() < 0.5} for fv in full]
+    for fvs in (full, partial):
+        close(eval_on_product(u, fvs), leaf_enumerating_eval_on_product(u, fvs))
+    keys = list(u.coeffs)
+    for k in rng.choice(len(keys), size=min(15, len(keys)), replace=False):
+        vertex, j = keys[int(k)]
+        fvs = [extended_leaf_values(t, a0, b, ji, conjugate=True)
+               for t, a0, b, ji in zip(u.factors, u.anchor, vertex, j)]
+        close(eval_extended(u, vertex, j), leaf_enumerating_eval_on_product(u, fvs))
+    if n == 1:
+        tree = u.factors[0]
+        f = TestFunction(tree, full[0])
+        close(eval_on_test(u, f), leaf_enumerating_eval_on_product(u, full))
+        e = analyze(tree, f)
+        close(eval_on_test(u, e), leaf_enumerating_eval_on_product(u, [synthesize(tree, e).values]))

@@ -28,9 +28,12 @@ from ultrawave.io import (
     load_problem,
     load_space,
     load_symbol,
+    operator_from_obj,
     operator_to_obj,
+    problem_from_obj,
     space_from_obj,
     space_to_obj,
+    symbol_from_obj,
     symbol_to_obj,
     write_json,
 )
@@ -600,3 +603,196 @@ class TestSpaceSchema:
         ]})
         assert list(t.parent) == [None, 0, 0] and type(t.parent[1]) is int
         assert list(t.measure) == [1.0, 0.5, 0.5]
+
+
+# -- problems, operators and symbols: one number rule and a located error for every schema fault
+
+SYMBOL_TABLE = {"kind": "table", "entries": [{"ball": 0, "re": 1.0}, {"ball": 1, "re": 2.0, "im": 0.5},
+                                             {"ball": 2, "re": 5.0}]}
+SYMBOL_HOMOG = {"kind": "homogeneous", "c": [1, 0], "beta": 0.5, "tail": False}
+OPERATOR = {"factors": [SYMBOL_TABLE, "homog(beta=0.5)"],
+            "terms": [{"indices": [1], "re": 1.0, "im": 0.0}, {"indices": [2], "re": -1.0}]}
+EXPLICIT_SPACE = {"kind": "explicit", "vertices": [
+    EXPLICIT_ROOT,
+    {"id": 1, "parent": 0, "measure": 0.5, "diameter": 0.5},
+    {"id": 2, "parent": 0, "measure": 0.5, "diameter": 0.5},
+]}
+PROBLEM = {
+    "spaces": ["padic(2,2)", EXPLICIT_SPACE],
+    "operator": {**OPERATOR, "factors": [SYMBOL_TABLE, SYMBOL_HOMOG]},
+    "rhs": {"mean": [0.0, 0.0], "coeffs": [{"vertex": [1, 0], "j": [1, 1], "re": 1.0, "im": 0.0}]},
+    "anchor": {"vertex": [3, 1], "value": [0.5, 0.0]},
+    "boundary": [{"vertex": [0, 1], "j": [1, 0], "re": 0.25, "im": 0.0}],
+    "epsilon": 1e-9,
+    "free_params": {"seed": 7},
+}
+
+
+class TestProblemSchema:
+    @pytest.mark.parametrize("obj,message", [
+        ([], "a problem must be a JSON object, got []"),
+        ({k: v for k, v in PROBLEM.items() if k != "operator"}, "problem has no 'operator'"),
+        ({**PROBLEM, "spaces": [7]}, "a space must be a string or a JSON object, got 7"),
+        ({**PROBLEM, "operator": 7}, "the operator must be a string or a JSON object, got 7"),
+        ({**PROBLEM, "rhs": [1]}, "the rhs must be a string or a JSON object, got [1]"),
+        ({**PROBLEM, "free_params": {"seed": "7"}}, "free_params: 'seed' must be an integer, got '7'"),
+        ({**PROBLEM, "free_params": {"seed": 7.5}}, "free_params: 'seed' must be an integer, got 7.5"),
+        ({**PROBLEM, "epsilon": "1e-3"}, "problem: 'epsilon' must be a number, got '1e-3'"),
+        ({**PROBLEM, "epsilon": True}, "problem: 'epsilon' must be a number, got True"),
+        ({**PROBLEM, "boundary": 5}, "coefficient records must be a list, got 5"),
+    ])
+    def test_problem_errors_name_the_file(self, obj, message, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_problem(str(path))
+
+    @pytest.mark.parametrize("obj,message", [
+        ({**PROBLEM, "spaces": [7]}, "a space must be a string or a JSON object"),
+        ([], "a problem must be a JSON object"),
+        ({k: v for k, v in PROBLEM.items() if k != "operator"}, "problem has no 'operator'"),
+        ({**PROBLEM, "free_params": {"seed": "7"}}, "'seed' must be an integer"),
+        ({**PROBLEM, "operator": {**OPERATOR, "factors": [SYMBOL_TABLE, {**SYMBOL_HOMOG, "tail": "false"}]}},
+         "'tail' must be true or false, got 'false'"),
+    ])
+    def test_solve_exits_two(self, obj, message, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_valid_problem_still_loads(self, tmp_path):
+        problem, trees = problem_from_obj(PROBLEM, str(tmp_path))
+        assert problem.free_values == 7 and problem.epsilon == 1e-9 and len(trees) == 2
+        assert type(problem.free_values) is int
+        problem, _ = problem_from_obj({**PROBLEM, "free_params": {"seed": 7.0}, "epsilon": 0}, str(tmp_path))
+        assert problem.free_values == 7 and type(problem.free_values) is int and problem.epsilon == 0.0
+
+    @pytest.mark.parametrize("obj,message", [
+        ({**SYMBOL_HOMOG, "tail": "false"}, "'tail' must be true or false, got 'false'"),
+        ({**SYMBOL_HOMOG, "tail": 1}, "'tail' must be true or false, got 1"),
+        ({**SYMBOL_HOMOG, "beta": "2"}, "'beta' must be a number, got '2'"),
+        ({**SYMBOL_HOMOG, "beta": None}, "'beta' must be a number, got None"),
+        ({"kind": "table", "entries": [{"ball": 2.7, "re": 1.0}]}, "table entry: 'ball' must be an integer, got 2.7"),
+        ({"kind": "table", "entries": [{"ball": "1", "re": 1.0}]}, "'ball' must be an integer, got '1'"),
+        ({"kind": "table", "entries": [{"re": 1.0}]}, "table entry has no 'ball'"),
+        ({"kind": "table", "entries": [3]}, "table entry must be a JSON object, got 3"),
+        ({"kind": "table", "entries": {"ball": 1}}, "'entries' must be a list"),
+        ([SYMBOL_HOMOG], "a symbol must be a JSON object"),
+    ])
+    def test_symbol_errors(self, obj, message):
+        with pytest.raises(FileFormatError, match=f"^s.json: .*{re.escape(message)}"):
+            symbol_from_obj(obj, "s.json")
+
+    def test_symbol_numbers(self):
+        assert symbol_from_obj({"kind": "table", "entries": [{"ball": 1.0, "re": 2.0}]}).entries == {1: 2.0}
+        assert symbol_from_obj({**SYMBOL_HOMOG, "beta": 2, "tail": True}) == HomogeneousSymbol(1.0, 2.0, True)
+        assert symbol_from_obj({"kind": "homogeneous"}) == HomogeneousSymbol()
+
+    @pytest.mark.parametrize("text,message", [
+        ("homog(beta=x)", "bad homog() value 'beta=x'"),
+        ("homog(beta=1, c=2+)", "bad homog() value 'c=2+'"),
+        ("homog(beta=1, gamma=2)", "unknown homog() key 'gamma'"),
+    ])
+    def test_bad_shorthand_values(self, text, message):
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_symbol(text)
+
+    @pytest.mark.parametrize("term,message", [
+        ({"indices": [1.7]}, "non-integral id or index 1.7 in operator term"),
+        ({"indices": ["1"]}, "bad operator term {'indices': ['1']}: id or index '1' is not a number"),
+        ({"indices": [True]}, "bad operator term {'indices': [True]}: id or index True is not a number"),
+        ({"indices": [None]}, "bad operator term {'indices': [None]}: id or index None is not a number"),
+        ({"indices": 1}, "bad operator term {'indices': 1}"),
+        ([1], "an operator term must be a JSON object, got [1]"),
+    ])
+    def test_operator_term_indices(self, term, message):
+        with pytest.raises(FileFormatError, match=f"^op.json: {re.escape(message)}"):
+            operator_from_obj({**OPERATOR, "terms": [term]}, [build_padic_tree(2, 2)] * 2, location="op.json")
+
+    def test_operator_shape_errors(self):
+        trees = [build_padic_tree(2, 2)] * 2
+        for obj, message in [
+            ([OPERATOR], "an operator must be a JSON object"),
+            ({**OPERATOR, "factors": [SYMBOL_TABLE, 7]}, "a factor symbol must be a string or a JSON object"),
+            ({**OPERATOR, "factors": 7}, "operator needs 2 factor symbols, got 7"),
+            ({**OPERATOR, "terms": {}}, "'terms' must be a list"),
+        ]:
+            with pytest.raises(FileFormatError, match=f"^op.json: {re.escape(message)}"):
+                operator_from_obj(obj, trees, location="op.json")
+        op = operator_from_obj({**OPERATOR, "terms": [{"indices": [2.0, 1], "re": 1.0}]}, trees)
+        assert op.terms == (((1, 0), 1.0 + 0.0j),)
+
+
+FUZZ_KEYS = st.sampled_from([
+    "spaces", "operator", "factors", "terms", "indices", "kind", "entries", "ball", "beta", "c", "tail",
+    "rhs", "mean", "coeffs", "anchor", "vertex", "value", "boundary", "j", "re", "im", "epsilon",
+    "free_params", "seed", "vertices", "id", "parent", "measure", "diameter",
+])
+# No "padic" kind and no integer p or depth anywhere: a p-adic space is only ever
+# the fixed shorthand, so no example can ask for a tree too large to build.
+FUZZ_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(alphabet="abcz.\x00 ", max_size=3)
+    | st.sampled_from(["table", "homogeneous", "explicit", "zero", "padic(2,1)", "homog(beta=x)",
+                       "homog(beta=2,tail=1)", "homog(c=1)", "homog(beta=nan)"])
+)
+FUZZ_VALUES = st.recursive(
+    FUZZ_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(FUZZ_KEYS, children, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three random nodes replaced, deleted or given a junk sibling; sometimes all junk."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(FUZZ_VALUES)
+    obj = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        node = obj
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            action = draw(st.sampled_from(["replace", "delete", "add"]))
+            if action == "replace":
+                node[key] = draw(FUZZ_VALUES)
+            elif action == "delete":
+                del node[key]
+            elif isinstance(node, dict):
+                node[draw(FUZZ_KEYS)] = draw(FUZZ_VALUES)
+            else:
+                node.append(draw(FUZZ_VALUES))
+            break
+    return obj
+
+
+def only_library_errors(load):
+    try:
+        load()
+    except UltrawaveError:
+        pass
+
+
+@settings(max_examples=300)
+@given(obj=mutated(SYMBOL_TABLE) | mutated(SYMBOL_HOMOG))
+def test_fuzzed_symbols_raise_only_library_errors(obj):
+    only_library_errors(lambda: symbol_from_obj(obj))
+
+
+@settings(max_examples=300)
+@given(obj=mutated(OPERATOR))
+def test_fuzzed_operators_raise_only_library_errors(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        only_library_errors(lambda: operator_from_obj(obj, [build_padic_tree(2, 2)] * 2, tmp))
+
+
+@settings(max_examples=300)
+@given(obj=mutated(PROBLEM))
+def test_fuzzed_problems_raise_only_library_errors(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        only_library_errors(lambda: problem_from_obj(obj, tmp))

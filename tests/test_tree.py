@@ -1,12 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_measured_tree
+from conftest import permuted_tree, random_measured_tree
 from ultrawave.errors import ParameterError, SpaceValidationError, UnknownBallError
 from ultrawave.trees import (
     BallTree,
@@ -189,3 +192,92 @@ def test_random_tree_sup_descendant_equivalence(seed):
     ids = rng.integers(0, t.n_vertices, size=(200, 2))
     for a, b in ids:
         assert (t.sup(a, b) == a) == t.is_ancestor(a, b)
+
+
+# -- the pre-order core against test-local copies of the recursive and walking versions
+
+
+def recursive_leaves_under(tree, i):
+    if not tree.children[i]:
+        return (i,)
+    acc = []
+    for c in tree.children[i]:
+        acc.extend(recursive_leaves_under(tree, c))
+    return tuple(acc)
+
+
+def walking_is_ancestor(tree, a, d):
+    while tree.depth[d] > tree.depth[a]:
+        d = tree.parent[d]
+    return d == a
+
+
+def chain_depth(parent, i):
+    d = 0
+    while parent[i] is not None:
+        i = parent[i]
+        d += 1
+    return d
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10**9))
+def test_pre_order_queries_match_recursive_and_walking_versions(seed):
+    rng = np.random.default_rng(seed)
+    base = random_measured_tree(rng)
+    for t in (base, permuted_tree(rng, base)):
+        n = t.n_vertices
+        assert sorted(t.order) == list(range(n)) and t.order[0] == t.root
+        assert t.depth == tuple(chain_depth(t.parent, i) for i in range(n))
+        for i in range(n):
+            assert repr(t.leaves_under(i)) == repr(recursive_leaves_under(t, i))
+        for a, d in itertools.product(range(n), repeat=2):
+            assert t.is_ancestor(a, d) == walking_is_ancestor(t, a, d)
+
+
+def test_order_is_child_ordered_pre_order():
+    t = build_padic_tree(2, 2)
+    assert t.order == (0, 1, 3, 4, 2, 5, 6)
+    assert t.leaves_under(1) == (3, 4) and t.leaves_under(0) == (3, 4, 5, 6)
+    assert t.is_ancestor(np.int64(1), 4) and not t.is_ancestor(1, 5)
+    with pytest.raises(UnknownBallError):
+        t.is_ancestor(0, 7)
+    with pytest.raises(UnknownBallError):
+        t.leaves_under(-1)
+
+
+class TestStructuralErrors:
+    @pytest.mark.parametrize("parent,message", [
+        ([None, 5], "vertex 1 has out-of-range parent 5"),
+        ([None, 0, 0, -1], "vertex 3 has out-of-range parent -1"),
+        ([1, 0], "expected exactly one root, found 0"),
+        ([None, None, 0], "expected exactly one root, found 2"),
+        ([None, 2, 1], "vertex 1 is not reachable from the root"),
+    ])
+    def test_tree_from_leaf_measures_rejects_bad_parent_lists(self, parent, message):
+        with pytest.raises(SpaceValidationError, match=message):
+            tree_from_leaf_measures(parent, {i: 1.0 for i in range(len(parent))}, [1.0] * len(parent))
+        with pytest.raises(SpaceValidationError, match=message):
+            BallTree(parent, [1.0] * len(parent), [1.0] * len(parent))
+
+    def test_cyclic_parent_list_is_rejected_in_a_subprocess(self):
+        """A cycle once made the bottom-up pass loop forever; a timeout turns a regression into a failure."""
+        import ultrawave
+
+        code = (
+            "from ultrawave.errors import SpaceValidationError\n"
+            "from ultrawave.trees import tree_from_leaf_measures\n"
+            "for parent in ([1, 0], [None, 2, 1], [None, 0, 0, 4, 3]):\n"
+            "    try:\n"
+            "        tree_from_leaf_measures(parent, dict.fromkeys(range(len(parent)), 1.0), [1.0] * len(parent))\n"
+            "    except SpaceValidationError as exc:\n"
+            "        print('rejected:', exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ultrawave.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "rejected: expected exactly one root, found 0",
+            "rejected: vertex 1 is not reachable from the root",
+            "rejected: vertex 3 is not reachable from the root",
+        ]

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_leaf_function, random_measured_tree
+from conftest import permuted_tree, random_leaf_function, random_measured_tree, random_table_symbol
 from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
+from ultrawave.operators import spectrum
 from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree, tree_from_leaf_measures
 from ultrawave.wavelets import (
     TestFunction,
@@ -454,3 +455,57 @@ def test_analyze_bitwise_equals_numpy_conjugate(p, depth):
     assert list(got) == list(want)
     assert bits(got) == bits(want)
     assert all(type(c) is complex for c in got.values())
+
+
+# -- bottom-up ball integrals against test-local copies of the depth-sorted passes
+
+
+def depth_sorted_analyze(tree, f):
+    """``analyze`` as it was: integrals summed over every ball sorted by decreasing depth."""
+    lv = f.leaf_values()
+    integral = [0.0 + 0.0j] * tree.n_vertices
+    for v in sorted(range(tree.n_vertices), key=lambda i: -tree.depth[i]):
+        kids = tree.children[v]
+        integral[v] = sum(integral[c] for c in kids) if kids else lv[v] * tree.measure[v]
+    allowed = None
+    if f.subtree is not None:
+        allowed = {b for b in f.subtree.members if b not in f.subtree.minimal}
+        allowed.update(tree.ancestors(f.subtree.top))
+    coeffs = {}
+    for w in tree_wavelets(tree):
+        if allowed is None or w.ball in allowed:
+            coeffs[(w.ball, w.j)] = sum(w.values[c].conjugate() * integral[c] for c in tree.children[w.ball])
+    return integral[tree.root] * normalized_constant(tree), coeffs
+
+
+def stack_spectrum(tree, symbol):
+    """The top-down eigenvalue pass, over an explicit stack of (ball, ancestor sum)."""
+    lam = {}
+    stack = [(tree.root, None)]
+    while stack:
+        v, pv = stack.pop()
+        tv, nv = symbol.value(tree, v), tree.measure[v]
+        lam[v] = tv * nv if pv is None else tv * nv + pv
+        for c in tree.children[v]:
+            if tree.children[c]:
+                term = tv * (nv - tree.measure[c])
+                stack.append((c, term if pv is None else pv + term))
+    return lam
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10**9))
+def test_analyze_and_spectrum_bitwise_equal_to_depth_sorted_passes(seed):
+    rng = np.random.default_rng(seed)
+    base = random_measured_tree(rng)
+    for t in (base, permuted_tree(rng, base), with_zero_leaves(rng, base)):
+        f = random_leaf_function(rng, t)
+        sub = random_subtree(rng, t)
+        g = TestFunction(t, {b: complex(rng.standard_normal(), 1.0) for b in sub.minimal}, sub)
+        for func in (f, g):
+            mean, coeffs = depth_sorted_analyze(t, func)
+            e = analyze(t, func)
+            assert list(e.coeffs) == list(coeffs)
+            assert bits({0: e.mean, **e.coeffs}) == bits({0: mean, **coeffs})
+        symbol = random_table_symbol(rng, t)
+        assert bits(spectrum(t, symbol).eigenvalues) == bits(stack_spectrum(t, symbol))

@@ -1,0 +1,87 @@
+"""Machine-independent work counts: calls counted on padic(2,6) and padic(2,8).
+
+A count fixed by the tree (one symbol value or one basis per non-leaf ball)
+or one that must not grow with the number of stored coefficients pins the
+complexity a change keeps, whatever the host's speed.
+"""
+
+import numpy as np
+import pytest
+
+import ultrawave.distributions as distributions_module
+import ultrawave.wavelets as wavelets_module
+from conftest import random_leaf_function
+from ultrawave.distributions import GeneralizedFunction, eval_extended, eval_on_product
+from ultrawave.operators import HomogeneousSymbol, spectrum
+from ultrawave.trees import BallTree, build_padic_tree
+from ultrawave.wavelets import analyze, tree_wavelets
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``count(owner, name)`` wraps ``owner.name`` to count its calls in ``counts[name]``."""
+    counts = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        counts.setdefault(name, 0)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count.counts = counts
+    return count
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_spectrum_takes_one_symbol_value_per_non_leaf_ball(depth, calls):
+    tree = build_padic_tree(2, depth)
+    calls(HomogeneousSymbol, "value")
+    spectrum(tree, HomogeneousSymbol(beta=0.5))
+    assert calls.counts == {"value": 2**depth - 1} == {"value": len(tree.non_leaf_balls())}
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_analyze_builds_one_basis_per_non_leaf_ball(depth, calls):
+    tree = build_padic_tree(2, depth)
+    f = random_leaf_function(np.random.default_rng(depth), tree)
+    calls(wavelets_module, "wavelet_basis")
+    calls(wavelets_module, "_character_rows")
+    calls(wavelets_module, "_haar_rows")
+    analyze(tree, f)
+    n = len(tree.non_leaf_balls())
+    assert calls.counts == {"wavelet_basis": n, "_character_rows": n, "_haar_rows": 0}
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_eval_on_product_work_does_not_grow_with_stored_coefficients(depth, calls):
+    rng = np.random.default_rng(depth)
+    trees = [build_padic_tree(2, depth), build_padic_tree(2, depth)]
+    anchor = (2**(depth - 1), 2**depth - 3)
+    families = [[(a0, 0)] + [(w.ball, w.j) for w in tree_wavelets(t)] for t, a0 in zip(trees, anchor)]
+    all_keys = [((a, b), (ja, jb)) for a, ja in families[0] for b, jb in families[1]]
+    picks = rng.permutation(len(all_keys))
+    values = [{x: complex(rng.standard_normal(), 1.0) for x in t.leaves} for t in trees]
+    functions = [
+        GeneralizedFunction(trees, anchor, {all_keys[int(i)]: complex(rng.standard_normal(), 1.0) for i in picks[:k]})
+        for k in (1000, 4000)
+    ]
+    calls(wavelets_module, "wavelet_basis")
+    calls(distributions_module, "wavelet_basis")  # shares the count
+    calls(BallTree, "leaves_under")
+    counts = []
+    for u in functions:
+        calls.counts.update(wavelet_basis=0, leaves_under=0)
+        eval_on_product(u, values)
+        counts.append(dict(calls.counts))
+    n = len(trees[0].non_leaf_balls())
+    assert counts == [{"wavelet_basis": 2 * n, "leaves_under": 0}] * 2
+    # the extended family member's leaf values add only its own basis and leaf lookups
+    for u in functions:
+        calls.counts.update(wavelet_basis=0, leaves_under=0)
+        eval_extended(u, (1, 2), (1, 1))
+        counts.append(dict(calls.counts))
+    assert counts[2] == counts[3]
