@@ -80,6 +80,43 @@ def _require_integer(key, name: str, x) -> None:
         raise DomainError(f"index {key}: {name}={x!r} is not an integer") from None
 
 
+def _normalized(coeffs: Mapping) -> dict[Key, complex] | None:
+    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values; None if a key or value does not convert.
+
+    A dict that is already normalized (the io loaders build one) is copied as
+    it is, without a tuple or a complex per entry.
+    """
+    if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
+            and set(map(type, coeffs.values())) <= {complex}):
+        return dict(coeffs)
+    try:
+        return {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
+    except Exception:  # the per-key loop raises it again at the right key
+        return None
+
+
+def _int_columns(stored: Mapping[Key, complex], n: int) -> list[tuple[list, list]] | None:
+    """Per factor, the ball and j columns of the keys of non-empty ``stored``.
+
+    None unless every key has arity ``n`` and every component is an exact
+    ``int`` (``bool`` and numpy integers are left to the per-key loops).
+    """
+    # map/itemgetter columns: ``zip(*...)`` would allocate an iterator per key
+    vertices = list(map(itemgetter(0), stored))
+    js = list(map(itemgetter(1), stored))
+    if set(map(len, vertices)) != {n} or set(map(len, js)) != {n}:
+        return None
+    columns = []
+    for i in range(n):
+        balls = list(map(itemgetter(i), vertices))
+        idx = list(map(itemgetter(i), js))
+        if set(map(type, balls)) != {int} or set(map(type, idx)) != {int}:
+            return None
+        columns.append((balls, idx))
+    return columns
+
+
 @dataclass(frozen=True)
 class LizorkinSeries:
     """Formal series over true wavelet indices, stored sparsely."""
@@ -88,6 +125,16 @@ class LizorkinSeries:
     coeffs: Mapping[Key, complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        clean = _normalized(self.coeffs)
+        if clean:  # the column check; any miss runs the per-key loop, which raises at the first bad key
+            columns = _int_columns(clean, self.n)
+            if columns is None or any(min(idx) < 1 for _, idx in columns):
+                clean = None
+        if clean is None:
+            clean = self._checked_by_key()
+        object.__setattr__(self, "coeffs", clean)
+
+    def _checked_by_key(self) -> dict[Key, complex]:
         clean = {}
         for key, c in self.coeffs.items():
             vertex, j = _as_nd_key(key)
@@ -100,7 +147,7 @@ class LizorkinSeries:
             if any(ji < 1 for ji in j):
                 raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
             clean[(vertex, j)] = complex(c)
-        object.__setattr__(self, "coeffs", clean)
+        return clean
 
     @classmethod
     def one_dim(cls, coeffs: Mapping[tuple[int, int], complex]) -> "LizorkinSeries":
@@ -173,28 +220,13 @@ class GeneralizedFunction:
         every value converts, every component is an exact ``int`` and every
         distinct component is valid.
         """
-        if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
-                and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
-                and set(map(type, coeffs.values())) <= {complex}):
-            stored = dict(coeffs)  # already normalized: what the comprehension below would build
-        else:
-            try:
-                stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
-            except Exception:  # the per-key loop raises it again at the right key
-                return None
+        stored = _normalized(coeffs)
         if not stored:
             return stored
-        n = self.n
-        # map/itemgetter columns: ``zip(*...)`` would allocate an iterator per key
-        vertices = list(map(itemgetter(0), stored))
-        js = list(map(itemgetter(1), stored))
-        if set(map(len, vertices)) != {n} or set(map(len, js)) != {n}:
+        columns = _int_columns(stored, self.n)
+        if columns is None:
             return None
-        for i, (tree, a0) in enumerate(zip(self.factors, self.anchor)):
-            balls = list(map(itemgetter(i), vertices))
-            idx = list(map(itemgetter(i), js))
-            if set(map(type, balls)) != {int} or set(map(type, idx)) != {int}:
-                return None
+        for tree, a0, (balls, idx) in zip(self.factors, self.anchor, columns):
             for b, ji in set(zip(balls, idx)):
                 if not 0 <= b < tree.n_vertices:
                     return None

@@ -184,9 +184,10 @@ def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
     raise FileFormatError(f"unknown space kind {kind!r}", location)
 
 
-def load_space(spec: str | Mapping[str, Any], base_dir: str = ".") -> BallTree:
+def load_space(spec: str | Mapping[str, Any], base_dir: str = ".", location: str = "space") -> BallTree:
+    """A space from a file, a ``padic(p,depth)`` shorthand or an inline object (reported under ``location``)."""
     if isinstance(spec, Mapping):
-        return space_from_obj(spec)
+        return space_from_obj(spec, location)
     m = _PADIC_RE.match(spec.strip())
     if m:
         return build_padic_tree(int(m.group(1)), int(m.group(2)))
@@ -254,9 +255,10 @@ def _homog_shorthand(text: str) -> HomogeneousSymbol | None:
     return HomogeneousSymbol(**kwargs)
 
 
-def load_symbol(spec: str | Mapping[str, Any], base_dir: str = ".") -> Symbol:
+def load_symbol(spec: str | Mapping[str, Any], base_dir: str = ".", location: str = "symbol") -> Symbol:
+    """A symbol from a file, a ``homog(...)`` shorthand or an inline object (reported under ``location``)."""
     if isinstance(spec, Mapping):
-        return symbol_from_obj(spec)
+        return symbol_from_obj(spec, location)
     short = _homog_shorthand(spec)
     if short is not None:
         return short
@@ -285,7 +287,7 @@ def operator_from_obj(
     factor_specs = _object(obj, "an operator", location).get("factors")
     if not isinstance(factor_specs, list) or len(factor_specs) != len(trees):
         raise FileFormatError(f"operator needs {len(trees)} factor symbols, got {factor_specs!r}", location)
-    symbols = [load_symbol(_spec(s, "a factor symbol", location), base_dir) for s in factor_specs]
+    symbols = [load_symbol(_spec(s, "a factor symbol", location), base_dir, location) for s in factor_specs]
     terms = []
     for rec in _list(obj, "terms", location):
         rec = _object(rec, "an operator term", location)
@@ -294,9 +296,12 @@ def operator_from_obj(
     return MultiOperator(list(zip(trees, symbols)), terms)
 
 
-def load_operator(spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".") -> MultiOperator:
+def load_operator(
+    spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "operator"
+) -> MultiOperator:
+    """An operator from a file or an inline object (reported under ``location``)."""
     if isinstance(spec, Mapping):
-        return operator_from_obj(spec, trees, base_dir)
+        return operator_from_obj(spec, trees, base_dir, location)
     path = os.path.join(base_dir, spec)
     return operator_from_obj(_read_json(path), trees, os.path.dirname(path) or ".", location=path)
 
@@ -391,16 +396,14 @@ def _coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, c
     return _strict_coeff_records(records, location, one_dim) if coeffs is None else coeffs
 
 
-def _coeff_entry_obj(key, value: complex) -> dict[str, Any]:
-    vertex, j = key
-    if len(vertex) == 1:
-        return {"ball": vertex[0], "j": j[0], "re": complex(value).real, "im": complex(value).imag}
-    return {
-        "vertex": list(vertex),
-        "j": list(j),
-        "re": complex(value).real,
-        "im": complex(value).imag,
-    }
+def _coeff_entry_objs(pairs, n: int) -> list[dict[str, Any]]:
+    """Coefficient records of ``((vertex, j), value)`` pairs of arity ``n``, with ``complex`` values.
+
+    Arity 1 writes ``{ball, j, re, im}`` records, arity n >= 2 ``{vertex, j, re, im}``.
+    """
+    if n == 1:
+        return [{"ball": b, "j": j, "re": c.real, "im": c.imag} for ((b,), (j,)), c in pairs]
+    return [{"vertex": list(vertex), "j": list(j), "re": c.real, "im": c.imag} for (vertex, j), c in pairs]
 
 
 def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> WaveletExpansion:
@@ -411,12 +414,8 @@ def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> W
 
 
 def expansion_to_obj(e: WaveletExpansion) -> dict[str, Any]:
-    return {
-        "mean": _pair(e.mean),
-        "coeffs": [
-            _coeff_entry_obj(((b,), (j,)), c) for (b, j), c in sorted(e.coeffs.items())
-        ],
-    }
+    pairs = ((((b,), (j,)), complex(c)) for (b, j), c in sorted(e.coeffs.items()))
+    return {"mean": _pair(e.mean), "coeffs": _coeff_entry_objs(pairs, 1)}
 
 
 def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") -> LizorkinSeries:
@@ -427,15 +426,18 @@ def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") 
     return LizorkinSeries(n, _coeff_records(obj.get("coeffs", []), location))
 
 
-def load_lizorkin(spec: str | Mapping[str, Any], n: int, base_dir: str = ".") -> LizorkinSeries:
+def load_lizorkin(
+    spec: str | Mapping[str, Any], n: int, base_dir: str = ".", location: str = "series"
+) -> LizorkinSeries:
+    """A series from a file or an inline object (reported under ``location``)."""
     if isinstance(spec, Mapping):
-        return lizorkin_from_obj(spec, n)
+        return lizorkin_from_obj(spec, n, location)
     path = os.path.join(base_dir, spec)
     return lizorkin_from_obj(_read_json(path), n, location=path)
 
 
 def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
-    return {"mean": [0.0, 0.0], "coeffs": [_coeff_entry_obj(k, c) for k, c in series.items()]}
+    return {"mean": [0.0, 0.0], "coeffs": _coeff_entry_objs(series.items(), series.n)}
 
 
 # -- generalized functions / solutions ---------------------------------------
@@ -443,7 +445,7 @@ def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
 
 def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
     anchor_key = u.anchor_key
-    coeffs = [_coeff_entry_obj(key, c) for key, c in u.items() if key != anchor_key]
+    coeffs = _coeff_entry_objs((item for item in u.items() if item[0] != anchor_key), u.n)
     return {
         "anchor": {"vertex": list(u.anchor), "value": _pair(u.anchor_value)},
         "coeffs": coeffs,
@@ -459,9 +461,8 @@ def genfun_from_obj(
 
 def solution_to_obj(sol: Solution) -> dict[str, Any]:
     obj = genfun_to_obj(sol.u)
-    obj["free_params"] = [
-        _coeff_entry_obj((fp.vertex, fp.j), fp.value) for fp in sol.free_params
-    ]
+    obj["free_params"] = _coeff_entry_objs((((fp.vertex, fp.j), complex(fp.value)) for fp in sol.free_params),
+                                           sol.u.n)
     obj["residual"] = {
         "max_rel": sol.residual.max_rel,
         "max_abs": sol.residual.max_abs,
@@ -486,12 +487,12 @@ def problem_from_obj(
     space_specs = _object(obj, "a problem", location).get("spaces")
     if not isinstance(space_specs, list) or not space_specs:
         raise FileFormatError("problem needs a non-empty 'spaces' list", location)
-    trees = [load_space(_spec(s, "a space", location), base_dir) for s in space_specs]
+    trees = [load_space(_spec(s, "a space", location), base_dir, location) for s in space_specs]
     if "operator" not in obj:
         raise FileFormatError("problem has no 'operator'", location)
-    op = load_operator(_spec(obj["operator"], "the operator", location), trees, base_dir)
+    op = load_operator(_spec(obj["operator"], "the operator", location), trees, base_dir, location)
     rhs = _spec(obj.get("rhs", {"mean": [0.0, 0.0], "coeffs": []}), "the rhs", location)
-    rhs = load_lizorkin(rhs, len(trees), base_dir)
+    rhs = load_lizorkin(rhs, len(trees), base_dir, location)
     anchor, anchor_value = _anchor_of(obj, location)
     boundary = _coeff_records(obj.get("boundary", []), location)
     free: str | int | dict = "zero"

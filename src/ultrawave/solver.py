@@ -13,13 +13,28 @@ The eigenvalue at a generic vertex is the operator's polynomial evaluated on
 the per-factor eigenvalues, so ``solve`` classifies the generic grid once,
 with ``MultiOperator.form_arrays`` over the factors' eigenvalue axes in
 blocks of leading-factor rows (``BLOCK_POINTS`` points at most, or one row
-when a row alone is larger), and feeds the same kernel the
-eigenvalues of the right-hand side's vertices for the division; the residual
-reuses those eigenvalues.  The kernel spells out every complex product on
+when a row alone is larger).  The kernel spells out every complex product on
 float arrays because numpy's complex multiply and ``abs`` may differ from
-Python's ``complex`` in the last bit: the characteristic set, the quotients
-and the residual are the ones the per-vertex Python arithmetic gives, bit for
-bit.
+Python's ``complex`` in the last bit: the characteristic set is the one the
+per-vertex Python arithmetic gives, bit for bit.
+
+Everything after the classification works on columns, not per vertex:
+
+* ``_classify`` returns the characteristic vertices as per-factor ball-id
+  columns with their eigenvalues and scales (``characteristics`` wraps them
+  into ``Characteristic`` objects; ``solve`` only zips the id columns into
+  vertex tuples).
+* The rhs vertices map to axis positions through per-factor id -> position
+  arrays (-1 at a leaf); membership in the characteristic set is a
+  ``searchsorted`` over ascending flat grid ids.
+* One ``form_arrays`` call gives the eigenvalues of every divided entry.
+  The quotients and the residual use Python ``complex`` arithmetic through
+  C-level ``map`` on purpose: numpy's complex division scales by a
+  reciprocal and differs from CPython's in the last bit.
+* Errors and warnings read only the flagged entries, sorted by key, so their
+  order is the sorted key order whatever the rhs insertion order.
+* A seeded problem draws all free values with one ``standard_normal(2k)``
+  call, the same stream as 2k scalar draws.
 """
 
 from __future__ import annotations
@@ -28,7 +43,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from operator import add, getitem, index as operator_index, itemgetter, mul, sub, truediv
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,7 +62,10 @@ from .wavelets import wavelet_basis
 
 BLOCK_POINTS = 1 << 16  # grid points per classification block, unless one row is larger
 
-FactorSpectrum = tuple[tuple[int, ...], np.ndarray, np.ndarray]  # non-leaf balls, eigenvalue re, im
+# per factor: the generic grid's axis (non-leaf ball ids, ascending), each id's
+# position on it (-1 at a leaf), and the axis eigenvalues' real and imaginary parts
+FactorSpectrum = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+CharColumns = tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]  # ball ids per factor, re, im, scale
 
 
 @dataclass(frozen=True)
@@ -57,48 +76,54 @@ class Characteristic:
 
 
 def _factor_spectra(op: MultiOperator) -> list[FactorSpectrum]:
-    """Per factor, the generic grid's axis (its non-leaf balls) and their eigenvalues."""
+    """Per factor, the generic grid's axis, the id -> axis position map and the axis eigenvalues."""
     out = []
     for i, (tree, _) in enumerate(op.factors):
-        axis = tree.non_leaf_balls()
-        lams = [op.factor_eigenvalue(i, b) for b in axis]
-        out.append((axis, np.array([z.real for z in lams]), np.array([z.imag for z in lams])))
+        axis = np.array(tree.non_leaf_balls(), dtype=np.int64)
+        position = np.full(tree.n_vertices, -1, dtype=np.int64)
+        position[axis] = np.arange(len(axis))
+        lams = [op.factor_eigenvalue(i, b) for b in axis.tolist()]
+        out.append((axis, position, np.array([z.real for z in lams]), np.array([z.imag for z in lams])))
     return out
 
 
-def _classify(op: MultiOperator, epsilon: float, spectra: list[FactorSpectrum]) -> list[Characteristic]:
-    """Characteristic vertices of the generic grid in ``vertex_key`` order.
+def _classify(op: MultiOperator, epsilon: float, spectra: list[FactorSpectrum]) -> CharColumns:
+    """Characteristic vertices of the generic grid as columns, in ``vertex_key`` order.
 
-    The grid is streamed in blocks of the leading factor's axis; within a
-    block, C order (that of ``np.argwhere``) is ``vertex_key`` order because
-    every axis lists its balls in increasing id order.
+    Returns per-factor ball-id columns, the eigenvalues' real and imaginary
+    parts and the term scales.  The grid is streamed in blocks of the
+    leading factor's axis; within a block, C order (that of ``np.nonzero``)
+    is ``vertex_key`` order because every axis lists its balls in increasing
+    id order.
     """
     n = op.n
-    axes = [axis for axis, _, _ in spectra]
 
     def along(a: np.ndarray, i: int) -> np.ndarray:
         return a.reshape([-1 if k == i else 1 for k in range(n)])
 
-    re = [along(r, i) for i, (_, r, _) in enumerate(spectra)]
-    im = [along(m, i) for i, (_, _, m) in enumerate(spectra)]
+    axes = [axis for axis, _, _, _ in spectra]
+    re = [along(r, i) for i, (_, _, r, _) in enumerate(spectra)]
+    im = [along(m, i) for i, (_, _, _, m) in enumerate(spectra)]
     inner = math.prod(len(axis) for axis in axes[1:])
     step = max(1, BLOCK_POINTS // max(inner, 1))
-    chars: list[Characteristic] = []
-    for start in range(0, len(axes[0]), step):
+    blocks = []
+    for start in range(0, len(axes[0]) or 1, step):  # one empty block for an empty leading axis
         rows = slice(start, start + step)
         lam_re, lam_im, scale = op.form_arrays([re[0][rows], *re[1:]], [im[0][rows], *im[1:]])
         mask = np.hypot(lam_re, lam_im) <= epsilon * scale
-        for (k0, *ks), lr, li, s in zip(
-            np.argwhere(mask).tolist(), lam_re[mask].tolist(), lam_im[mask].tolist(), scale[mask].tolist()
-        ):
-            vertex = (axes[0][start + k0], *(axis[k] for axis, k in zip(axes[1:], ks)))
-            chars.append(Characteristic(vertex, complex(lr, li), s))
-    return chars
+        k0, *ks = np.nonzero(mask)
+        ids = [axes[0][k0 + start], *(axis[k] for axis, k in zip(axes[1:], ks))]
+        blocks.append((ids, lam_re[mask], lam_im[mask], scale[mask]))
+    ids, lam_re, lam_im, scale = zip(*blocks)
+    return ([np.concatenate(col) for col in zip(*ids)],
+            np.concatenate(lam_re), np.concatenate(lam_im), np.concatenate(scale))
 
 
 def characteristics(op: MultiOperator, epsilon: float = 1e-9) -> list[Characteristic]:
     """All generic vertices whose eigenvalue vanishes relative to the term scale."""
-    return _classify(op, epsilon, _factor_spectra(op))
+    ids, lam_re, lam_im, scale = _classify(op, epsilon, _factor_spectra(op))
+    vertices = zip(*(col.tolist() for col in ids))
+    return list(map(Characteristic, vertices, map(complex, lam_re.tolist(), lam_im.tolist()), scale.tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,8 +187,9 @@ class CauchyProblem:
             clean[k] = _finite(c, "boundary value", k)
         self.boundary = clean
         self.anchor_value = _finite(self.anchor_value, "anchor value", self.anchor)
-        for key, c in self.rhs.coeffs.items():
-            _finite(c, "right-hand side coefficient", key)
+        if not all(map(cmath.isfinite, self.rhs.coeffs.values())):  # the series holds complex values
+            for key, c in self.rhs.coeffs.items():
+                _finite(c, "right-hand side coefficient", key)
         if isinstance(self.free_values, Mapping):
             self.free_values = {
                 _as_nd_key(k): _finite(v, "free value", k) for k, v in self.free_values.items()
@@ -183,22 +209,63 @@ def _finite(value: complex, what: str, where) -> complex:
     return value
 
 
-def _solvability(items, char_set: set[tuple[int, ...]], threshold: float) -> SolvabilityReport:
-    """The rhs entries of ``items`` (sorted) above ``threshold`` on a characteristic vertex."""
-    violations = tuple(
-        SolvabilityViolation(vertex, j, abs(c), threshold)
-        for (vertex, j), c in items
-        if vertex in char_set and abs(c) > threshold
-    )
-    return SolvabilityReport(not violations, violations)
+class _RhsColumns(NamedTuple):
+    """The rhs in insertion order as columns (see ``_rhs_columns``)."""
+
+    keys: list[Key]
+    values: list[complex]
+    mags: np.ndarray  # abs of each value
+    norm: float  # rhs.norm_inf()
+    positions: list[np.ndarray]  # per factor, each vertex's axis position (-1 off the grid)
+    generic: np.ndarray
+    on_char: np.ndarray
+
+    def violations(self, threshold: float) -> tuple[SolvabilityViolation, ...]:
+        """The entries above ``threshold`` on a characteristic vertex, in sorted key order."""
+        flagged = np.flatnonzero(self.on_char & (self.mags > threshold)).tolist()
+        return tuple(SolvabilityViolation(vertex, j, abs(c), threshold) for (vertex, j), c in
+                     sorted(((self.keys[k], self.values[k]) for k in flagged), key=itemgetter(0)))
+
+
+def _rhs_columns(rhs: LizorkinSeries, spectra: list[FactorSpectrum], char_ids: list[np.ndarray]) -> _RhsColumns:
+    """The rhs as columns: where each vertex sits on the generic grid, and whether it is characteristic.
+
+    A vertex is generic when every id is a non-leaf ball of its factor; an
+    id outside the factor (negative, too large, beyond int64) is not.  The
+    characteristic test is a ``searchsorted`` of grid flat ids: ``_classify``
+    lists the characteristic vertices in C order, so theirs ascend.
+    """
+    keys = list(rhs.coeffs)
+    values = list(rhs.coeffs.values())
+    z = np.array(values, dtype=complex)
+    mags = np.hypot(z.real, z.imag)  # abs, bit for bit
+    vertices = list(map(itemgetter(0), keys))
+    m, n = len(vertices), len(spectra)
+    try:
+        ids = np.array(vertices, dtype=np.int64).reshape(m, n)
+    except (OverflowError, TypeError):  # an id beyond int64 belongs to no tree
+        ids = np.array([[b if 0 <= b < 2**62 else -1 for b in map(operator_index, v)] for v in vertices],
+                       dtype=np.int64).reshape(m, n)
+    positions = []
+    for (_, position, _, _), col in zip(spectra, ids.T):
+        inside = (col >= 0) & (col < len(position))
+        positions.append(np.where(inside, position[np.where(inside, col, 0)], -1))
+    generic = np.logical_and.reduce([pos >= 0 for pos in positions])
+    dims = [len(axis) for axis, _, _, _ in spectra]
+    char_flat = np.ravel_multi_index([position[col] for (_, position, _, _), col in zip(spectra, char_ids)], dims)
+    flat = np.ravel_multi_index([pos[generic] for pos in positions], dims)
+    on_char = np.zeros(m, dtype=bool)
+    on_char[generic] = np.append(char_flat, -1)[np.searchsorted(char_flat, flat)] == flat
+    return _RhsColumns(keys, values, mags, max(mags.tolist(), default=0.0), positions, generic, on_char)
 
 
 def check_solvability(problem: CauchyProblem) -> SolvabilityReport:
     """Necessary conditions: the rhs must vanish at every characteristic vertex."""
-    chars = characteristics(problem.operator, problem.epsilon)
-    return _solvability(
-        problem.rhs.items(), {c.vertex for c in chars}, problem.epsilon * problem.rhs.norm_inf()
-    )
+    spectra = _factor_spectra(problem.operator)
+    char_ids = _classify(problem.operator, problem.epsilon, spectra)[0]
+    rhs = _rhs_columns(problem.rhs, spectra, char_ids)
+    violations = rhs.violations(problem.epsilon * rhs.norm)
+    return SolvabilityReport(not violations, violations)
 
 
 @dataclass(frozen=True)
@@ -223,23 +290,29 @@ class Solution:
     characteristic_vertices: tuple[tuple[int, ...], ...]
 
 
-def _free_value_source(problem: CauchyProblem):
-    if problem.free_values == "zero":
-        return lambda key: 0.0 + 0.0j
-    if isinstance(problem.free_values, int) and not isinstance(problem.free_values, bool):
-        rng = np.random.default_rng(problem.free_values)
-        return lambda key: complex(rng.standard_normal() + 1j * rng.standard_normal())
-    if isinstance(problem.free_values, Mapping):
-        table = problem.free_values  # normalized by CauchyProblem
-        return lambda key: table.get(key, 0.0 + 0.0j)
-    raise ParameterError(f"unsupported free_values specification {problem.free_values!r}")
+def _free_values(problem: CauchyProblem, keys: list[Key]) -> list[complex]:
+    """The value of each free parameter: zero, seeded draws or the explicit map's entry.
+
+    A seed draws ``standard_normal(2k)`` at once, the stream of 2k scalar
+    draws, and forms ``re + 1j * im`` as the scalar draws did.
+    """
+    free = problem.free_values
+    if free == "zero":
+        return [0.0 + 0.0j] * len(keys)
+    if isinstance(free, int) and not isinstance(free, bool):
+        draws = np.random.default_rng(free).standard_normal(2 * len(keys)).tolist()
+        return list(map(add, draws[0::2], map(mul, itertools.repeat(1j), draws[1::2])))
+    if isinstance(free, Mapping):  # normalized by CauchyProblem
+        return list(map(free.get, keys, itertools.repeat(0.0 + 0.0j)))
+    raise ParameterError(f"unsupported free_values specification {free!r}")
 
 
-def _wavelet_count(tree, ball: int) -> int:
+def _wavelet_indices(tree, ball: int) -> range:
+    """The wavelet indices 1..k at ``ball``; none at a degenerate ball."""
     try:
-        return len(wavelet_basis(tree, ball))
+        return range(1, len(wavelet_basis(tree, ball)) + 1)
     except DegenerateBallError:
-        return 0
+        return range(1, 1)
 
 
 def solve(problem: CauchyProblem) -> Solution:
@@ -255,68 +328,52 @@ def solve(problem: CauchyProblem) -> Solution:
     op = problem.operator
     trees = [t for t, _ in op.factors]
     spectra = _factor_spectra(op)
-    chars = _classify(op, problem.epsilon, spectra)
-    char_set = {c.vertex for c in chars}
-    items = problem.rhs.items()
-    fnorm = problem.rhs.norm_inf()
-    threshold = problem.epsilon * fnorm
+    char_ids = _classify(op, problem.epsilon, spectra)[0]
+    rhs = _rhs_columns(problem.rhs, spectra, char_ids)
+    threshold = problem.epsilon * rhs.norm
+    violations = rhs.violations(threshold)
+    if violations:
+        raise UnsolvableError(violations)
+    off_grid = np.flatnonzero(~rhs.generic).tolist()  # never characteristic
+    if off_grid:
+        vertex = min(rhs.keys[k] for k in off_grid)[0]
+        raise DomainError(f"rhs vertex {vertex} is not a generic vertex of the operator's space")
 
-    report = _solvability(items, char_set, threshold)
-    if not report:
-        raise UnsolvableError(report.violations)
-
-    # gather the eigenvalues of the distinct rhs vertices off the characteristic set
-    position = [{b: k for k, b in enumerate(axis)} for axis, _, _ in spectra]
-    rows: dict[tuple[int, ...], int] = {}
-    columns: list[list[int]] = [[] for _ in spectra]
-    divided = []
-    for key, c in items:
-        vertex = key[0]
-        if vertex in char_set:
-            continue  # below the solvability threshold; the free value rules here
-        row = rows.get(vertex)
-        if row is None:
-            if not all(b in pos for pos, b in zip(position, vertex)):
-                raise DomainError(f"rhs vertex {vertex} is not a generic vertex of the operator's space")
-            row = rows[vertex] = len(rows)
-            for column, pos, b in zip(columns, position, vertex):
-                column.append(pos[b])
-        divided.append((key, c, row))
+    # divide every entry off the characteristic set (below the threshold there, the free value rules)
+    rows = np.flatnonzero(~rhs.on_char)
     lam_re, lam_im, scale = op.form_arrays(
-        [r[column] for (_, r, _), column in zip(spectra, columns)],
-        [m[column] for (_, _, m), column in zip(spectra, columns)],
+        [r[pos[rows]] for (_, _, r, _), pos in zip(spectra, rhs.positions)],
+        [m[pos[rows]] for (_, _, _, m), pos in zip(spectra, rhs.positions)],
     )
-    lams = [complex(r, i) for r, i in zip(lam_re.tolist(), lam_im.tolist())]
-    scales = scale.tolist()
-
+    rows = rows.tolist()
+    keys = [rhs.keys[k] for k in rows]
+    values = [rhs.values[k] for k in rows]
+    lams = list(map(complex, lam_re.tolist(), lam_im.tolist()))
+    near = np.flatnonzero(np.hypot(lam_re, lam_im) < problem.warn_factor * scale).tolist()
     warnings: list[str] = []
     ill: list[Key] = []
-    coeffs: dict[Key, complex] = dict(problem.boundary)
-    max_abs = 0.0
-    for key, c, row in divided:
-        lam, s = lams[row], scales[row]
-        if abs(lam) < problem.warn_factor * s:
-            if abs(c) > threshold:
-                ill.append(key)
-                continue
-            warnings.append(f"near-characteristic eigenvalue {lam} (scale {s:.3e}) under index {key}")
-        coeffs[key] = value = c / lam
-        max_abs = max(max_abs, abs(lam * value - c))
+    for r in sorted(near, key=keys.__getitem__):
+        if abs(values[r]) > threshold:
+            ill.append(keys[r])
+        else:
+            warnings.append(f"near-characteristic eigenvalue {lams[r]} (scale {float(scale[r]):.3e}) "
+                            f"under index {keys[r]}")
     if ill:
         raise IllConditionedError(ill)
+    # Python complex division: numpy's scales by a reciprocal and can differ in the last bit
+    quotients = list(map(truediv, values, lams))
+    max_abs = max(itertools.chain((0.0,), map(abs, map(sub, map(mul, lams, quotients), values))))
 
-    free_value = _free_value_source(problem)
-    counts = [{b: _wavelet_count(tree, b) for b in {c.vertex[i] for c in chars}} for i, tree in enumerate(trees)]
-    free_params: list[FreeParam] = []
-    for c in chars:
-        ranges = [range(1, count[b] + 1) for count, b in zip(counts, c.vertex)]
-        for j in itertools.product(*ranges):
-            key = (c.vertex, j)
-            value = free_value(key)
-            free_params.append(FreeParam(c.vertex, j, value))
-            coeffs[key] = value
+    vertices = list(zip(*(col.tolist() for col in char_ids)))
+    indices = [{b: _wavelet_indices(tree, b) for b in set(col.tolist())} for tree, col in zip(trees, char_ids)]
+    free_keys = [(v, j) for v in vertices for j in itertools.product(*map(getitem, indices, v))]
+    free_values = _free_values(problem, free_keys)
+    coeffs: dict[Key, complex] = dict(problem.boundary)
+    coeffs.update(zip(keys, quotients))
+    coeffs.update(zip(free_keys, free_values))
 
     u = GeneralizedFunction(trees, problem.anchor, coeffs, problem.anchor_value)
-    denom = fnorm if fnorm > 0 else 1.0
+    denom = rhs.norm if rhs.norm > 0 else 1.0
     residual = ResidualReport(max_abs / denom, max_abs, tuple(warnings))
-    return Solution(u, tuple(free_params), residual, tuple(c.vertex for c in chars))
+    free_params = tuple(FreeParam(v, j, value) for (v, j), value in zip(free_keys, free_values))
+    return Solution(u, free_params, residual, tuple(vertices))

@@ -190,20 +190,24 @@ class BallTree:
 def _walk(parent: Sequence[int | None]) -> tuple[int, tuple[tuple[int, ...], ...], list[int]]:
     """The root, the children (in id order) and the child-ordered pre-order of a parent list.
 
-    Raises ``SpaceValidationError`` for an out-of-range parent, for a number
-    of roots other than one, and for a vertex the root does not reach, which
-    is how a cycle in the parent list shows.
+    Raises ``SpaceValidationError`` for a parent that is not an integer id
+    or is out of range, for a number of roots other than one, and for a
+    vertex the root does not reach, which is how a cycle in the parent list
+    shows.
     """
     n = len(parent)
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []
-    for i, p in enumerate(parent):
-        if p is None:
-            roots.append(i)
-        elif not (0 <= p < n):
-            raise SpaceValidationError(f"vertex {i} has out-of-range parent {p}", ball=i)
-        else:
-            children[p].append(i)
+    try:  # the comparison and the list index take any integer id (numpy integers too)
+        for i, p in enumerate(parent):
+            if p is None:
+                roots.append(i)
+            elif not (0 <= p < n):
+                raise SpaceValidationError(f"vertex {i} has out-of-range parent {p}", ball=i)
+            else:
+                children[p].append(i)
+    except TypeError:
+        raise SpaceValidationError(f"vertex {i} has non-integer parent {p!r}", ball=i) from None
     if len(roots) != 1:
         raise SpaceValidationError(f"expected exactly one root, found {len(roots)}")
     order = []
@@ -254,12 +258,18 @@ def tree_from_leaf_measures(
     """Build a tree whose interior measures are recomputed from leaf data.
 
     Forcing additivity bottom-up avoids drift between levels when the caller
-    only knows the point masses.
+    only knows the point masses.  Every leaf needs an entry in
+    ``leaf_measure``; a missing one raises ``SpaceValidationError``.
     """
     _, children, order = _walk(parent)
     measure = [0.0] * len(parent)
     for i in reversed(order):
-        measure[i] = math.fsum(measure[c] for c in children[i]) if children[i] else float(leaf_measure[i])
+        if children[i]:
+            measure[i] = math.fsum(measure[c] for c in children[i])
+        elif i in leaf_measure:
+            measure[i] = float(leaf_measure[i])
+        else:
+            raise SpaceValidationError(f"leaf {i} has no measure", ball=i)
     return BallTree(parent, measure, diameter)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from ultrawave.distributions import (
     eval_on_char,
     eval_on_char_nd,
 )
-from ultrawave.errors import DegenerateBallError, DomainError, IllConditionedError, UnsolvableError
+from ultrawave.errors import (
+    DegenerateBallError,
+    DomainError,
+    IllConditionedError,
+    ParameterError,
+    UnsolvableError,
+)
 from ultrawave.operators import TableSymbol, apply_dense, spectrum
 from ultrawave.products import MultiOperator, vertex_key
 from ultrawave.solver import (
@@ -25,13 +32,13 @@ from ultrawave.solver import (
     FreeParam,
     ResidualReport,
     Solution,
+    SolvabilityReport,
     SolvabilityViolation,
-    _free_value_source,
     characteristics,
     check_solvability,
     solve,
 )
-from ultrawave.trees import build_padic_tree
+from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import TestFunction, analyze, wavelet_basis
 
 
@@ -311,10 +318,11 @@ def test_random_2d_residual_and_boundary(seed):
 # -- oracle: the per-vertex classification and apply_operator residual -------
 #
 # ``_reference_classify`` / ``_reference_solve`` are the per-vertex Python
-# arithmetic (``lambda_vector`` -> ``form`` and the term scale) and the
-# residual through ``apply_operator``.  The grid kernel in ``solve`` must give
-# the same characteristic set, quotients, free parameters, residual and
-# errors, compared by ``repr`` so that the last bit and the sign of zero count.
+# arithmetic (``lambda_vector`` -> ``form`` and the term scale), one scalar
+# ``standard_normal`` pair per seeded free value and the residual through
+# ``apply_operator``.  The grid kernel in ``solve`` must give the same
+# characteristic set, quotients, free parameters, residual and errors,
+# compared by ``repr`` so that the last bit and the sign of zero count.
 
 
 def _reference_term_scale(op, lams):
@@ -340,6 +348,27 @@ def _reference_classify(op, epsilon):
     return lam_map, chars
 
 
+def _reference_violations(problem, char_set):
+    threshold = problem.epsilon * problem.rhs.norm_inf()
+    return tuple(
+        SolvabilityViolation(vertex, j, abs(c), threshold)
+        for (vertex, j), c in problem.rhs.items()
+        if vertex in char_set and abs(c) > threshold
+    )
+
+
+def _reference_free_value(problem):
+    """One scalar ``standard_normal`` pair per key for a seed."""
+    if problem.free_values == "zero":
+        return lambda key: 0.0 + 0.0j
+    if isinstance(problem.free_values, int) and not isinstance(problem.free_values, bool):
+        rng = np.random.default_rng(problem.free_values)
+        return lambda key: complex(rng.standard_normal() + 1j * rng.standard_normal())
+    if isinstance(problem.free_values, Mapping):
+        return lambda key: problem.free_values.get(key, 0.0 + 0.0j)
+    raise ParameterError(f"unsupported free_values specification {problem.free_values!r}")
+
+
 def _reference_solve(problem):
     op = problem.operator
     trees = [t for t, _ in op.factors]
@@ -347,11 +376,7 @@ def _reference_solve(problem):
     char_set = {c.vertex for c in chars}
     fnorm = problem.rhs.norm_inf()
     threshold = problem.epsilon * fnorm
-    violations = [
-        SolvabilityViolation(vertex, j, abs(c), threshold)
-        for (vertex, j), c in problem.rhs.items()
-        if vertex in char_set and abs(c) > threshold
-    ]
+    violations = _reference_violations(problem, char_set)
     if violations:
         raise UnsolvableError(violations)
     warnings, ill = [], []
@@ -372,20 +397,13 @@ def _reference_solve(problem):
         coeffs[(vertex, j)] = c / lam
     if ill:
         raise IllConditionedError(ill)
-    free_value = _free_value_source(problem)
+    free_value = _reference_free_value(problem)
     free_params = []
     for c in chars:
-        ranges = []
-        for tree, ball in zip(trees, c.vertex):
-            try:
-                ranges.append(range(1, len(wavelet_basis(tree, ball)) + 1))
-            except DegenerateBallError:
-                break
-        else:
-            for j in itertools.product(*ranges):
-                value = free_value((c.vertex, j))
-                free_params.append(FreeParam(c.vertex, j, value))
-                coeffs[(c.vertex, j)] = value
+        for j in itertools.product(*(range(1, _wavelet_count(t, b) + 1) for t, b in zip(trees, c.vertex))):
+            value = free_value((c.vertex, j))
+            free_params.append(FreeParam(c.vertex, j, value))
+            coeffs[(c.vertex, j)] = value
     u = GeneralizedFunction(trees, problem.anchor, coeffs, problem.anchor_value)
     applied = apply_operator(u, op)
     max_abs = 0.0
@@ -400,15 +418,35 @@ def _cnum(rng):
     return complex(rng.standard_normal(), rng.standard_normal())
 
 
+def _wavelet_count(tree, ball):
+    """The number of wavelets of a ball; 0 when a degenerate ball carries none."""
+    try:
+        return len(wavelet_basis(tree, ball))
+    except DegenerateBallError:
+        return 0
+
+
+def _with_degenerate_ball(rng, tree):
+    """The tree with one leaf's measure zeroed, so a two-child ball may carry no wavelet."""
+    leaf = int(rng.choice(tree.leaves))
+    measure = list(tree.measure)
+    measure[leaf] = 0.0
+    for a in tree.ancestors(leaf):
+        measure[a] = math.fsum(measure[c] for c in tree.children[a])
+    return BallTree(tree.parent, measure, tree.diameter)
+
+
 def _random_operator(rng):
     """1-3 factors; complex, real and constant terms, repeated factor indices, zero
-    eigenvalues, and sometimes a difference of two identical factors (a
-    characteristic diagonal)."""
+    eigenvalues, degenerate balls, and sometimes a difference of two identical
+    factors (a characteristic diagonal)."""
     n = int(rng.integers(1, 4))
     depth = 3 if n == 1 else 2
     factors = []
     for _ in range(n):
         t = random_measured_tree(rng, max_depth=depth)
+        if rng.random() < 0.2:
+            t = _with_degenerate_ball(rng, t)
         sym = random_table_symbol(rng, t, real=bool(rng.random() < 0.5))
         if rng.random() < 0.3:  # zero eigenvalues, where the sign of zero shows
             sym = TableSymbol({b: 0.0 if rng.random() < 0.5 else v for b, v in sym.entries.items()})
@@ -424,44 +462,70 @@ def _random_operator(rng):
     return MultiOperator(factors, terms)
 
 
-def _random_case(rng):
-    """A problem whose rhs avoids the characteristic set, plus an error kind to inject."""
+def _random_case(rng, inject=None):
+    """A problem with its rhs in shuffled insertion order, and entries the solver must flag.
+
+    ``inject`` is a set of kinds (drawn at random when None), each flagging
+    several entries so that the order of the indices in an error and of the
+    warnings counts: ``unsolvable`` puts large entries on up to three
+    characteristic vertices, ``ill`` / ``warn`` large / zero entries on the
+    three off-characteristic vertices nearest to it inside a widened warn
+    band, and ``domain`` vertices off the generic grid in each factor (a
+    leaf, an id past the tree, a negative id and one beyond int64).
+    """
     op = _random_operator(rng)
-    error = rng.choice(["none", "none", "unsolvable", "domain", "ill", "warn"])
-    epsilon = 0.5 if error == "unsolvable" else float(rng.choice([1e-9, 1e-3, 0.5]))
+    n = op.n
+    if inject is None:
+        kinds = ["none", "none", "unsolvable", "domain", "ill", "warn", "ill+domain", "unsolvable+domain+ill"]
+        inject = set(str(rng.choice(kinds)).split("+"))
+    epsilon = 0.5 if "unsolvable" in inject else float(rng.choice([0.0, 1e-9, 1e-3, 0.5]))
     trees = [t for t, _ in op.factors]
     lam_map, chars = _reference_classify(op, epsilon)
     char_set = {c.vertex for c in chars}
     coeffs = {}
     for v in lam_map:
-        if v not in char_set and rng.random() < 0.6:
-            j = tuple(int(rng.integers(1, len(wavelet_basis(t, b)) + 1)) for t, b in zip(trees, v))
-            coeffs[(v, j)] = _cnum(rng)
+        counts = [_wavelet_count(t, b) for t, b in zip(trees, v)]
+        if 0 in counts:
+            continue
+        if v in char_set:
+            if rng.random() < 0.3:  # at the threshold on the characteristic set: the free value rules
+                coeffs[(v, (1,) * n)] = 0.0j
+        elif rng.random() < 0.6:
+            coeffs[(v, tuple(int(rng.integers(1, k + 1)) for k in counts))] = _cnum(rng)
     warn_factor = float(rng.choice([1e-6, 1e-2]))
-    if error == "unsolvable" and chars:
-        coeffs[(chars[0].vertex, (1,) * op.n)] = 10.0 + 0.0j  # above epsilon * |f|
-    elif error == "domain":
-        coeffs[(tuple(t.leaves[0] for t in trees), (1,) * op.n)] = 1.0 + 0.0j
-    elif error in ("ill", "warn") and len(char_set) < len(lam_map):
-        # widen the warn band just over the off-characteristic vertex nearest to it
-        ratio, near = min((abs(lam) / scale, v) for v, (lam, scale) in lam_map.items() if v not in char_set)
-        warn_factor = ratio * (1.0 + 1e-9)
-        coeffs[(near, (1,) * op.n)] = 1.0 + 0.0j if error == "ill" else 0.0j
-    anchor = tuple(int(rng.choice(t.leaves)) for t in trees)
+    if "unsolvable" in inject:
+        for k, c in enumerate(chars[:3]):
+            coeffs[(c.vertex, (1,) * n)] = complex(200.0 + k, 1.0)  # above epsilon * |f|
+    if inject & {"ill", "warn"}:
+        off = sorted((abs(lam) / scale, v) for v, (lam, scale) in lam_map.items() if v not in char_set)
+        near = [v for _, v in off[:3]]
+        if near:  # widen the warn band just over the third nearest vertex
+            warn_factor = off[len(near) - 1][0] * (1.0 + 1e-9)
+        for k, v in enumerate(near):
+            coeffs[(v, (1,) * n)] = complex(100.0 + k, -1.0) if "ill" in inject else 0.0j
+    if "domain" in inject:
+        base = [t.non_leaf_balls()[0] for t in trees]
+        for i, t in enumerate(trees):
+            for bad in (t.leaves[-1], t.n_vertices, -1, 2**70):
+                coeffs[((*base[:i], bad, *base[i + 1:]), (1,) * n)] = _cnum(rng)
+    keys = list(coeffs)
+    shuffled = {keys[k]: coeffs[keys[k]] for k in rng.permutation(len(keys)).tolist()}
+    anchor = tuple(int(rng.choice([b for b in t.leaves if t.measure[b] > 0])) for t in trees)
     boundary = {}
-    if op.n >= 2 and rng.random() < 0.5:
+    if n >= 2 and rng.random() < 0.5:
         b = trees[0].non_leaf_balls()[0]
-        boundary[((b, *anchor[1:]), (1,) + (0,) * (op.n - 1))] = _cnum(rng)
+        boundary[((b, *anchor[1:]), (1,) + (0,) * (n - 1))] = _cnum(rng)
     free = rng.choice(["zero", "seed", "map"])
     if free == "seed":
         free_values = int(rng.integers(0, 1000))
-    elif free == "map" and chars:
-        free_values = {(chars[-1].vertex, (1,) * op.n): _cnum(rng)}
+    elif free == "map":
+        free_keys = [(c.vertex, (1,) * n) for c in chars]
+        free_values = {key: _cnum(rng) for key in free_keys[::2]}
     else:
         free_values = "zero"
     return dict(
         operator=op,
-        rhs=LizorkinSeries(op.n, coeffs),
+        rhs=LizorkinSeries(n, shuffled),
         anchor=anchor,
         anchor_value=_cnum(rng),
         boundary=boundary,
@@ -475,34 +539,58 @@ def _outcome(fn, *args):
     """``repr`` of a solve result or of the error it raised, bit-exact."""
     try:
         sol = fn(*args)
-    except (UnsolvableError, IllConditionedError, DomainError) as exc:
+    except (UnsolvableError, IllConditionedError, DomainError, ParameterError) as exc:
         detail = getattr(exc, "violations", None) or getattr(exc, "indices", None)
         return repr((type(exc).__name__, str(exc), detail))
-    return repr((sol.u.items(), sol.free_params, sol.residual, sol.characteristic_vertices))
+    return repr((sol.u.items(), sol.u.anchor, sol.free_params, sol.residual, sol.characteristic_vertices))
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_grid_classification_and_solve_match_per_vertex_oracle(seed):
-    rng = np.random.default_rng(seed)
-    kwargs = _random_case(rng)
+def test_grid_classification_and_solve_match_per_vertex_oracle(seed, monkeypatch):
+    """Bit for bit, with the whole grid in one block and with one grid point per block."""
+    kwargs = _random_case(np.random.default_rng(seed))
     op, epsilon = kwargs["operator"], kwargs["epsilon"]
-    assert repr(characteristics(op, epsilon)) == repr(_reference_classify(op, epsilon)[1])
-    assert _outcome(solve, CauchyProblem(**kwargs)) == _outcome(_reference_solve, CauchyProblem(**kwargs))
+    problem = CauchyProblem(**kwargs)
+    lam_map, chars = _reference_classify(op, epsilon)
+    violations = _reference_violations(problem, {c.vertex for c in chars})
+    want = _outcome(_reference_solve, problem)
+    for block_points in (solver.BLOCK_POINTS, 1):
+        monkeypatch.setattr(solver, "BLOCK_POINTS", block_points)
+        assert repr(characteristics(op, epsilon)) == repr(chars)
+        assert repr(check_solvability(problem)) == repr(SolvabilityReport(not violations, violations))
+        assert _outcome(solve, problem) == want
 
 
 def test_oracle_cases_cover_every_outcome():
-    kinds = set()
+    kinds, several = set(), set()
     for seed in range(60):
         problem = CauchyProblem(**_random_case(np.random.default_rng(seed)))
         try:
             sol = _reference_solve(problem)
         except (UnsolvableError, IllConditionedError, DomainError) as exc:
             kinds.add(type(exc).__name__)
+            if len(getattr(exc, "violations", None) or getattr(exc, "indices", ())) >= 2:
+                several.add(type(exc).__name__)
             continue
         kinds.add("solved")
         kinds.update({"warned"} if sol.residual.warnings else ())
         kinds.update({"free"} if sol.free_params else ())
-    assert kinds == {"solved", "warned", "free", "UnsolvableError", "IllConditionedError", "DomainError"}
+        several.update({"warned"} if len(sol.residual.warnings) >= 2 else ())
+        if any(_wavelet_count(t, b) == 0 for t, _ in problem.operator.factors for b in t.non_leaf_balls()):
+            kinds.add("degenerate")
+    assert kinds == {"solved", "warned", "free", "degenerate", "UnsolvableError", "IllConditionedError",
+                     "DomainError"}
+    assert several == {"warned", "UnsolvableError", "IllConditionedError"}
+
+
+@pytest.mark.parametrize("inject", [set(), {"ill"}])
+@pytest.mark.parametrize("value", [True, "random"])
+def test_unsupported_free_values_raise_after_the_division(inject, value):
+    kwargs = _random_case(np.random.default_rng(3), inject)
+    problem = CauchyProblem(**{**kwargs, "free_values": value})
+    want = _outcome(_reference_solve, problem)
+    assert _outcome(solve, problem) == want
+    assert ("IllConditionedError" if inject else "unsupported free_values") in want
 
 
 def test_classification_in_blocks_equals_one_block(monkeypatch):

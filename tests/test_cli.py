@@ -469,3 +469,39 @@ class TestMergedErrorPaths:
         assert main(["eval", str(solution), "--space", "padic(2,2)", "--space", "padic(2,2)",
                      "--at", "[[0, 0]]"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {solution}: expected [re, im]")
+
+
+class TestInlinePartLocations:
+    """An inline part of a problem file reports its errors under the problem's path."""
+
+    @pytest.mark.parametrize("part,value,message", [
+        ("symbol", {"kind": "homogeneous", "tail": "false"}, "homogeneous symbol: 'tail' must be true or false"),
+        ("symbol", {"kind": "nope"}, "unknown symbol kind 'nope'"),
+        ("operator", {"factors": ["homog(beta=1)"], "terms": [7]}, "an operator term must be a JSON object"),
+        ("space", {"kind": "padic", "p": 2}, "padic space has no 'depth'"),
+        ("rhs", {"coeffs": [{"vertex": [1], "j": [1], "re": "x"}]}, "bad complex entry"),
+    ])
+    def test_inline_part_error_names_the_problem_file(self, tmp_path, capsys, part, value, message):
+        problem = {"spaces": ["padic(2,2)"],
+                   "operator": {"factors": ["homog(beta=1)"], "terms": [{"indices": [1], "re": 1.0}]},
+                   "anchor": {"vertex": [3]}}
+        if part == "symbol":
+            problem["operator"]["factors"] = [value]
+        elif part == "space":
+            problem["spaces"] = [value]
+        else:
+            problem[part] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_symbol_inline_in_an_operator_file_names_that_file(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"factors": [{"kind": "homogeneous", "tail": 1}],
+                                  "terms": [{"indices": [1], "re": 1.0}]}))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"spaces": ["padic(2,2)"], "operator": "op.json", "anchor": {"vertex": [3]}}))
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {op}: homogeneous symbol: 'tail'")

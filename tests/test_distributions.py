@@ -10,6 +10,8 @@ from conftest import random_leaf_function, random_measured_tree, random_table_sy
 from ultrawave.distributions import (
     GeneralizedFunction,
     LizorkinSeries,
+    _as_nd_key,
+    _require_integer,
     apply_operator,
     eval_extended,
     eval_on_char,
@@ -769,6 +771,75 @@ class TestLizorkinKeyOrder:
     def test_numpy_int_vertex_components_accepted(self):
         series = LizorkinSeries(2, {((np.int64(3), np.int32(0)), (1, 1)): 2.0})
         assert series.coefficient((3, 0), (1, 1)) == 2.0
+
+
+def per_key_series(n, coeffs):
+    """Reference: ``LizorkinSeries``' per-key loop, which raises at the first bad key in insertion order."""
+    clean = {}
+    for key, c in coeffs.items():
+        vertex, j = _as_nd_key(key)
+        if len(vertex) != n or len(j) != n:
+            raise ParameterError(f"key {key} does not have arity {n}")
+        for b in vertex:
+            _require_integer(key, "ball", b)
+        for ji in j:
+            _require_integer(key, "j", ji)
+        if any(ji < 1 for ji in j):
+            raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
+        clean[(vertex, j)] = complex(c)
+    return clean
+
+
+def series_component(rng, kind, j=False):
+    x = int(rng.integers(1, 5))
+    return {"int": x, "numpy": np.int64(x), "bool": True, "zero": 0 if j else x, "negative": -x if j else x,
+            "float": float(x) + 0.5}[kind]
+
+
+class TestLizorkinColumnCheck:
+    """The column check of ``LizorkinSeries`` against the per-key loop, bit for bit and error for error."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_column_check_matches_per_key_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        kinds = ["int"] * 6 + ["numpy", "bool", "zero", "negative", "float", "arity", "short", "plain"]
+        coeffs = {}
+        for _ in range(int(rng.integers(0, 12))):
+            kind = str(rng.choice(kinds)) if rng.random() < 0.3 else "int"
+            if kind == "arity":
+                key = (tuple(range(1, n + 2)), (1,) * (n + 1))
+            elif kind == "short":
+                key = ((1,) * n, (1,) * max(n - 1, 0))
+            elif kind == "plain":  # a key written as (ball, j): one factor only
+                key = (int(rng.integers(0, 5)), int(rng.integers(1, 3)))
+            else:
+                vertex = tuple(series_component(rng, kind if rng.random() < 0.5 else "int") for _ in range(n))
+                j = tuple(series_component(rng, kind if rng.random() < 0.5 else "int", j=True) for _ in range(n))
+                key = (vertex, j)
+            coeffs[key] = rng.choice([complex(*rng.standard_normal(2)), float(rng.standard_normal()),
+                                      int(rng.integers(-3, 3))])
+        assert outcome(lambda: LizorkinSeries(n, coeffs).coeffs) == outcome(lambda: per_key_series(n, coeffs))
+
+    @pytest.mark.parametrize("bad", [
+        (((1, 2), (1, 0)), DomainError, "not a wavelet index"),
+        (((1, 2), (1, -1)), DomainError, "not a wavelet index"),
+        (((1, 2, 3), (1, 1, 1)), ParameterError, "arity"),
+        (((1, 2.5), (1, 1)), DomainError, "is not an integer"),
+    ])
+    def test_errors_name_the_first_bad_key_in_insertion_order(self, bad):
+        key, error, text = bad
+        good = {((k, k + 1), (1, 1)): 1.0 + 0.0j for k in range(5)}
+        coeffs = {**dict(list(good.items())[:2]), key: 1.0, ((3, 3), (0, 0)): 1.0, **dict(list(good.items())[2:])}
+        with pytest.raises(error, match=text) as info:
+            LizorkinSeries(2, coeffs)
+        assert str(key) in str(info.value)
+        assert repr(LizorkinSeries(2, good).coeffs) == repr(per_key_series(2, good))
+
+    def test_numpy_and_bool_ids_kept_as_given(self):
+        coeffs = {((np.int64(1), True), (1, np.int32(2))): 2, ((1, 2), (1, 1)): 1j}
+        series = LizorkinSeries(2, coeffs)
+        assert repr(list(series.coeffs.items())) == repr(list(per_key_series(2, coeffs).items()))
 
 
 def leaf_enumerating_eval_on_product(u, factor_values):

@@ -12,6 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("argv", [
     ["scripts/wave_demo.py"],
     ["scripts/spectrum_sweep.py", "--depth", "2"],
+    ["scripts/solve_sweep.py", "--depths", "3", "4", "--repeats", "1"],
 ])
 def test_script_exits_zero(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -260,6 +260,24 @@ class TestStructuralErrors:
         with pytest.raises(SpaceValidationError, match=message):
             BallTree(parent, [1.0] * len(parent), [1.0] * len(parent))
 
+    @pytest.mark.parametrize("parent", [[None, 0.5, 0], [None, 0, "0"], [None, 0, 0.0]])
+    def test_non_integer_parent_names_the_vertex(self, parent):
+        bad = next(i for i, p in enumerate(parent) if p is not None and type(p) is not int)
+        for build in (lambda: BallTree(parent, [1.0, 0.5, 0.5], [1.0, 0.5, 0.5]),
+                      lambda: tree_from_leaf_measures(parent, {1: 0.5, 2: 0.5}, [1.0, 0.5, 0.5])):
+            with pytest.raises(SpaceValidationError, match=f"vertex {bad} has non-integer parent") as err:
+                build()
+            assert err.value.ball == bad
+
+    def test_numpy_integer_parents_are_ids(self):
+        t = BallTree([None, np.int64(0), np.int32(0)], [1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
+        assert t.children == ((1, 2), (), ()) and t.order == (0, 1, 2)
+
+    def test_leaf_without_a_measure_is_named(self):
+        with pytest.raises(SpaceValidationError, match="leaf 2 has no measure") as err:
+            tree_from_leaf_measures([None, 0, 0], {1: 0.5}, [1.0, 0.5, 0.5])
+        assert err.value.ball == 2
+
     def test_cyclic_parent_list_is_rejected_in_a_subprocess(self):
         """A cycle once made the bottom-up pass loop forever; a timeout turns a regression into a failure."""
         import ultrawave

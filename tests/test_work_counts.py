@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import ultrawave.distributions as distributions_module
+import ultrawave.solver as solver_module
 import ultrawave.wavelets as wavelets_module
 from conftest import random_leaf_function
-from ultrawave.distributions import GeneralizedFunction, eval_extended, eval_on_product
+from ultrawave.distributions import GeneralizedFunction, LizorkinSeries, eval_extended, eval_on_product
 from ultrawave.operators import HomogeneousSymbol, spectrum
+from ultrawave.products import MultiOperator
+from ultrawave.solver import CauchyProblem, solve
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import analyze, tree_wavelets
 
@@ -85,3 +88,30 @@ def test_eval_on_product_work_does_not_grow_with_stored_coefficients(depth, call
         eval_extended(u, (1, 2), (1, 1))
         counts.append(dict(calls.counts))
     assert counts[2] == counts[3]
+
+
+def test_solve_builds_no_characteristic_and_draws_free_values_once(calls, monkeypatch):
+    """A seeded solve on padic(2,5)**2: the characteristic set stays columns, the draws one call."""
+    tree = build_padic_tree(2, 5)
+    symbol = HomogeneousSymbol(beta=0.5)
+    op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+    rhs = LizorkinSeries(2, {((1, 3), (1, 1)): 1.0, ((0, 5), (1, 1)): 2j, ((9, 2), (1, 1)): -1.0})
+    problem = CauchyProblem(op, rhs, anchor=(31, 40), free_values=7)
+    draws = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            draws.append((args, kwargs))
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    calls(solver_module, "Characteristic")
+    sol = solve(problem)
+    n_char = sum(4**k for k in range(5))  # the pairs of equal-level non-leaf balls
+    assert len(sol.characteristic_vertices) == len(sol.free_params) == n_char == 341
+    assert calls.counts == {"Characteristic": 0}
+    assert draws == [((2 * n_char,), {})]
