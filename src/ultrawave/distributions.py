@@ -25,10 +25,11 @@ the test suite as its oracle.
 
 Construction validates each distinct (factor, ball, j) component once
 rather than every component of every key, so it costs O(keys + distinct
-components) plus one wavelet-basis lookup per distinct component.  Any
-failure, or an id that is not an exact ``int``, hands the keys to the
-key-by-key check, which raises at the first bad key or value in insertion
-order.
+components) plus one wavelet-basis lookup per distinct component.  Ball ids
+and wavelet indices may be of any integer type (``int``, ``bool``, numpy
+integers): they are checked through ``operator.index`` and stored as given.
+The key-by-key check runs only after a failure, to find the first bad key
+or value in insertion order and raise its error.
 
 A rank-1 test function costs one bottom-up pass of ball integrals per
 factor.  ``eval_on_product`` turns each factor's pass into a (ball, j) ->
@@ -80,41 +81,44 @@ def _require_integer(key, name: str, x) -> None:
         raise DomainError(f"index {key}: {name}={x!r} is not an integer") from None
 
 
-def _normalized(coeffs: Mapping) -> dict[Key, complex] | None:
-    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values; None if a key or value does not convert.
+def _index_column(ids: list) -> list:
+    return ids if set(map(type, ids)) <= {int} else list(map(operator_index, ids))
 
-    A dict that is already normalized (the io loaders build one) is copied as
-    it is, without a tuple or a complex per entry.
+
+def _checked(coeffs: Mapping, n: int, check_component, check_key) -> dict[Key, complex]:
+    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values, each distinct component checked once.
+
+    ``check_component(i, b, j, key)`` raises unless ``(b, j)`` may be
+    component i of a key; ``check_key(key)`` raises at the first rule a key
+    of ``coeffs`` breaks.  The ids of a column that are not all exact ``int``
+    go through ``operator.index`` before its distinct components are taken,
+    so ``2.0`` cannot hide behind an equal ``2``.  A dict that is already
+    normalized (the io loaders build one) is copied as it is.  On any
+    failure the keys are checked one by one in insertion order, which raises
+    at the first bad key or value.
     """
-    if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
-            and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
-            and set(map(type, coeffs.values())) <= {complex}):
-        return dict(coeffs)
     try:
-        return {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
-    except Exception:  # the per-key loop raises it again at the right key
-        return None
-
-
-def _int_columns(stored: Mapping[Key, complex], n: int) -> list[tuple[list, list]] | None:
-    """Per factor, the ball and j columns of the keys of non-empty ``stored``.
-
-    None unless every key has arity ``n`` and every component is an exact
-    ``int`` (``bool`` and numpy integers are left to the per-key loops).
-    """
-    # map/itemgetter columns: ``zip(*...)`` would allocate an iterator per key
-    vertices = list(map(itemgetter(0), stored))
-    js = list(map(itemgetter(1), stored))
-    if set(map(len, vertices)) != {n} or set(map(len, js)) != {n}:
-        return None
-    columns = []
-    for i in range(n):
-        balls = list(map(itemgetter(i), vertices))
-        idx = list(map(itemgetter(i), js))
-        if set(map(type, balls)) != {int} or set(map(type, idx)) != {int}:
-            return None
-        columns.append((balls, idx))
-    return columns
+        if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
+                and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
+                and set(map(type, coeffs.values())) <= {complex}):
+            stored = dict(coeffs)
+        else:
+            stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
+        # map/itemgetter columns: ``zip(*...)`` would allocate an iterator per key
+        vertices = list(map(itemgetter(0), stored))
+        js = list(map(itemgetter(1), stored))
+        if set(map(len, vertices)) | set(map(len, js)) <= {n}:
+            for i in range(n):
+                balls, idx = (_index_column(list(map(itemgetter(i), column))) for column in (vertices, js))
+                for b, ji in set(zip(balls, idx)):
+                    check_component(i, b, ji, None)
+            return stored
+    except Exception:  # the key-by-key check raises it again at the right key
+        pass
+    for key, c in coeffs.items():
+        check_key(key)
+        complex(c)
+    raise AssertionError("the component check and the key check disagree")
 
 
 @dataclass(frozen=True)
@@ -125,29 +129,22 @@ class LizorkinSeries:
     coeffs: Mapping[Key, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = _normalized(self.coeffs)
-        if clean:  # the column check; any miss runs the per-key loop, which raises at the first bad key
-            columns = _int_columns(clean, self.n)
-            if columns is None or any(min(idx) < 1 for _, idx in columns):
-                clean = None
-        if clean is None:
-            clean = self._checked_by_key()
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _checked(self.coeffs, self.n, self._check_component, self._check_key))
 
-    def _checked_by_key(self) -> dict[Key, complex]:
-        clean = {}
-        for key, c in self.coeffs.items():
-            vertex, j = _as_nd_key(key)
-            if len(vertex) != self.n or len(j) != self.n:
-                raise ParameterError(f"key {key} does not have arity {self.n}")
-            for b in vertex:
-                _require_integer(key, "ball", b)
-            for ji in j:
-                _require_integer(key, "j", ji)
-            if any(ji < 1 for ji in j):
-                raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
-            clean[(vertex, j)] = complex(c)
-        return clean
+    def _check_component(self, i: int, b, ji, key) -> None:
+        if ji < 1:
+            raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
+
+    def _check_key(self, key) -> None:
+        vertex, j = _as_nd_key(key)
+        if len(vertex) != self.n or len(j) != self.n:
+            raise ParameterError(f"key {key} does not have arity {self.n}")
+        for b in vertex:
+            _require_integer(key, "ball", b)
+        for ji in j:
+            _require_integer(key, "j", ji)
+        for i, (b, ji) in enumerate(zip(vertex, j)):
+            self._check_component(i, b, ji, key)
 
     @classmethod
     def one_dim(cls, coeffs: Mapping[tuple[int, int], complex]) -> "LizorkinSeries":
@@ -183,16 +180,7 @@ class GeneralizedFunction:
             tree.check_ball(b)
             if tree.measure[b] <= 0.0:
                 raise AnchorError(f"anchor ball {b} has zero measure")
-        coeffs = coeffs or {}
-        stored = self._checked_by_component(coeffs)
-        if stored is None:
-            # the per-key path: raises at the first bad key or value in
-            # insertion order, and accepts ids of other integer types
-            stored = {}
-            for key, c in coeffs.items():
-                k = _as_nd_key(key)
-                self._check_key(k)
-                stored[k] = complex(c)
+        stored = _checked(coeffs or {}, self.n, self._check_component, self._check_key)
         if anchor_value is not None:
             stored[self.anchor_key] = complex(anchor_value)
         # read-only, so the cached order below never goes stale
@@ -211,57 +199,28 @@ class GeneralizedFunction:
     def anchor_value(self) -> complex:
         return self.coeffs.get(self.anchor_key, 0.0 + 0.0j)
 
-    def _checked_by_component(self, coeffs: Mapping) -> dict[Key, complex] | None:
-        """The normalized coefficients, validated once per distinct (factor, ball, j).
+    def _check_component(self, i: int, b, ji, key) -> None:
+        tree = self.factors[i]
+        ball = tree.check_ball(b)
+        _require_integer(key, "j", ji)
+        if ji == 0:
+            if b != self.anchor[i]:
+                raise DomainError(f"index {key}: j=0 components exist only at the anchor ball of factor {i}")
+        elif ji >= 1:
+            if not tree.children[ball]:
+                raise DomainError(f"index {key}: wavelets do not attach to the minimal ball {b}")
+            if ji > len(wavelet_basis(tree, ball)):
+                raise DomainError(f"index {key}: no wavelet with index {ji} at ball {b}")
+        else:
+            raise DomainError(f"index {key}: negative j")
 
-        Applies ``_check_key``'s rules to the distinct components of each
-        factor's column instead of to every key.  Returns None, leaving the
-        verdict to the per-key loop, unless every key has the right arity,
-        every value converts, every component is an exact ``int`` and every
-        distinct component is valid.
-        """
-        stored = _normalized(coeffs)
-        if not stored:
-            return stored
-        columns = _int_columns(stored, self.n)
-        if columns is None:
-            return None
-        for tree, a0, (balls, idx) in zip(self.factors, self.anchor, columns):
-            for b, ji in set(zip(balls, idx)):
-                if not 0 <= b < tree.n_vertices:
-                    return None
-                if ji == 0:
-                    if b != a0:
-                        return None
-                elif ji < 1 or not tree.children[b]:
-                    return None
-                else:
-                    try:
-                        if ji > len(wavelet_basis(tree, b)):
-                            return None
-                    except DegenerateBallError:
-                        return None
-        return stored
-
-    def _check_key(self, key: Key) -> None:
+    def _check_key(self, key) -> None:
+        key = _as_nd_key(key)
         vertex, j = key
         if len(vertex) != self.n or len(j) != self.n:
             raise ParameterError(f"key {key} does not have arity {self.n}")
-        for i, (tree, b, ji) in enumerate(zip(self.factors, vertex, j)):
-            ball = tree.check_ball(b)
-            _require_integer(key, "j", ji)
-            if ji == 0:
-                if b != self.anchor[i]:
-                    raise DomainError(
-                        f"index {key}: j=0 components exist only at the anchor ball of factor {i}"
-                    )
-            elif ji >= 1:
-                if not tree.children[ball]:
-                    raise DomainError(f"index {key}: wavelets do not attach to the minimal ball {b}")
-                if ji > len(wavelet_basis(tree, ball)):
-                    raise DomainError(f"index {key}: no wavelet with index {ji} at ball {b}")
-            else:
-                raise DomainError(f"index {key}: negative j")
+        for i, (b, ji) in enumerate(zip(vertex, j)):
+            self._check_component(i, b, ji, key)
 
     def coefficient(self, vertex, j) -> complex:
         return self.coeffs.get(_as_nd_key((vertex, j)), 0.0 + 0.0j)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import os
 import re
+from bisect import bisect_left
 from itertools import chain, repeat
-from operator import contains, itemgetter
+from operator import contains, index, itemgetter
 from typing import Any, Mapping, Sequence
 
 from .distributions import GeneralizedFunction, Key, LizorkinSeries
@@ -203,7 +204,7 @@ def space_to_obj(tree: BallTree) -> dict[str, Any]:
         "vertices": [
             {
                 "id": i,
-                "parent": tree.parent[i],
+                "parent": None if tree.parent[i] is None else index(tree.parent[i]),
                 "measure": tree.measure[i],
                 "diameter": tree.diameter[i],
             }
@@ -271,7 +272,7 @@ def symbol_to_obj(symbol: Symbol) -> dict[str, Any]:
         return {
             "kind": "table",
             "entries": [
-                {"ball": b, "re": complex(v).real, "im": complex(v).imag}
+                {"ball": index(b), "re": complex(v).real, "im": complex(v).imag}
                 for b, v in sorted(symbol.entries.items())
             ],
         }
@@ -400,7 +401,13 @@ def _coeff_entry_objs(pairs, n: int) -> list[dict[str, Any]]:
     """Coefficient records of ``((vertex, j), value)`` pairs of arity ``n``, with ``complex`` values.
 
     Arity 1 writes ``{ball, j, re, im}`` records, arity n >= 2 ``{vertex, j, re, im}``.
+    Ids are written as JSON integers: unless every id is an exact ``int``,
+    the keys go through ``operator.index`` (a numpy integer is not JSON, and
+    a ``bool`` would be written as ``true``).
     """
+    pairs = list(pairs)
+    if not set(map(type, chain.from_iterable(chain.from_iterable(map(itemgetter(0), pairs))))) <= {int}:
+        pairs = [((tuple(map(index, vertex)), tuple(map(index, j))), c) for (vertex, j), c in pairs]
     if n == 1:
         return [{"ball": b, "j": j, "re": c.real, "im": c.imag} for ((b,), (j,)), c in pairs]
     return [{"vertex": list(vertex), "j": list(j), "re": c.real, "im": c.imag} for (vertex, j), c in pairs]
@@ -444,10 +451,13 @@ def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
 
 
 def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
-    anchor_key = u.anchor_key
-    coeffs = _coeff_entry_objs((item for item in u.items() if item[0] != anchor_key), u.n)
+    items = u.items()
+    if u.anchor_key in u.coeffs:  # cut out by position, as the items are sorted by key
+        k = bisect_left(items, u.anchor_key, key=itemgetter(0))
+        items = items[:k] + items[k + 1:]
+    coeffs = _coeff_entry_objs(items, u.n)
     return {
-        "anchor": {"vertex": list(u.anchor), "value": _pair(u.anchor_value)},
+        "anchor": {"vertex": list(map(index, u.anchor)), "value": _pair(u.anchor_value)},
         "coeffs": coeffs,
     }
 

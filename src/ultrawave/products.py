@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, UnknownBallError
 from .operators import Symbol, spectrum
 from .trees import BallTree
 from .wavelets import Wavelet, evaluate, normalized_constant, tree_wavelets
@@ -121,8 +121,11 @@ class ProductSpace:
             if c is TOP:
                 if not (augmented and f.top_present):
                     return False
-            elif not (isinstance(c, int) and 0 <= c < f.tree.n_vertices):
-                return False
+            else:
+                try:
+                    f.tree.check_ball(c)
+                except UnknownBallError:
+                    return False
         return True
 
     def measure(self, v: Vertex) -> float:

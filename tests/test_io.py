@@ -31,6 +31,7 @@ from ultrawave.io import (
     operator_from_obj,
     operator_to_obj,
     problem_from_obj,
+    solution_to_obj,
     space_from_obj,
     space_to_obj,
     symbol_from_obj,
@@ -38,7 +39,9 @@ from ultrawave.io import (
     write_json,
 )
 from ultrawave.operators import HomogeneousSymbol, TableSymbol
-from ultrawave.trees import build_padic_tree
+from ultrawave.products import MultiOperator
+from ultrawave.solver import CauchyProblem, solve
+from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import WaveletExpansion
 
 
@@ -159,6 +162,56 @@ class TestCoefficientFiles:
         obj = genfun_to_obj(u)
         assert obj["anchor"] == {"vertex": [1], "value": [2.0, 0.0]}
         assert obj["coeffs"] == [{"ball": 0, "j": 1, "re": 1.0, "im": 0.0}]
+
+
+def written(obj):
+    """``obj`` after a trip through the file writer; every id must come back a JSON integer."""
+    text = write_json(obj, None)
+    assert "true" not in text and "false" not in text
+    return json.loads(text)
+
+
+class TestIdsWrittenAsJsonIntegers:
+    """Numpy and bool ids are library ids; files get plain JSON integers, which every loader takes back."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_genfun_roundtrip(self, n):
+        trees = [build_padic_tree(2, 2)] * n
+        anchor = (np.int64(1), 2)[:n]
+        coeffs = {((np.int64(0), 1)[:n], (True, np.int32(1))[:n]): 2.0 - 1.0j,
+                  ((2, np.uint8(0))[:n], (np.int64(1), 1)[:n]): 0.5,
+                  ((np.int16(1), 2)[:n], (False, 0)[:n]): 1.5}
+        u = GeneralizedFunction(trees, anchor, coeffs, anchor_value=0.25)
+        back = genfun_from_obj(written(genfun_to_obj(u)), trees)
+        assert back.anchor == (1, 2)[:n] and back.coeffs == u.coeffs
+
+    def test_lizorkin_roundtrip(self):
+        s = LizorkinSeries(2, {((np.int64(0), True), (True, np.int32(2))): 2.0, ((1, 2), (1, 1)): 1j})
+        back = lizorkin_from_obj(written(lizorkin_to_obj(s)), 2)
+        assert back.coeffs == s.coeffs == {((0, 1), (1, 2)): 2.0, ((1, 2), (1, 1)): 1j}
+
+    def test_expansion_roundtrip(self):
+        e = WaveletExpansion(1.0, {(np.int64(0), True): 3.0, (1, np.int32(1)): -1.0j})
+        back = expansion_from_obj(written(expansion_to_obj(e)))
+        assert back.coeffs == e.coeffs == {(0, 1): 3.0, (1, 1): -1.0j}
+
+    def test_space_and_table_symbol_roundtrip(self):
+        t = BallTree([None, np.int64(0), np.int32(0)], [1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
+        assert space_from_obj(written(space_to_obj(t))).parent == (None, 0, 0)
+        table = TableSymbol({np.int64(0): 1.0, True: 2.0})
+        assert symbol_from_obj(written(symbol_to_obj(table))).entries == {0: 1.0, 1: 2.0}
+
+    def test_solution_with_numpy_boundary_ids(self):
+        tree = build_padic_tree(2, 2)
+        symbol = HomogeneousSymbol(beta=0.5)
+        op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+        rhs = LizorkinSeries(2, {((np.int64(0), np.int64(1)), (1, np.int64(1))): 1.0})
+        boundary = {((np.int64(0), np.int64(3)), (np.int64(1), 0)): 0.5}
+        sol = solve(CauchyProblem(op, rhs, anchor=(3, np.int64(3)), boundary=boundary, free_values=7))
+        obj = written(solution_to_obj(sol))
+        back = genfun_from_obj(obj, [tree, tree])
+        assert back.anchor == (3, 3) and back.coeffs == sol.u.coeffs
+        assert len(obj["free_params"]) == len(sol.free_params) > 0
 
 
 class TestProblemFiles:
@@ -796,3 +849,30 @@ def test_fuzzed_operators_raise_only_library_errors(obj):
 def test_fuzzed_problems_raise_only_library_errors(obj):
     with tempfile.TemporaryDirectory() as tmp:
         only_library_errors(lambda: problem_from_obj(obj, tmp))
+
+
+SERIES = {"mean": [0.0, 0.0], "coeffs": [{"vertex": [1, 0], "j": [1, 1], "re": 1.0, "im": 0.0},
+                                         {"vertex": [2, 1], "j": [2, 1], "re": -0.5}, {"ball": 3, "j": 1, "im": 2.0}]}
+EXPANSION = {"mean": [0.5, 0.0], "coeffs": [{"ball": 0, "j": 1, "re": 1.0, "im": 0.0}, {"ball": 2, "j": 2, "im": 2.0}]}
+# Only small p and depth: junk must not ask for a tree too large to build.
+SMALL_INTEGRAL = st.integers(-1, 4) | st.sampled_from([2.0, 3.0, 2.5, float("nan"), True, None, "2", [2]])
+PADIC_SPACES = st.fixed_dictionaries({"kind": st.just("padic")},
+                                     optional={"p": SMALL_INTEGRAL, "depth": SMALL_INTEGRAL, "vertices": FUZZ_VALUES})
+
+
+@settings(max_examples=300)
+@given(obj=mutated(SERIES), n=st.integers(1, 3))
+def test_fuzzed_series_raise_only_library_errors(obj, n):
+    only_library_errors(lambda: lizorkin_from_obj(obj, n))
+
+
+@settings(max_examples=300)
+@given(obj=mutated(EXPANSION))
+def test_fuzzed_expansions_raise_only_library_errors(obj):
+    only_library_errors(lambda: expansion_from_obj(obj))
+
+
+@settings(max_examples=300)
+@given(obj=mutated(EXPLICIT_SPACE) | PADIC_SPACES)
+def test_fuzzed_spaces_raise_only_library_errors(obj):
+    only_library_errors(lambda: space_from_obj(obj))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measured_tree, random_table_symbol
-from ultrawave.errors import DegenerateBallError, DomainError, ParameterError
+from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import TableSymbol, eigenvalue, operator_matrix
 from ultrawave.products import (
     TOP,
@@ -98,6 +98,18 @@ class TestVertexOrder:
         assert not space.contains((0,))
         assert not space.contains((TOP, 0))
         assert space.contains((TOP, 0), augmented=True)
+
+    @pytest.mark.parametrize("c", [np.int64(0), np.int32(2), np.uint8(1), True, 2.0, np.float64(0.0), "0", None, 3])
+    def test_membership_agrees_with_vertex_check(self, c):
+        """``contains`` takes an id exactly when ``is_generic`` (through ``check_ball``) does."""
+        space = product([build_padic_tree(2, 1)])
+        try:
+            space.is_generic((c,))
+            valid = True
+        except UnknownBallError:
+            valid = False
+        assert space.contains((c,)) is valid
+        assert valid is (c in (0, 1, 2) and not isinstance(c, (float, np.floating)))
 
     def test_arity_mismatch(self):
         space = product([build_padic_tree(2, 1)])

@@ -115,3 +115,35 @@ def test_solve_builds_no_characteristic_and_draws_free_values_once(calls, monkey
     assert len(sol.characteristic_vertices) == len(sol.free_params) == n_char == 341
     assert calls.counts == {"Characteristic": 0}
     assert draws == [((2 * n_char,), {})]
+
+
+@pytest.mark.parametrize("ids", ["int", "numpy", "bool j"])
+def test_construction_checks_each_distinct_component_once(ids, calls):
+    """Valid series of 1k and 4k keys on padic(2,7)**2: no key-by-key check, whatever integer type the ids have.
+
+    The first 127 keys put every non-leaf ball in both columns, so each
+    factor has the same 127 distinct (ball, j) components at both sizes.
+    """
+    rng = np.random.default_rng(3)
+    trees = [build_padic_tree(2, 7)] * 2
+    ball = {"int": int, "numpy": np.int64, "bool j": int}[ids]
+    j = {"int": (1, 1), "numpy": (np.int64(1), np.int32(1)), "bool j": (True, True)}[ids]
+    pairs = [(a, a) for a in range(127)] + [(a, b) for a in range(127) for b in range(127) if a != b]
+    picks = [pairs[int(i)] for i in rng.permutation(len(pairs) - 127)[:3873] + 127]
+    calls(GeneralizedFunction, "_check_key")
+    calls(LizorkinSeries, "_check_key")
+    calls(GeneralizedFunction, "_check_component")
+    calls(LizorkinSeries, "_check_component")
+    calls(distributions_module, "wavelet_basis")
+    counts = []
+    for k in (1000, 4000):
+        keys = [((ball(a), ball(b)), j) for a, b in pairs[:127] + picks[:k - 127]]
+        coeffs = {key: complex(rng.standard_normal(), 1.0) for key in keys}
+        calls.counts.update(dict.fromkeys(calls.counts, 0))
+        u = GeneralizedFunction(trees, (127, 200), coeffs)
+        series = LizorkinSeries(2, coeffs)
+        assert len(u.coeffs) == len(series.coeffs) == k
+        assert repr(list(u.coeffs)) == repr(list(series.coeffs)) == repr(list(coeffs))  # ids stored as given
+        counts.append(dict(calls.counts))
+    # a name counts both classes: 127 components per factor of each
+    assert counts == [{"_check_key": 0, "_check_component": 2 * 2 * 127, "wavelet_basis": 2 * 127}] * 2
