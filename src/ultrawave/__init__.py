@@ -70,7 +70,6 @@ from .distributions import (
 from .solver import (
     CauchyProblem,
     Characteristic,
-    FreeParam,
     ResidualReport,
     Solution,
     characteristics,

@@ -81,6 +81,14 @@ def _require_integer(key, name: str, x) -> None:
         raise DomainError(f"index {key}: {name}={x!r} is not an integer") from None
 
 
+def _check_anchor(trees: Sequence[BallTree], anchor: Sequence[int]) -> None:
+    """Raise unless each anchor ball belongs to its tree and has positive measure."""
+    for tree, b in zip(trees, anchor):
+        tree.check_ball(b)
+        if tree.measure[b] <= 0.0:
+            raise AnchorError(f"anchor ball {b} has zero measure")
+
+
 def _index_column(ids: list) -> list:
     return ids if set(map(type, ids)) <= {int} else list(map(operator_index, ids))
 
@@ -176,10 +184,7 @@ class GeneralizedFunction:
         self.anchor = tuple(anchor)
         if len(self.anchor) != self.n:
             raise ParameterError("anchor arity does not match the number of factors")
-        for tree, b in zip(self.factors, self.anchor):
-            tree.check_ball(b)
-            if tree.measure[b] <= 0.0:
-                raise AnchorError(f"anchor ball {b} has zero measure")
+        _check_anchor(self.factors, self.anchor)
         stored = _checked(coeffs or {}, self.n, self._check_component, self._check_key)
         if anchor_value is not None:
             stored[self.anchor_key] = complex(anchor_value)
@@ -392,9 +397,13 @@ def extended_leaf_values(
     ``j == 0`` is the anchor indicator when ``ball`` is the anchor and the
     zero function otherwise.
     """
+    ball = tree.check_ball(ball)
+    _require_integer((ball, j), "j", j)
+    if j < 0:
+        raise DomainError(f"index {(ball, j)}: negative j")
     if j == 0:
         return dict.fromkeys(tree.leaves_under(anchor_ball), 1.0 + 0.0j) if ball == anchor_ball else {}
-    if tree.is_leaf(ball):
+    if not tree.children[ball]:
         return {}
     basis = wavelet_basis(tree, ball)
     if not 1 <= j <= len(basis):
@@ -409,6 +418,9 @@ def extended_leaf_values(
 
 def eval_extended(u: GeneralizedFunction, vertex: Sequence[int], j: Sequence[int]) -> complex:
     """Value of ``u`` on the conjugate of an extended family member."""
+    for name, seq in (("vertex", vertex), ("j", j)):
+        if len(seq) != u.n:
+            raise ParameterError(f"{name} arity {len(seq)} does not match {u.n} factors")
     return eval_on_product(u, [extended_leaf_values(tree, a0, b, ji, conjugate=True)
                                for tree, a0, b, ji in zip(u.factors, u.anchor, vertex, j)])
 
@@ -434,13 +446,13 @@ def apply_operator(u: GeneralizedFunction, operator: Spectrum | MultiOperator) -
     eigenvalue at its vertex; indicator components and the anchor value are
     killed because the operator maps constants to zero.
     """
-    out: dict[Key, complex] = {}
-    for (vertex, j), c in u.wavelet_items():
-        if isinstance(operator, Spectrum):
-            if u.n != 1:
-                raise ParameterError("a plain spectrum applies to one-factor functions only")
-            lam = operator[vertex[0]]
-        else:
-            lam = operator.eigenvalue(vertex)
-        out[(vertex, j)] = lam * c
-    return LizorkinSeries(u.n, out)
+    items = u.wavelet_items()
+    if not isinstance(operator, Spectrum):
+        return LizorkinSeries(u.n, {key: operator.eigenvalue(key[0]) * c for key, c in items})
+    if u.n != 1:
+        raise ParameterError("a plain spectrum applies to one-factor functions only")
+    try:
+        out = {key: operator[key[0][0]] * c for key, c in items}
+    except KeyError as exc:
+        raise DomainError(f"the spectrum has no eigenvalue at ball {exc.args[0]}") from None
+    return LizorkinSeries(1, out)

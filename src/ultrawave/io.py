@@ -471,8 +471,10 @@ def genfun_from_obj(
 
 def solution_to_obj(sol: Solution) -> dict[str, Any]:
     obj = genfun_to_obj(sol.u)
-    obj["free_params"] = _coeff_entry_objs((((fp.vertex, fp.j), complex(fp.value)) for fp in sol.free_params),
-                                           sol.u.n)
+    if sol.u.n == 1:  # the keys of ``coeffs`` records without values; each value is in ``coeffs``
+        obj["free_params"] = [{"ball": b, "j": j} for (b,), (j,) in sol.free_params]
+    else:
+        obj["free_params"] = [{"vertex": list(vertex), "j": list(j)} for vertex, j in sol.free_params]
     obj["residual"] = {
         "max_rel": sol.residual.max_rel,
         "max_abs": sol.residual.max_abs,

@@ -332,10 +332,6 @@ class MultiOperator:
     def n(self) -> int:
         return len(self.factors)
 
-    @property
-    def degree(self) -> int:
-        return max((len(idx) for idx, _ in self.terms), default=0)
-
     @classmethod
     def single(cls, tree: BallTree, symbol: Symbol) -> "MultiOperator":
         return cls([(tree, symbol)], [((0,), 1.0)])

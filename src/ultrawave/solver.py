@@ -48,9 +48,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import GeneralizedFunction, Key, LizorkinSeries, _as_nd_key
+from .distributions import GeneralizedFunction, Key, LizorkinSeries, _as_nd_key, _check_anchor
 from .errors import (
-    AnchorError,
     DegenerateBallError,
     DomainError,
     IllConditionedError,
@@ -173,10 +172,7 @@ class CauchyProblem:
         self.anchor = tuple(self.anchor)
         if self.rhs.n != self.operator.n or len(self.anchor) != self.operator.n:
             raise ParameterError("operator, right-hand side and anchor arities disagree")
-        for (tree, _), b in zip(self.operator.factors, self.anchor):
-            tree.check_ball(b)
-            if tree.measure[b] <= 0.0:
-                raise AnchorError(f"anchor ball {b} has zero measure")
+        _check_anchor([tree for tree, _ in self.operator.factors], self.anchor)
         clean = {}
         for key, c in dict(self.boundary).items():
             k = _as_nd_key(key)
@@ -269,13 +265,6 @@ def check_solvability(problem: CauchyProblem) -> SolvabilityReport:
 
 
 @dataclass(frozen=True)
-class FreeParam:
-    vertex: tuple[int, ...]
-    j: tuple[int, ...]
-    value: complex
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     max_rel: float
     max_abs: float
@@ -284,8 +273,10 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class Solution:
+    """``u``, its free ``(vertex, j)`` keys in solve order (each value is ``u.coeffs[key]``) and its residual."""
+
     u: GeneralizedFunction
-    free_params: tuple[FreeParam, ...]
+    free_params: tuple[Key, ...]
     residual: ResidualReport
     characteristic_vertices: tuple[tuple[int, ...], ...]
 
@@ -367,13 +358,11 @@ def solve(problem: CauchyProblem) -> Solution:
     vertices = list(zip(*(col.tolist() for col in char_ids)))
     indices = [{b: _wavelet_indices(tree, b) for b in set(col.tolist())} for tree, col in zip(trees, char_ids)]
     free_keys = [(v, j) for v in vertices for j in itertools.product(*map(getitem, indices, v))]
-    free_values = _free_values(problem, free_keys)
     coeffs: dict[Key, complex] = dict(problem.boundary)
     coeffs.update(zip(keys, quotients))
-    coeffs.update(zip(free_keys, free_values))
+    coeffs.update(zip(free_keys, _free_values(problem, free_keys)))
 
     u = GeneralizedFunction(trees, problem.anchor, coeffs, problem.anchor_value)
     denom = rhs.norm if rhs.norm > 0 else 1.0
     residual = ResidualReport(max_abs / denom, max_abs, tuple(warnings))
-    free_params = tuple(FreeParam(v, j, value) for (v, j), value in zip(free_keys, free_values))
-    return Solution(u, free_params, residual, tuple(vertices))
+    return Solution(u, tuple(free_keys), residual, tuple(vertices))

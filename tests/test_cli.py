@@ -505,3 +505,135 @@ class TestInlinePartLocations:
         path.write_text(json.dumps({"spaces": ["padic(2,2)"], "operator": "op.json", "anchor": {"vertex": [3]}}))
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {op}: homogeneous symbol: 'tail'")
+
+
+# -- junk input: every subcommand exits 0, 2, 3 or 4 and never prints a traceback --
+
+_NUMBERS = {"nan": "NaN", "inf": "1e400", "big": str(10**30)}
+_TWO_FACTOR_SOLUTION = {"anchor": {"vertex": [3, 3], "value": [1.0, 0.0]},
+                        "coeffs": [{"vertex": [0, 1], "j": [1, 1], "re": 1.0, "im": 0.0}]}
+_WAVE_OPERATOR = {"factors": ["homog(beta=1)", "homog(beta=1)"],
+                  "terms": [{"indices": [1], "re": 1.0, "im": 0.0}, {"indices": [2], "re": -1.0, "im": 0.0}]}
+
+
+def _with(obj, path, value):
+    """A JSON copy of ``obj`` with the item at ``path`` set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+# per file slot, objects holding "@" where each of _NUMBERS goes; never a padic p or depth,
+# where 10**30 would ask for a tree of that many balls
+_NUMBER_SLOTS = {
+    "space": [
+        {"kind": "explicit", "vertices": [{"id": 0, "parent": None, "measure": "@", "diameter": 1.0}]},
+        {"kind": "explicit", "vertices": [{"id": 0, "parent": None, "measure": 1.0, "diameter": 1.0},
+                                          {"id": "@", "parent": 0, "measure": 1.0, "diameter": 0.5}]},
+        {"kind": "explicit", "vertices": [{"id": 0, "parent": "@", "measure": 1.0, "diameter": 1.0}]},
+    ],
+    "symbol": [
+        {"kind": "homogeneous", "beta": "@"},
+        {"kind": "homogeneous", "beta": 1.0, "c": ["@", 0.0]},
+        {"kind": "table", "entries": [{"ball": "@", "re": 1.0, "im": 0.0}]},
+        {"kind": "table", "entries": [{"ball": 0, "re": "@", "im": 0.0}]},
+    ],
+    "operator": [
+        _with(_WAVE_OPERATOR, ("terms", 0, "indices"), ["@"]),
+        _with(_WAVE_OPERATOR, ("terms", 0, "re"), "@"),
+        _with(_WAVE_OPERATOR, ("factors", 0), {"kind": "homogeneous", "beta": "@"}),
+    ],
+    "problem": [_with(WAVE_PROBLEM, path, value) for path, value in [
+        (("epsilon",), "@"),
+        (("anchor", "vertex"), ["@", 3]),
+        (("anchor", "value"), ["@", 0.0]),
+        (("operator", "terms", 0, "indices"), ["@"]),
+        (("rhs", "coeffs"), [{"vertex": ["@", 1], "j": [1, 1], "re": 1.0, "im": 0.0}]),
+        (("rhs", "coeffs"), [{"vertex": [1, 2], "j": [1, "@"], "re": 1.0, "im": 0.0}]),
+        (("rhs", "coeffs"), [{"vertex": [1, 2], "j": [1, 1], "re": "@", "im": 0.0}]),
+        (("boundary",), [{"vertex": ["@", 3], "j": [1, 0], "re": 1.0, "im": 0.0}]),
+        (("boundary",), [{"vertex": [0, 3], "j": [1, 0], "re": "@", "im": 0.0}]),
+        (("free_params",), {"seed": "@"}),
+        (("free_params",), [{"vertex": ["@", 0], "j": [1, 1], "re": 1.0, "im": 0.0}]),
+        (("free_params",), [{"vertex": [0, 0], "j": [1, 1], "re": "@", "im": 0.0}]),
+    ]],
+    "solution": [_with(_TWO_FACTOR_SOLUTION, path, value) for path, value in [
+        (("anchor", "vertex"), ["@", 3]),
+        (("anchor", "value"), ["@", 0.0]),
+        (("coeffs", 0, "vertex"), ["@", 1]),
+        (("coeffs", 0, "j"), ["@", 1]),
+        (("coeffs", 0, "re"), "@"),
+    ]],
+    "at": [["@"], [["@", 0]]],
+}
+_JUNK_FILES = {"empty": b"", "bad_utf8": b"\xff\xfe{\x80}", "list": b"[1, 2]", "number": b"42",
+               "string": b'"padic(2,2)"', "null": b"null"}
+_FILES = {
+    "operator": json.dumps(_WAVE_OPERATOR).encode(),
+    "problem": json.dumps(WAVE_PROBLEM).encode(),
+    "solution": json.dumps(_TWO_FACTOR_SOLUTION).encode(),
+    "steep_operator": json.dumps(_with(_WAVE_OPERATOR, ("factors",), ["homog(beta=2000)"] * 2)).encode(),
+    "padic_nan": b'{"kind": "padic", "p": 2, "depth": NaN}',
+    "padic_inf": b'{"kind": "padic", "p": 1e400, "depth": 2}',
+    **_JUNK_FILES,
+    **{f"{slot}{i}_{name}": json.dumps(obj).replace('"@"', text).encode()
+       for slot, objs in _NUMBER_SLOTS.items() for i, obj in enumerate(objs) for name, text in _NUMBERS.items()},
+}
+_COMMANDS = {
+    "validate": ["validate", "<space>"],
+    "wavelets": ["wavelets", "<space>"],
+    "spectrum": ["spectrum", "--space", "<space>", "--symbol", "<symbol>"],
+    "characteristics": ["characteristics", "--space", "<space>", "--space", "<space>", "--operator", "<operator>"],
+    "solve": ["solve", "<problem>"],
+    "eval": ["eval", "<solution>", "--space", "<space>", "--space", "<space>", "--at", "<at>"],
+}
+_VALID = {"<space>": "padic(2,2)", "<symbol>": "homog(beta=1)", "<operator>": "@operator",
+          "<problem>": "@problem", "<solution>": "@solution", "<at>": "[[0, 1]]"}
+# junk for one slot: files (``@name``) and inline values
+_SLOT_JUNK = {
+    "space": ["@padic_nan", "@padic_inf", "padic(1,2)", "padic(2,0)"],
+    "symbol": ["homog(beta=2000)", "homog(beta=-2000)", "homog(beta=2000, tail=true)", "homog(beta=1e400)"],
+    "operator": ["@steep_operator"],
+    "problem": [],
+    "solution": [],
+    "at": ["", "nan", "[]", "[[]]", "[[0, 0, 0]]", "[[99, 0]]", "{}", '"x"', "[[1e400, 0]]", f"[[{10**30}, 0]]"],
+}
+_FLAG_JUNK = [
+    *(["characteristics", "--space", "padic(2,2)", "--space", "padic(2,2)", "--operator", "@operator",
+       "--epsilon", e] for e in ("nan", "-1", "inf", "x")),
+    *(["solve", "@problem", "--epsilon", e] for e in ("nan", "-1", "inf", "x")),
+    *(["solve", "@problem", "--seed", s] for s in ("-5", "x", str(10**30))),
+]
+
+
+def _junk_argvs():
+    for template in _COMMANDS.values():
+        for slot in dict.fromkeys(a[1:-1] for a in template if a.startswith("<")):
+            files = [*_JUNK_FILES, *(f"{slot}{i}_{name}" for i in range(len(_NUMBER_SLOTS[slot]))
+                                     for name in _NUMBERS)]
+            for junk in [f"@{name}" for name in files] + _SLOT_JUNK[slot]:
+                yield [junk if a == f"<{slot}>" else _VALID.get(a, a) for a in template]
+    yield from _FLAG_JUNK
+
+
+@pytest.fixture(scope="module")
+def junk_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("junk")
+    for name, data in _FILES.items():
+        (root / f"{name}.json").write_bytes(data)
+    return {f"@{name}": str(root / f"{name}.json") for name in _FILES}
+
+
+@pytest.mark.parametrize("argv", list(_junk_argvs()), ids=" ".join)
+def test_junk_input_exits_with_a_documented_code(junk_paths, capsys, argv):
+    argv = [junk_paths.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code, err)

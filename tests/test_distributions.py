@@ -909,3 +909,39 @@ def test_term_factor_tables_match_leaf_enumeration(n, seed):
         close(eval_on_test(u, f), leaf_enumerating_eval_on_product(u, full))
         e = analyze(tree, f)
         close(eval_on_test(u, e), leaf_enumerating_eval_on_product(u, [synthesize(tree, e).values]))
+
+
+class TestExtendedInputChecks:
+    """``eval_extended`` and ``extended_leaf_values`` reject input that does not fit ``u``."""
+
+    @staticmethod
+    def two_factor():
+        t = build_padic_tree(2, 2)
+        return GeneralizedFunction([t, t], (3, 3), {((1, 2), (1, 1)): 1.0 + 2.0j}, 0.5)
+
+    @pytest.mark.parametrize("vertex,j,message", [
+        ((0, 0, 5), (1, 1, 1), "vertex arity 3 does not match 2 factors"),
+        ((0,), (1,), "vertex arity 1 does not match 2 factors"),
+        ((0, 0), (1, 1, 1), "j arity 3 does not match 2 factors"),
+    ])
+    def test_arity_mismatch(self, vertex, j, message):
+        with pytest.raises(ParameterError, match=message):
+            eval_extended(self.two_factor(), vertex, j)
+
+    def test_unknown_ball(self):
+        with pytest.raises(UnknownBallError):
+            eval_extended(self.two_factor(), (99, 0), (0, 1))
+
+    def test_negative_j_at_a_leaf(self):
+        with pytest.raises(DomainError, match="negative j"):
+            eval_extended(self.two_factor(), (3, 0), (-1, 1))
+
+    def test_non_integer_j(self):
+        with pytest.raises(DomainError, match="is not an integer"):
+            extended_leaf_values(build_padic_tree(2, 2), 3, 0, 1.0)
+
+    def test_spectrum_of_another_tree(self):
+        u = GeneralizedFunction.one_dim(build_padic_tree(2, 3), 7, coeffs={(5, 1): 1.0})
+        small = build_padic_tree(2, 2)
+        with pytest.raises(DomainError, match="no eigenvalue at ball 5"):
+            apply_operator(u, spectrum(small, TableSymbol({b: 1.0 for b in small.non_leaf_balls()})))

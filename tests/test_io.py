@@ -26,6 +26,7 @@ from ultrawave.io import (
     lizorkin_to_obj,
     load_operator,
     load_problem,
+    load_solution,
     load_space,
     load_symbol,
     operator_from_obj,
@@ -212,6 +213,37 @@ class TestIdsWrittenAsJsonIntegers:
         back = genfun_from_obj(obj, [tree, tree])
         assert back.anchor == (3, 3) and back.coeffs == sol.u.coeffs
         assert len(obj["free_params"]) == len(sol.free_params) > 0
+
+
+class TestSolutionFreeParams:
+    """``free_params`` lists the free keys in solve order; each value is read from ``coeffs``."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_records_are_keys_of_written_coeffs(self, n, tmp_path):
+        tree = build_padic_tree(2, 3)
+        symbol = HomogeneousSymbol(beta=0.5)
+        if n == 1:  # T - lambda(1): every ball of ball 1's level is characteristic
+            lam = MultiOperator.single(tree, symbol).factor_eigenvalue(0, 1)
+            op = MultiOperator([(tree, symbol)], [((0,), 1.0), ((), -lam)])
+            rhs, anchor, fields = LizorkinSeries(1, {((0,), (1,)): 1.0}), (7,), {"ball", "j"}
+        else:
+            op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+            rhs, anchor, fields = LizorkinSeries(2, {((0, 1), (1, 1)): 1.0}), (7, 7), {"vertex", "j"}
+        sol = solve(CauchyProblem(op, rhs, anchor=anchor, free_values=5))
+        assert len(sol.free_params) > 1
+        path = str(tmp_path / "solution.json")
+        write_json(solution_to_obj(sol), path)
+        with open(path, encoding="utf-8") as fh:
+            records = json.load(fh)["free_params"]
+        back = load_solution(path, [tree] * n)
+        assert all(set(rec) == fields for rec in records)
+        if n == 1:
+            keys = [((rec["ball"],), (rec["j"],)) for rec in records]
+        else:
+            keys = [(tuple(rec["vertex"]), tuple(rec["j"])) for rec in records]
+        assert keys == list(sol.free_params)
+        assert any(sol.u.coeffs[key] for key in keys)
+        assert all(back.coeffs[key] == sol.u.coeffs[key] for key in keys)
 
 
 class TestProblemFiles:
