@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: validate, wavelets, spectrum, characteristics, solve, eval.
+Each subcommand accepts ``--out`` and the options ``_COMMANDS`` lists for it.
 Exit codes: 0 success, 2 parse/validation failure, 3 solvability violation,
 4 numeric (divergent tail, ill-conditioned division or a non-finite result
 in JSON output).
@@ -82,8 +82,14 @@ def _require(value, flag: str):
 
 
 def _one_space(args: argparse.Namespace):
-    spec = args.input or (args.space[0] if args.space else None)
-    return load_space(_require(spec, "a space file or --space"))
+    specs = ([args.input] if args.input else []) + args.space
+    return load_space(_require(specs[0] if len(specs) == 1 else None, "exactly one space file or --space"))
+
+
+def _spaces(args: argparse.Namespace):
+    if not args.space:
+        raise ParameterError("this command requires --space (repeat once per factor)")
+    return [load_space(s) for s in args.space]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -120,9 +126,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_characteristics(args: argparse.Namespace) -> int:
-    if not args.space:
-        raise ParameterError("this command requires --space (repeat once per factor)")
-    trees = [load_space(s) for s in args.space]
+    trees = _spaces(args)
     op = load_operator(_require(args.operator, "--operator"), trees)
     eps = args.epsilon if args.epsilon is not None else 1e-9
     rows = []
@@ -140,8 +144,7 @@ def _cmd_characteristics(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    path = _require(args.input or args.problem, "a problem file")
-    problem, _trees = load_problem(path)
+    problem, _trees = load_problem(_require(args.input, "a problem file"))
     overrides = {"epsilon": args.epsilon, "free_values": args.seed}
     overrides = {name: value for name, value in overrides.items() if value is not None}
     if overrides:
@@ -168,9 +171,7 @@ def _parse_at(at: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if not args.space:
-        raise ParameterError("this command requires --space (repeat once per factor)")
-    trees = [load_space(s) for s in args.space]
+    trees = _spaces(args)
     u = load_solution(_require(args.input, "a solution file"), trees)
     vertices = _parse_at(_require(args.at, "--at"))
     rows = []
@@ -181,19 +182,32 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "wavelets": _cmd_wavelets,
-    "spectrum": _cmd_spectrum,
-    "characteristics": _cmd_characteristics,
-    "solve": _cmd_solve,
-    "eval": _cmd_eval,
+_OPTIONS = {
+    "input": {"nargs": "?", "help": "primary input file (command-specific)"},
+    "--space": {"action": "append", "default": [], "help": "space file or padic(p,depth); repeat per factor"},
+    "--symbol": {"help": "symbol file or homog(beta=...)"},
+    "--operator": {"help": "operator file"},
+    "--at": {"help": "JSON list of vertices to evaluate (inline or file)"},
+    "--format": {"choices": ["csv", "json"], "default": "json"},
+    "--epsilon": {"type": float, "help": "characteristic tolerance override"},
+    "--seed": {"type": int, "help": "seed for free-parameter assignment"},
+    "--out": {"help": "output file (default: stdout)"},
+}
+
+_COMMANDS = {  # name: (handler, help line, the options the handler reads besides --out)
+    "validate": (_cmd_validate, "check a space file's structural invariants", ("input", "--space")),
+    "wavelets": (_cmd_wavelets, "list the wavelet basis of a space", ("input", "--space", "--format")),
+    "spectrum": (_cmd_spectrum, "eigenvalues of a symbol on a space", ("input", "--space", "--symbol", "--format")),
+    "characteristics": (_cmd_characteristics, "vertices where an operator's eigenvalue vanishes",
+                        ("--space", "--operator", "--epsilon", "--format")),
+    "solve": (_cmd_solve, "solve an equation problem file", ("input", "--epsilon", "--seed")),
+    "eval": (_cmd_eval, "evaluate a solution on listed balls/vertices", ("input", "--space", "--at", "--format")),
 }
 
 
 def run(args: argparse.Namespace) -> int:
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UnsolvableError as exc:
         sys.stderr.write(f"unsolvable: {exc}\n")
         return 3
@@ -211,25 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wavelet analysis and spectral equation solving on measured ball trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check a space file's structural invariants"),
-        ("wavelets", "list the wavelet basis of a space"),
-        ("spectrum", "eigenvalues of a symbol on a space"),
-        ("characteristics", "vertices where an operator's eigenvalue vanishes"),
-        ("solve", "solve an equation problem file"),
-        ("eval", "evaluate a solution on listed balls/vertices"),
-    ]:
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", help="primary input file (command-specific)")
-        p.add_argument("--space", action="append", default=[], help="space file or padic(p,depth); repeat per factor")
-        p.add_argument("--symbol", help="symbol file or homog(beta=...)")
-        p.add_argument("--operator", help="operator file")
-        p.add_argument("--problem", help="problem file")
-        p.add_argument("--at", help="JSON list of vertices to evaluate (inline or file)")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--epsilon", type=float, help="characteristic tolerance override")
-        p.add_argument("--seed", type=int, help="seed for free-parameter assignment")
+        for option in (*options, "--out"):
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -93,9 +93,6 @@ class ProductSpace:
     def n(self) -> int:
         return len(self.factors)
 
-    def trees(self) -> tuple[BallTree, ...]:
-        return tuple(f.tree for f in self.factors)
-
     def _check_vertex(self, v: Vertex) -> Vertex:
         if len(v) != self.n:
             raise ParameterError(f"vertex arity {len(v)} does not match {self.n} factors")

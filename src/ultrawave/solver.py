@@ -25,9 +25,8 @@ Everything after the classification works on columns, not per vertex:
   into ``Characteristic`` objects; ``solve`` only zips the id columns into
   vertex tuples).
 * The rhs vertices map to axis positions through per-factor id -> position
-  arrays (-1 at a leaf); membership in the characteristic set is a
-  ``searchsorted`` over ascending flat grid ids.
-* One ``form_arrays`` call gives the eigenvalues of every divided entry.
+  arrays (-1 at a leaf).  One ``form_arrays`` call gives the eigenvalue of
+  every generic entry; ``_classify``'s test on it marks the entry characteristic.
   The quotients and the residual use Python ``complex`` arithmetic through
   C-level ``map`` on purpose: numpy's complex division scales by a
   reciprocal and differs from CPython's in the last bit.
@@ -120,6 +119,7 @@ def _classify(op: MultiOperator, epsilon: float, spectra: list[FactorSpectrum]) 
 
 def characteristics(op: MultiOperator, epsilon: float = 1e-9) -> list[Characteristic]:
     """All generic vertices whose eigenvalue vanishes relative to the term scale."""
+    _check_tolerance("epsilon", epsilon)
     ids, lam_re, lam_im, scale = _classify(op, epsilon, _factor_spectra(op))
     vertices = zip(*(col.tolist() for col in ids))
     return list(map(Characteristic, vertices, map(complex, lam_re.tolist(), lam_im.tolist()), scale.tolist()))
@@ -193,9 +193,12 @@ class CauchyProblem:
         elif isinstance(self.free_values, int) and self.free_values < 0:
             raise ParameterError(f"free-value seed must be non-negative, got {self.free_values}")
         for name in ("epsilon", "warn_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
+            _check_tolerance(name, getattr(self, name))
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _finite(value: complex, what: str, where) -> complex:
@@ -212,9 +215,9 @@ class _RhsColumns(NamedTuple):
     values: list[complex]
     mags: np.ndarray  # abs of each value
     norm: float  # rhs.norm_inf()
-    positions: list[np.ndarray]  # per factor, each vertex's axis position (-1 off the grid)
     generic: np.ndarray
     on_char: np.ndarray
+    eigen: tuple[np.ndarray, np.ndarray, np.ndarray]  # form_arrays (re, im, scale) at the generic entries
 
     def violations(self, threshold: float) -> tuple[SolvabilityViolation, ...]:
         """The entries above ``threshold`` on a characteristic vertex, in sorted key order."""
@@ -223,16 +226,16 @@ class _RhsColumns(NamedTuple):
                      sorted(((self.keys[k], self.values[k]) for k in flagged), key=itemgetter(0)))
 
 
-def _rhs_columns(rhs: LizorkinSeries, spectra: list[FactorSpectrum], char_ids: list[np.ndarray]) -> _RhsColumns:
-    """The rhs as columns: where each vertex sits on the generic grid, and whether it is characteristic.
+def _rhs_columns(problem: CauchyProblem, spectra: list[FactorSpectrum]) -> _RhsColumns:
+    """The rhs as columns: which entries are generic, their eigenvalues, and which are characteristic.
 
     A vertex is generic when every id is a non-leaf ball of its factor; an
-    id outside the factor (negative, too large, beyond int64) is not.  The
-    characteristic test is a ``searchsorted`` of grid flat ids: ``_classify``
-    lists the characteristic vertices in C order, so theirs ascend.
+    id outside the factor (negative, too large, beyond int64) is not.  A
+    generic entry is characteristic by ``_classify``'s test on its own
+    eigenvalue: exactly when its vertex is in the grid's characteristic set.
     """
-    keys = list(rhs.coeffs)
-    values = list(rhs.coeffs.values())
+    keys = list(problem.rhs.coeffs)
+    values = list(problem.rhs.coeffs.values())
     z = np.array(values, dtype=complex)
     mags = np.hypot(z.real, z.imag)  # abs, bit for bit
     vertices = list(map(itemgetter(0), keys))
@@ -247,19 +250,18 @@ def _rhs_columns(rhs: LizorkinSeries, spectra: list[FactorSpectrum], char_ids: l
         inside = (col >= 0) & (col < len(position))
         positions.append(np.where(inside, position[np.where(inside, col, 0)], -1))
     generic = np.logical_and.reduce([pos >= 0 for pos in positions])
-    dims = [len(axis) for axis, _, _, _ in spectra]
-    char_flat = np.ravel_multi_index([position[col] for (_, position, _, _), col in zip(spectra, char_ids)], dims)
-    flat = np.ravel_multi_index([pos[generic] for pos in positions], dims)
+    lam_re, lam_im, scale = eigen = problem.operator.form_arrays(
+        [r[pos[generic]] for (_, _, r, _), pos in zip(spectra, positions)],
+        [m[pos[generic]] for (_, _, _, m), pos in zip(spectra, positions)],
+    )
     on_char = np.zeros(m, dtype=bool)
-    on_char[generic] = np.append(char_flat, -1)[np.searchsorted(char_flat, flat)] == flat
-    return _RhsColumns(keys, values, mags, max(mags.tolist(), default=0.0), positions, generic, on_char)
+    on_char[generic] = np.hypot(lam_re, lam_im) <= problem.epsilon * scale
+    return _RhsColumns(keys, values, mags, max(mags.tolist(), default=0.0), generic, on_char, eigen)
 
 
 def check_solvability(problem: CauchyProblem) -> SolvabilityReport:
     """Necessary conditions: the rhs must vanish at every characteristic vertex."""
-    spectra = _factor_spectra(problem.operator)
-    char_ids = _classify(problem.operator, problem.epsilon, spectra)[0]
-    rhs = _rhs_columns(problem.rhs, spectra, char_ids)
+    rhs = _rhs_columns(problem, _factor_spectra(problem.operator))
     violations = rhs.violations(problem.epsilon * rhs.norm)
     return SolvabilityReport(not violations, violations)
 
@@ -319,8 +321,7 @@ def solve(problem: CauchyProblem) -> Solution:
     op = problem.operator
     trees = [t for t, _ in op.factors]
     spectra = _factor_spectra(op)
-    char_ids = _classify(op, problem.epsilon, spectra)[0]
-    rhs = _rhs_columns(problem.rhs, spectra, char_ids)
+    rhs = _rhs_columns(problem, spectra)
     threshold = problem.epsilon * rhs.norm
     violations = rhs.violations(threshold)
     if violations:
@@ -330,12 +331,9 @@ def solve(problem: CauchyProblem) -> Solution:
         vertex = min(rhs.keys[k] for k in off_grid)[0]
         raise DomainError(f"rhs vertex {vertex} is not a generic vertex of the operator's space")
 
-    # divide every entry off the characteristic set (below the threshold there, the free value rules)
+    # divide each (now all generic) entry off the characteristic set (below the threshold there, the free value rules)
     rows = np.flatnonzero(~rhs.on_char)
-    lam_re, lam_im, scale = op.form_arrays(
-        [r[pos[rows]] for (_, _, r, _), pos in zip(spectra, rhs.positions)],
-        [m[pos[rows]] for (_, _, _, m), pos in zip(spectra, rhs.positions)],
-    )
+    lam_re, lam_im, scale = (col[rows] for col in rhs.eigen)
     rows = rows.tolist()
     keys = [rhs.keys[k] for k in rows]
     values = [rhs.values[k] for k in rows]
@@ -355,6 +353,7 @@ def solve(problem: CauchyProblem) -> Solution:
     quotients = list(map(truediv, values, lams))
     max_abs = max(itertools.chain((0.0,), map(abs, map(sub, map(mul, lams, quotients), values))))
 
+    char_ids = _classify(op, problem.epsilon, spectra)[0]
     vertices = list(zip(*(col.tolist() for col in char_ids)))
     indices = [{b: _wavelet_indices(tree, b) for b in set(col.tolist())} for tree, col in zip(trees, char_ids)]
     free_keys = [(v, j) for v in vertices for j in itertools.product(*map(getitem, indices, v))]

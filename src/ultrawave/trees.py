@@ -38,6 +38,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ParameterError, SpaceValidationError, UnknownBallError
 
 ADDITIVITY_RTOL = 1e-12
+MAX_PADIC_VERTICES = 1 << 22  # build_padic_tree refuses a larger tree before allocating it
 
 
 class BallTree:
@@ -228,12 +229,19 @@ def build_padic_tree(p: int, depth: int) -> BallTree:
     The root has measure and diameter 1; a ball at level k has measure and
     diameter ``p**-k``; children are ordered by digit 0..p-1.  Vertex ids are
     assigned level by level, so level k occupies ids
-    ``(p**k - 1)//(p - 1) .. (p**(k+1) - 1)//(p - 1) - 1``.
+    ``(p**k - 1)//(p - 1) .. (p**(k+1) - 1)//(p - 1) - 1``.  A tree of more
+    than ``MAX_PADIC_VERTICES`` vertices raises ParameterError.
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ParameterError(f"p must be an integer >= 2, got {p!r}")
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise ParameterError(f"depth must be an integer >= 1, got {depth!r}")
+    total = level = 1
+    for _ in range(depth):  # at most 22 passes, since p >= 2
+        level *= p
+        total += level
+        if total > MAX_PADIC_VERTICES:
+            raise ParameterError(f"padic({p},{depth}) has more than the {MAX_PADIC_VERTICES} vertices allowed")
     parent: list[int | None] = [None]
     measure = [1.0]
     diameter = [1.0]

@@ -64,6 +64,15 @@ class TestCharacteristics:
         t, sym, op = two_level_operator()
         assert characteristics(op) == []
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1.0, float("inf")])
+    def test_bad_tolerance_rejected_as_by_cauchy_problem(self, epsilon):
+        t, sym, op = two_level_operator()
+        with pytest.raises(ParameterError, match="epsilon must be finite and non-negative") as got:
+            characteristics(op, epsilon)
+        with pytest.raises(ParameterError) as want:
+            CauchyProblem(op, LizorkinSeries(1, {}), anchor=(3,), epsilon=epsilon)
+        assert str(got.value) == str(want.value)
+
     def test_product_minus_constant(self):
         t1, t2 = build_padic_tree(2, 2), build_padic_tree(2, 1)
         s1 = TableSymbol({0: 1.0, 1: 2.0, 2: 5.0})

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ultrawave.cli import main
+from ultrawave.cli import build_parser, main
 from ultrawave.io import fmt17, load_problem
 from ultrawave.operators import HomogeneousSymbol, operator_matrix
 from ultrawave.distributions import eval_on_char_nd
@@ -115,6 +115,15 @@ class TestCharacteristics:
         rows = json.loads(capsys.readouterr().out)
         assert [r["vertex"] for r in rows] == [[0, 0], [1, 1], [2, 2]]
         assert all(r["abs"] == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "inf"])
+    def test_bad_epsilon_exit_two(self, tmp_path, capsys, epsilon):
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(WAVE_PROBLEM["operator"]))
+        assert main(["characteristics", "--operator", str(op_path), "--space", "padic(2,2)",
+                     "--space", "padic(2,2)", "--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: epsilon must be finite and non-negative")
 
 
 class TestSolve:
@@ -453,7 +462,7 @@ class TestMergedErrorPaths:
     def test_space_schema_errors_exit_two(self, tmp_path, capsys, space, message, command):
         path = tmp_path / "space.json"
         path.write_text(json.dumps(space))
-        assert main([command, str(path), "--symbol", "homog(beta=1)"]) == 2
+        assert main([command, str(path), *(["--symbol", "homog(beta=1)"] if command == "spectrum" else [])]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
 
@@ -469,6 +478,67 @@ class TestMergedErrorPaths:
         assert main(["eval", str(solution), "--space", "padic(2,2)", "--space", "padic(2,2)",
                      "--at", "[[0, 0]]"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {solution}: expected [re, im]")
+
+
+# -- each subcommand accepts --out and the options it reads; any other option is a usage error --
+
+_READS = {
+    "validate": ("input", "--space"),
+    "wavelets": ("input", "--space", "--format"),
+    "spectrum": ("input", "--space", "--symbol", "--format"),
+    "characteristics": ("--space", "--operator", "--epsilon", "--format"),
+    "solve": ("input", "--epsilon", "--seed"),
+    "eval": ("input", "--space", "--at", "--format"),
+}
+# every option a subcommand ever took: its tokens, the namespace attribute and the parsed value
+_ALL_OPTIONS = {
+    "input": (["in.json"], "input", "in.json"),
+    "--space": (["--space", "padic(2,1)"], "space", ["padic(2,1)"]),
+    "--symbol": (["--symbol", "homog(beta=1)"], "symbol", "homog(beta=1)"),
+    "--operator": (["--operator", "op.json"], "operator", "op.json"),
+    "--problem": (["--problem", "problem.json"], "problem", "problem.json"),
+    "--at": (["--at", "[[0, 0]]"], "at", "[[0, 0]]"),
+    "--out": (["--out", "out.json"], "out", "out.json"),
+    "--format": (["--format", "csv"], "format", "csv"),
+    "--epsilon": (["--epsilon", "1e-3"], "epsilon", 1e-3),
+    "--seed": (["--seed", "5"], "seed", 5),
+}
+
+
+@pytest.mark.parametrize("option", _ALL_OPTIONS)
+@pytest.mark.parametrize("command", _READS)
+def test_subcommand_accepts_only_the_options_it_reads(capsys, command, option):
+    tokens, attribute, value = _ALL_OPTIONS[option]
+    if option in (*_READS[command], "--out"):
+        assert getattr(build_parser().parse_args([command, *tokens]), attribute) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *tokens])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "error: unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "padic(2,1)", "--space", "padic(2,1)"],
+    ["wavelets", "--space", "padic(2,1)", "--space", "padic(2,1)"],
+    ["spectrum", "padic(2,1)", "--space", "padic(2,1)", "--symbol", "homog(beta=1)"],
+    ["validate"],
+])
+def test_one_space_command_takes_exactly_one_space(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: this command requires exactly one space file or --space\n"
+
+
+@pytest.mark.parametrize("space", ["padic(2,40)", "padic(2,1000000000)", '{"kind": "padic", "p": 2, "depth": 40}'])
+def test_padic_vertex_cap_exit_two(tmp_path, capsys, space):
+    if space.startswith("{"):
+        path = tmp_path / "space.json"
+        path.write_text(space)
+        space = str(path)
+    assert main(["validate", space]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "has more than the 4194304 vertices allowed" in captured.err
 
 
 class TestInlinePartLocations:

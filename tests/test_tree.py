@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import permuted_tree, random_measured_tree
+from ultrawave import trees
 from ultrawave.errors import ParameterError, SpaceValidationError, UnknownBallError
 from ultrawave.trees import (
     BallTree,
@@ -47,6 +48,18 @@ class TestPadicBuilder:
     def test_invalid_parameters(self, p, depth):
         with pytest.raises(ParameterError):
             build_padic_tree(p, depth)
+
+    @pytest.mark.parametrize("p,depth", [(2, 22), (3, 14), (2, 40), (2, 10**9), (10**30, 1)])
+    def test_vertex_cap(self, p, depth):
+        """Each tree has more than 2**22 vertices; none is counted to its end or built."""
+        with pytest.raises(ParameterError, match=f"padic\\({p},{depth}\\) has more than the 4194304 vertices"):
+            build_padic_tree(p, depth)
+
+    def test_vertex_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(trees, "MAX_PADIC_VERTICES", 15)
+        assert build_padic_tree(2, 3).n_vertices == 15
+        with pytest.raises(ParameterError):
+            build_padic_tree(2, 4)
 
 
 class TestSup:

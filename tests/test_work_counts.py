@@ -13,9 +13,10 @@ import ultrawave.solver as solver_module
 import ultrawave.wavelets as wavelets_module
 from conftest import random_leaf_function
 from ultrawave.distributions import GeneralizedFunction, LizorkinSeries, eval_extended, eval_on_product
+from ultrawave.errors import UnsolvableError
 from ultrawave.operators import HomogeneousSymbol, spectrum
 from ultrawave.products import MultiOperator
-from ultrawave.solver import CauchyProblem, solve
+from ultrawave.solver import CauchyProblem, check_solvability, solve
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import analyze, tree_wavelets
 
@@ -115,6 +116,22 @@ def test_solve_builds_no_characteristic_and_draws_free_values_once(calls, monkey
     assert len(sol.characteristic_vertices) == len(sol.free_params) == n_char == 341
     assert calls.counts == {"Characteristic": 0}
     assert draws == [((2 * n_char,), {})]
+
+
+def test_only_the_free_keys_classify_the_grid(calls):
+    """The rhs checks classify each rhs entry by its own eigenvalue; only a passing solve walks the grid."""
+    tree = build_padic_tree(2, 3)
+    symbol = HomogeneousSymbol(beta=0.5)
+    op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+    on_char = CauchyProblem(op, LizorkinSeries(2, {((1, 1), (1, 1)): 1.0}), anchor=(7, 9))
+    off_char = CauchyProblem(op, LizorkinSeries(2, {((1, 3), (1, 1)): 1.0}), anchor=(7, 9))
+    calls(solver_module, "_classify")
+    assert not check_solvability(on_char) and check_solvability(off_char)
+    with pytest.raises(UnsolvableError):
+        solve(on_char)
+    assert calls.counts == {"_classify": 0}
+    solve(off_char)
+    assert calls.counts == {"_classify": 1}
 
 
 @pytest.mark.parametrize("ids", ["int", "numpy", "bool j"])
