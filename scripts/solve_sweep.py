@@ -5,9 +5,14 @@ factors) with one rhs term and seeded free values, so the output grows with
 the characteristic set: (4**d - 1) / 3 free parameters.  For every depth it
 times, as the median of ``--repeats`` runs, the four stages of the command:
 ``io.load_problem``, ``solver.solve``, ``io.solution_to_obj`` and
-``io.write_json``.  It prints CSV, one row per depth with the seconds of
+``io.write_json``.  ``solution_to_obj`` includes the record encoding: it
+formats the ``coeffs`` and ``free_params`` records as JSON text, so
+``write_json`` only joins that text with the rest of the object and writes
+the file.  It prints CSV, one row per depth with the seconds of
 each stage, then a ``slope`` row: the least-squares slope of log(seconds)
 against log(free parameters) per stage (1 means linear in the output).
+The stages are called directly, not through ``cli.run``, so the cyclic
+collector runs as it would in any caller.
 
 Usage: python3 scripts/solve_sweep.py [--depths 6 7 8 9] [--repeats 3]
 """

@@ -9,6 +9,7 @@ in JSON output).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -206,6 +207,10 @@ _COMMANDS = {  # name: (handler, help line, the options the handler reads beside
 
 
 def run(args: argparse.Namespace) -> int:
+    # A command builds tens of thousands of acyclic containers; the cyclic
+    # collector's passes over them free nothing, so it pauses until the command ends.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command][0](args)
     except UnsolvableError as exc:
@@ -217,6 +222,9 @@ def run(args: argparse.Namespace) -> int:
     except (UltrawaveError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ are paths resolved relative to the referencing file's directory.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from operator import contains, index, itemgetter
 from typing import Any, Mapping, Sequence
 
 from .distributions import GeneralizedFunction, Key, LizorkinSeries
-from .errors import FileFormatError, NonFiniteError
+from .errors import FileFormatError, NonFiniteError, ParameterError
 from .operators import HomogeneousSymbol, Symbol, TableSymbol
 from .products import MultiOperator
 from .solver import CauchyProblem, Solution
@@ -164,8 +165,11 @@ def _vertex_record(rec: Any, location: str) -> tuple[int, int | None, float, flo
 def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
     kind = _object(obj, "a space", location).get("kind")
     if kind == "padic":
-        return build_padic_tree(*(_field(obj, key, "padic space", location, integer=True)
-                                  for key in ("p", "depth")))
+        p, depth = (_field(obj, key, "padic space", location, integer=True) for key in ("p", "depth"))
+        try:
+            return build_padic_tree(p, depth)
+        except ParameterError as exc:  # p < 2, depth < 1 or too many vertices: a bad file, named
+            raise FileFormatError(str(exc), location) from None
     if kind == "explicit":
         vertices = obj.get("vertices")
         if not isinstance(vertices, list) or not vertices:
@@ -397,20 +401,39 @@ def _coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, c
     return _strict_coeff_records(records, location, one_dim) if coeffs is None else coeffs
 
 
-def _coeff_entry_objs(pairs, n: int) -> list[dict[str, Any]]:
-    """Coefficient records of ``((vertex, j), value)`` pairs of arity ``n``, with ``complex`` values.
+class _JSONText(str):
+    """JSON text that ``write_json`` writes as it is, in place of the value it encodes."""
 
-    Arity 1 writes ``{ball, j, re, im}`` records, arity n >= 2 ``{vertex, j, re, im}``.
-    Ids are written as JSON integers: unless every id is an exact ``int``,
-    the keys go through ``operator.index`` (a numpy integer is not JSON, and
-    a ``bool`` would be written as ``true``).
+
+def _coeff_records_json(keys, n: int, values=None) -> _JSONText:
+    """The JSON list of the coefficient records of ``keys`` of arity ``n``, in key order.
+
+    Arity 1 writes ``{ball, j}`` records, arity n >= 2 ``{vertex, j}``; with
+    ``values`` (one ``complex`` per key) each record also holds ``re`` and
+    ``im``.  The text is ``json.dumps`` of those records byte for byte: one
+    ``%`` format per record, fed by ``zip`` over the id columns and the
+    ``re``/``im`` columns.  Ids are written as JSON integers: unless every id
+    is an exact ``int``, they go through ``operator.index`` (a numpy integer
+    is not JSON, and a ``bool`` would be written as ``true``).  NaN and
+    infinity are not JSON: they raise ``NonFiniteError``.
     """
-    pairs = list(pairs)
-    if not set(map(type, chain.from_iterable(chain.from_iterable(map(itemgetter(0), pairs))))) <= {int}:
-        pairs = [((tuple(map(index, vertex)), tuple(map(index, j))), c) for (vertex, j), c in pairs]
-    if n == 1:
-        return [{"ball": b, "j": j, "re": c.real, "im": c.imag} for ((b,), (j,)), c in pairs]
-    return [{"vertex": list(vertex), "j": list(j), "re": c.real, "im": c.imag} for (vertex, j), c in pairs]
+    keys = list(keys)
+    if values is not None:
+        values = list(values)
+        if not all(map(cmath.isfinite, values)):
+            key, c = next((key, c) for key, c in zip(keys, values) if not cmath.isfinite(c))
+            raise NonFiniteError(f"cannot write a non-finite value as JSON: coefficient {c} at {key}")
+    # map/itemgetter columns: ``zip(*keys)`` would allocate an iterator per key
+    vertices, js = list(map(itemgetter(0), keys)), list(map(itemgetter(1), keys))
+    columns = [list(map(itemgetter(i), part)) for part in (vertices, js) for i in range(n)]
+    if not set(map(type, chain.from_iterable(columns))) <= {int}:
+        columns = [list(map(index, col)) for col in columns]
+    ids = "%d" if n == 1 else "[" + ", ".join(["%d"] * n) + "]"
+    fmt = ('{"ball": ' if n == 1 else '{"vertex": ') + ids + ', "j": ' + ids
+    if values is not None:
+        fmt += ', "re": %r, "im": %r'
+        columns += [[c.real for c in values], [c.imag for c in values]]
+    return _JSONText("[" + ", ".join(map((fmt + "}").__mod__, zip(*columns))) + "]")
 
 
 def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> WaveletExpansion:
@@ -421,8 +444,9 @@ def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> W
 
 
 def expansion_to_obj(e: WaveletExpansion) -> dict[str, Any]:
-    pairs = ((((b,), (j,)), complex(c)) for (b, j), c in sorted(e.coeffs.items()))
-    return {"mean": _pair(e.mean), "coeffs": _coeff_entry_objs(pairs, 1)}
+    items = sorted(e.coeffs.items())
+    coeffs = _coeff_records_json((((b,), (j,)) for (b, j), _ in items), 1, (complex(c) for _, c in items))
+    return {"mean": _pair(e.mean), "coeffs": json.loads(coeffs)}
 
 
 def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") -> LizorkinSeries:
@@ -444,22 +468,30 @@ def load_lizorkin(
 
 
 def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
-    return {"mean": [0.0, 0.0], "coeffs": _coeff_entry_objs(series.items(), series.n)}
+    items = series.items()
+    coeffs = _coeff_records_json(map(itemgetter(0), items), series.n, map(itemgetter(1), items))
+    return {"mean": [0.0, 0.0], "coeffs": json.loads(coeffs)}
 
 
 # -- generalized functions / solutions ---------------------------------------
 
 
-def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
+def _genfun_obj(u: GeneralizedFunction) -> dict[str, Any]:
+    """``genfun_to_obj``'s object with ``coeffs`` as ``_JSONText``."""
     items = u.items()
     if u.anchor_key in u.coeffs:  # cut out by position, as the items are sorted by key
         k = bisect_left(items, u.anchor_key, key=itemgetter(0))
         items = items[:k] + items[k + 1:]
-    coeffs = _coeff_entry_objs(items, u.n)
     return {
         "anchor": {"vertex": list(map(index, u.anchor)), "value": _pair(u.anchor_value)},
-        "coeffs": coeffs,
+        "coeffs": _coeff_records_json(map(itemgetter(0), items), u.n, map(itemgetter(1), items)),
     }
+
+
+def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
+    obj = _genfun_obj(u)
+    obj["coeffs"] = json.loads(obj["coeffs"])
+    return obj
 
 
 def genfun_from_obj(
@@ -470,11 +502,10 @@ def genfun_from_obj(
 
 
 def solution_to_obj(sol: Solution) -> dict[str, Any]:
-    obj = genfun_to_obj(sol.u)
-    if sol.u.n == 1:  # the keys of ``coeffs`` records without values; each value is in ``coeffs``
-        obj["free_params"] = [{"ball": b, "j": j} for (b,), (j,) in sol.free_params]
-    else:
-        obj["free_params"] = [{"vertex": list(vertex), "j": list(j)} for vertex, j in sol.free_params]
+    """The solution file's object for ``write_json``: ``coeffs`` and ``free_params`` are ``_JSONText``."""
+    obj = _genfun_obj(sol.u)
+    # the keys of ``coeffs`` records without values; each value is in ``coeffs``
+    obj["free_params"] = _coeff_records_json(sol.free_params, sol.u.n)
     obj["residual"] = {
         "max_rel": sol.residual.max_rel,
         "max_abs": sol.residual.max_abs,
@@ -534,17 +565,27 @@ def load_problem(path: str) -> tuple[CauchyProblem, list[BallTree]]:
     return problem_from_obj(obj, os.path.dirname(path) or ".", location=path)
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, check_circular=False, allow_nan=False)
+
+
 def write_json(obj: Any, path: str | None) -> str:
     """Compact single-line JSON, written to ``path`` (with a newline) when given.
 
     Without ``indent`` CPython serializes with its C encoder; an indented
     dump falls back to the pure-Python one.  The objects written here hold
-    no reference cycles, so the circular-reference check is skipped.  NaN
-    and infinity are not JSON: they raise ``NonFiniteError`` before
-    anything is written.
+    no reference cycles, so the circular-reference check is skipped.  A
+    ``_JSONText`` value of a top-level dict (keyed by strings) is written as
+    it is, between the other values' encodings.  NaN and infinity are not
+    JSON: they raise ``NonFiniteError`` before anything is written.
     """
     try:
-        text = json.dumps(obj, check_circular=False, allow_nan=False)
+        if isinstance(obj, dict) and any(isinstance(value, _JSONText) for value in obj.values()):
+            text = "{" + ", ".join(
+                json.dumps(key) + ": " + (value if isinstance(value, _JSONText) else _dumps(value))
+                for key, value in obj.items()) + "}"
+        else:
+            text = _dumps(obj)
     except ValueError as exc:
         raise NonFiniteError(f"cannot write a non-finite value as JSON ({exc})") from None
     if path is not None:

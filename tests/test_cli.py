@@ -1,8 +1,10 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from ultrawave import cli
 from ultrawave.cli import build_parser, main
 from ultrawave.io import fmt17, load_problem
 from ultrawave.operators import HomogeneousSymbol, operator_matrix
@@ -404,6 +406,21 @@ class TestErrorPaths:
         assert main(["spectrum", "--space", "padic(2,1)", "--symbol", str(symbol)]) == 4
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_quotient_exit_four(self, tmp_path, capsys):
+        """1e300 over an eigenvalue near 1e-300 is infinite: the solution cannot be written, and no file is made."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "spaces": ["padic(2,2)"],
+            "operator": {"factors": ["homog(beta=1)"], "terms": [{"indices": [1], "re": 1e-300, "im": 0.0}]},
+            "rhs": {"mean": [0.0, 0.0], "coeffs": [{"ball": 0, "j": 1, "re": 1e300, "im": 0.0}]},
+            "anchor": {"vertex": [3], "value": [1.0, 0.0]},
+        }))
+        out = tmp_path / "solution.json"
+        assert main(["solve", str(problem), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure: cannot write a non-finite value")
+        assert captured.out == "" and not out.exists()
+
     def test_missing_required_flag_exit_two(self, capsys):
         assert main(["spectrum", "--space", "padic(2,1)"]) == 2
 
@@ -452,6 +469,9 @@ class TestMergedErrorPaths:
         ({"kind": "padic", "p": 2}, "padic space has no 'depth'"),
         ({"kind": "padic", "p": "x", "depth": 2}, "'p' must be an integer"),
         ({"kind": "padic", "p": 2, "depth": 2.7}, "'depth' must be an integer, got 2.7"),
+        ({"kind": "padic", "p": 2, "depth": 40}, "padic(2,40) has more than the 4194304 vertices allowed"),
+        ({"kind": "padic", "p": 1, "depth": 2}, "p must be an integer >= 2, got 1"),
+        ({"kind": "padic", "p": 2, "depth": 0}, "depth must be an integer >= 1, got 0"),
         ({"kind": "explicit", "vertices": [{"id": 0, "parent": None, "diameter": 1.0}]},
          "vertex record 0 has no 'measure'"),
         ({"kind": "explicit", "vertices": [{"id": 0, "measure": "1.0", "diameter": 1.0}]},
@@ -541,6 +561,11 @@ def test_padic_vertex_cap_exit_two(tmp_path, capsys, space):
     assert captured.out == "" and "has more than the 4194304 vertices allowed" in captured.err
 
 
+def test_padic_shorthand_over_the_cap_names_the_shorthand(capsys):
+    assert main(["validate", "padic(2,40)"]) == 2
+    assert capsys.readouterr().err == "error: padic(2,40) has more than the 4194304 vertices allowed\n"
+
+
 class TestInlinePartLocations:
     """An inline part of a problem file reports its errors under the problem's path."""
 
@@ -549,6 +574,9 @@ class TestInlinePartLocations:
         ("symbol", {"kind": "nope"}, "unknown symbol kind 'nope'"),
         ("operator", {"factors": ["homog(beta=1)"], "terms": [7]}, "an operator term must be a JSON object"),
         ("space", {"kind": "padic", "p": 2}, "padic space has no 'depth'"),
+        ("space", {"kind": "padic", "p": 2, "depth": 40}, "padic(2,40) has more than the 4194304 vertices allowed"),
+        ("space", {"kind": "padic", "p": 1, "depth": 2}, "p must be an integer >= 2, got 1"),
+        ("space", {"kind": "padic", "p": 2, "depth": 0}, "depth must be an integer >= 1, got 0"),
         ("rhs", {"coeffs": [{"vertex": [1], "j": [1], "re": "x"}]}, "bad complex entry"),
     ])
     def test_inline_part_error_names_the_problem_file(self, tmp_path, capsys, part, value, message):
@@ -707,3 +735,35 @@ def test_junk_input_exits_with_a_documented_code(junk_paths, capsys, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code, err)
+
+
+class TestCollectorState:
+    """A command pauses the cyclic collector and leaves it as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("code,argv", [
+        (0, ["validate", "padic(2,2)"]),
+        (2, ["validate", "padic(1,2)"]),
+        (3, ["solve", "<unsolvable>"]),
+        (4, ["spectrum", "--space", "padic(2,2)", "--symbol", "homog(beta=0.5, tail=true)"]),
+    ])
+    def test_state_after_each_exit_code(self, tmp_path, capsys, collecting, code, argv):
+        unsolvable = write_wave_problem(tmp_path, [{"vertex": [1, 1], "j": [1, 1], "re": 1.0, "im": 0.0}])
+        assert main([unsolvable if arg == "<unsolvable>" else arg for arg in argv]) == code
+        assert gc.isenabled() is collecting
+
+    def test_state_after_an_escaping_exception(self, monkeypatch, collecting):
+        def handler(args):
+            assert not gc.isenabled()
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", (handler, *cli._COMMANDS["validate"][1:]))
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["validate", "padic(2,2)"])
+        assert gc.isenabled() is collecting

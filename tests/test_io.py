@@ -1,4 +1,6 @@
+import itertools
 import json
+import operator
 import os
 import re
 import tempfile
@@ -41,7 +43,7 @@ from ultrawave.io import (
 )
 from ultrawave.operators import HomogeneousSymbol, TableSymbol
 from ultrawave.products import MultiOperator
-from ultrawave.solver import CauchyProblem, solve
+from ultrawave.solver import CauchyProblem, ResidualReport, Solution, solve
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import WaveletExpansion
 
@@ -448,6 +450,95 @@ class TestNonFiniteOutput:
         path = tmp_path / "out.json"
         assert write_json(obj, str(path)) == json.dumps(obj)
         assert path.read_text(encoding="utf-8") == json.dumps(obj) + "\n"
+
+
+def _reference_entry_objs(pairs, n):
+    """The per-record dict writer the record encoder replaced, kept as the oracle of its bytes."""
+    pairs = list(pairs)
+    if not set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(
+            map(operator.itemgetter(0), pairs))))) <= {int}:
+        pairs = [((tuple(map(operator.index, vertex)), tuple(map(operator.index, j))), c) for (vertex, j), c in pairs]
+    if n == 1:
+        return [{"ball": b, "j": j, "re": c.real, "im": c.imag} for ((b,), (j,)), c in pairs]
+    return [{"vertex": list(vertex), "j": list(j), "re": c.real, "im": c.imag} for (vertex, j), c in pairs]
+
+
+def _reference_genfun_obj(u):
+    items = [(key, c) for key, c in u.items() if key != u.anchor_key]
+    return {"anchor": {"vertex": list(map(operator.index, u.anchor)),
+                       "value": [u.anchor_value.real, u.anchor_value.imag]},
+            "coeffs": _reference_entry_objs(items, u.n)}
+
+
+def _reference_solution_text(sol):
+    obj = _reference_genfun_obj(sol.u)
+    keys = _reference_entry_objs(((key, 0j) for key in sol.free_params), sol.u.n)
+    obj["free_params"] = [{name: v for name, v in rec.items() if name not in ("re", "im")} for rec in keys]
+    obj["residual"] = {"max_rel": sol.residual.max_rel, "max_abs": sol.residual.max_abs,
+                       "warnings": list(sol.residual.warnings)}
+    return json.dumps(obj, check_circular=False, allow_nan=False)
+
+
+_AWKWARD_VALUES = [complex(-0.0, 5e-324), complex(1e300, -0.0), complex(0.1, -1e300), complex(-5e-324, 1 / 3),
+                   complex(0.0, 0.0), complex(-2.5e-7, 123456789.0)]
+
+
+def _awkward_solution(n):
+    """A solution on padic(3,2)**n whose ids are in part numpy integers and bools, with extreme values."""
+    tree = build_padic_tree(3, 2)  # non-leaf balls 0..3 with wavelets j = 1, 2; ball 4 is a leaf
+    components = [(b, j) for b in range(4) for j in (1, 2)] + [(4, 0)]
+    id_types = [int, np.int64, np.int32, bool, np.uint8]
+    coeffs, free = {}, []
+    for k, parts in enumerate(itertools.product(components, repeat=n)):
+        if all(j == 0 for _, j in parts):
+            continue  # the anchor key, set through anchor_value
+        cast = id_types[k % len(id_types)]
+        if cast is bool:  # True stands for 1, False for 0
+            cast = (lambda x: bool(x) if x < 2 else x)
+        key = (tuple(cast(b) for b, _ in parts), tuple(cast(j) for _, j in parts))
+        coeffs[key] = _AWKWARD_VALUES[k % len(_AWKWARD_VALUES)]
+        if k % 3 == 0:
+            free.append(key)
+    u = GeneralizedFunction([tree] * n, (np.int64(4),) * n, coeffs, anchor_value=complex(-0.0, 1e300))
+    warnings = ('near "characteristic" eigenvalue \\ at ball 1', "r\u00e9sidu \u2248 0 \u4e2d\n\tend")
+    return Solution(u, tuple(free), ResidualReport(5e-324, -0.0, warnings), ())
+
+
+class TestRecordEncoder:
+    """One encoder writes every coefficient record: the bytes of the per-record dict writer it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_solution_text_equals_the_dict_writer(self, n):
+        sol = _awkward_solution(n)
+        assert {type(b) for (vertex, _), _ in sol.u.items() for b in vertex} >= {int, np.int64, bool}
+        assert write_json(solution_to_obj(sol), None) == _reference_solution_text(sol)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_to_obj_values_equal_the_dict_writer(self, n):
+        u = _awkward_solution(n).u
+        series = LizorkinSeries(n, {key: c for key, c in u.items() if all(j >= 1 for j in key[1])})
+        cases = [(genfun_to_obj(u), _reference_genfun_obj(u)),
+                 (lizorkin_to_obj(series), {"mean": [0.0, 0.0], "coeffs": _reference_entry_objs(series.items(), n)})]
+        if n == 1:
+            e = WaveletExpansion(1.0, {(b, j): c for ((b,), (j,)), c in series.items()})
+            pairs = [(((b,), (j,)), complex(c)) for (b, j), c in sorted(e.coeffs.items())]
+            cases.append((expansion_to_obj(e), {"mean": [1.0, 0.0], "coeffs": _reference_entry_objs(pairs, 1)}))
+        for got, want in cases:
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)  # also the sign of zero, and ints that are not bools
+
+    def test_empty_records(self):
+        u = GeneralizedFunction([build_padic_tree(2, 1)], (1,), {}, anchor_value=1.0)
+        sol = Solution(u, (), ResidualReport(0.0, 0.0), ())
+        assert write_json(solution_to_obj(sol), None) == _reference_solution_text(sol)
+        assert genfun_to_obj(u)["coeffs"] == []
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(0.0, float("-inf"))])
+    def test_non_finite_coefficient_raises(self, bad):
+        tree = build_padic_tree(2, 2)
+        u = GeneralizedFunction([tree] * 2, (3, 3), {((0, 1), (1, 1)): 1.0, ((1, 2), (1, 1)): bad})
+        with pytest.raises(NonFiniteError, match=r"^cannot write a non-finite value as JSON"):
+            solution_to_obj(Solution(u, (), ResidualReport(0.0, 0.0), ()))
 
 
 class TestMalformedSolutions:
