@@ -19,7 +19,6 @@ from .trees import (
     BallTree,
     RegularSubtree,
     build_padic_tree,
-    full_subtree,
     tree_from_leaf_measures,
     validate_regular_subtree,
 )
@@ -35,12 +34,10 @@ from .wavelets import (
     wavelet_basis,
 )
 from .operators import (
-    ConvergenceReport,
     HomogeneousSymbol,
     Spectrum,
     TableSymbol,
     apply_dense,
-    check_convergence,
     eigenvalue,
     operator_matrix,
     spectrum,

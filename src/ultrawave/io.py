@@ -23,11 +23,11 @@ from .operators import HomogeneousSymbol, Symbol, TableSymbol
 from .products import MultiOperator
 from .solver import CauchyProblem, Solution
 from .trees import BallTree, build_padic_tree
-from .wavelets import WaveletExpansion
 
 _PADIC_RE = re.compile(r"^padic\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 _HOMOG_RE = re.compile(r"^homog\((.*)\)$")
-_HOMOG_ARGS = {"beta": float, "c": complex, "tail": lambda text: text.lower() in ("1", "true", "yes")}
+_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_HOMOG_ARGS = {"beta": float, "c": complex, "tail": lambda text: _SWITCHES[text.lower()]}
 
 
 def _read_json(path: str) -> Any:
@@ -253,7 +253,7 @@ def _homog_shorthand(text: str) -> HomogeneousSymbol | None:
             raise FileFormatError(f"unknown homog() key {key!r}", location=text)
         try:
             kwargs[key] = _HOMOG_ARGS[key](val)
-        except ValueError:
+        except (KeyError, ValueError):  # KeyError: a tail that is not a switch, such as ``ture``
             raise FileFormatError(f"bad homog() value {part!r}", location=text) from None
     if "beta" not in kwargs:
         raise FileFormatError("homog() needs beta=...", location=text)
@@ -336,17 +336,14 @@ def _coeff_entry_key(rec: Mapping[str, Any], location: str) -> tuple[tuple[int, 
             _int_tuple(j, "coefficient entry", rec, location))
 
 
-def _strict_coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, complex]:
+def _strict_coeff_records(records, location: str) -> dict[Key, complex]:
     """Coefficient records to a ``(vertex, j) -> complex`` dict, checking each record in turn.
 
-    Raises ``FileFormatError`` at the first bad record.  ``one_dim`` also
-    rejects a record whose vertex has more than one ball.
+    Raises ``FileFormatError`` at the first bad record.
     """
     coeffs = {}
     for rec in records:
         key = _coeff_entry_key(rec, location)  # first: it also rejects a record that is not an object
-        if one_dim and len(key[0]) != 1:
-            raise FileFormatError("a wavelet expansion is one-dimensional", location)
         coeffs[key] = _complex_of(rec, location)
     return coeffs
 
@@ -354,7 +351,7 @@ def _strict_coeff_records(records, location: str, one_dim: bool = False) -> dict
 _VERTEX, _BALL, _J, _RE, _IM = map(itemgetter, ("vertex", "ball", "j", "re", "im"))
 
 
-def _fast_coeff_records(records, one_dim: bool = False) -> dict[Key, complex] | None:
+def _fast_coeff_records(records) -> dict[Key, complex] | None:
     """The strict loader's dict, built column by column when every record has exact types.
 
     ``records`` must hold only ``dict`` records, either all with scalar
@@ -380,12 +377,10 @@ def _fast_coeff_records(records, one_dim: bool = False) -> dict[Key, complex] | 
         return None
     if not set(map(type, chain(res, ims))) <= {float}:
         return None
-    if one_dim and not set(map(len, map(itemgetter(0), keys))) <= {1}:
-        return None
     return dict(zip(keys, map(complex, res, ims)))
 
 
-def _coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, complex]:
+def _coeff_records(records, location: str) -> dict[Key, complex]:
     """Coefficient records to a ``(vertex, j) -> complex`` dict in record order.
 
     ``records`` must be a list.  Keys are ``(tuple, tuple)`` of exact ints
@@ -397,8 +392,8 @@ def _coeff_records(records, location: str, one_dim: bool = False) -> dict[Key, c
     """
     if not isinstance(records, list):
         raise FileFormatError(f"coefficient records must be a list, got {records!r}", location)
-    coeffs = _fast_coeff_records(records, one_dim)
-    return _strict_coeff_records(records, location, one_dim) if coeffs is None else coeffs
+    coeffs = _fast_coeff_records(records)
+    return _strict_coeff_records(records, location) if coeffs is None else coeffs
 
 
 class _JSONText(str):
@@ -434,19 +429,6 @@ def _coeff_records_json(keys, n: int, values=None) -> _JSONText:
         fmt += ', "re": %r, "im": %r'
         columns += [[c.real for c in values], [c.imag for c in values]]
     return _JSONText("[" + ", ".join(map((fmt + "}").__mod__, zip(*columns))) + "]")
-
-
-def expansion_from_obj(obj: Mapping[str, Any], location: str = "expansion") -> WaveletExpansion:
-    _object(obj, "an expansion", location)
-    mean = _pair_of(obj.get("mean", 0.0), location)
-    coeffs = _coeff_records(obj.get("coeffs", []), location, one_dim=True)
-    return WaveletExpansion(mean, {(vertex[0], j[0]): c for (vertex, j), c in coeffs.items()})
-
-
-def expansion_to_obj(e: WaveletExpansion) -> dict[str, Any]:
-    items = sorted(e.coeffs.items())
-    coeffs = _coeff_records_json((((b,), (j,)) for (b, j), _ in items), 1, (complex(c) for _, c in items))
-    return {"mean": _pair(e.mean), "coeffs": json.loads(coeffs)}
 
 
 def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") -> LizorkinSeries:
@@ -498,7 +480,13 @@ def genfun_from_obj(
     obj: Mapping[str, Any], trees: Sequence[BallTree], location: str = "function"
 ) -> GeneralizedFunction:
     anchor, value = _anchor_of(_object(obj, "a generalized function", location), location)
-    return GeneralizedFunction(trees, anchor, _coeff_records(obj.get("coeffs", []), location), value)
+    coeffs = _coeff_records(obj.get("coeffs", []), location)
+    if not cmath.isfinite(value):
+        raise FileFormatError(f"the anchor value {value} is not finite", location)
+    if not all(map(cmath.isfinite, coeffs.values())):
+        key, c = next((key, c) for key, c in coeffs.items() if not cmath.isfinite(c))
+        raise FileFormatError(f"coefficient {c} at {key} is not finite", location)
+    return GeneralizedFunction(trees, anchor, coeffs, value)
 
 
 def solution_to_obj(sol: Solution) -> dict[str, Any]:

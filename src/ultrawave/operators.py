@@ -49,6 +49,11 @@ class TableSymbol:
 
     entries: Mapping[int, complex]
 
+    def __post_init__(self):
+        for ball, v in self.entries.items():
+            if not cmath.isfinite(v):
+                raise ParameterError(f"table symbol needs finite values, got {v!r} at ball {ball}")
+
     def value(self, tree: BallTree, ball: int) -> complex:
         tree.check_ball(ball)
         try:
@@ -79,16 +84,13 @@ class HomogeneousSymbol:
             scale = d ** -self.beta
         except OverflowError:
             raise NonFiniteError(f"symbol value at ball {ball} overflows: diameter {d} ** -{self.beta}") from None
-        return complex(self.c) * scale
+        value = complex(self.c) * scale
+        if not cmath.isfinite(value):
+            raise NonFiniteError(f"symbol value at ball {ball} overflows: {self.c} * {d} ** -{self.beta} = {value}")
+        return value
 
 
 Symbol = TableSymbol | HomogeneousSymbol
-
-
-def _wants_tail(symbol: Symbol, tail: bool | None) -> bool:
-    if tail is None:
-        return isinstance(symbol, HomogeneousSymbol) and symbol.tail
-    return tail
 
 
 def _tail_ratio(p: int, beta: float) -> float:
@@ -99,9 +101,10 @@ def _tail_ratio(p: int, beta: float) -> float:
         return math.inf
 
 
-def _tail_sum(tree: BallTree, symbol: Symbol) -> complex:
-    if not isinstance(symbol, HomogeneousSymbol):
-        raise UnsupportedTailError("analytic tails exist only for scale-homogeneous symbols")
+def _tail_sum(tree: BallTree, symbol: Symbol) -> complex | None:
+    """The analytic tail the symbol's ``tail`` field asks for; None when it asks for none."""
+    if not (isinstance(symbol, HomogeneousSymbol) and symbol.tail):
+        return None
     if tree.padic is None:
         raise UnsupportedTailError("analytic tails are defined on p-adic trees only")
     p = tree.padic[0]
@@ -115,7 +118,7 @@ def _tail_sum(tree: BallTree, symbol: Symbol) -> complex:
     return complex(symbol.c) * (1.0 - 1.0 / p) * ratio / (1.0 - ratio)
 
 
-def eigenvalue(tree: BallTree, symbol: Symbol, ball: int, tail: bool | None = None) -> complex:
+def eigenvalue(tree: BallTree, symbol: Symbol, ball: int) -> complex:
     """Eigenvalue of the operator on the wavelets attached to ``ball``."""
     if tree.is_leaf(ball):
         raise ParameterError(f"ball {ball} is a leaf; wavelets attach to non-leaf balls")
@@ -124,8 +127,9 @@ def eigenvalue(tree: BallTree, symbol: Symbol, ball: int, tail: bool | None = No
     for anc in tree.ancestors(ball):
         lam += symbol.value(tree, anc) * (tree.measure[anc] - tree.measure[below])
         below = anc
-    if _wants_tail(symbol, tail):
-        lam += _tail_sum(tree, symbol)
+    extra = _tail_sum(tree, symbol)
+    if extra is not None:
+        lam += extra
     return complex(lam)
 
 
@@ -142,7 +146,7 @@ class Spectrum:
         return sorted(self.eigenvalues.items())
 
 
-def spectrum(tree: BallTree, symbol: Symbol, tail: bool | None = None) -> Spectrum:
+def spectrum(tree: BallTree, symbol: Symbol) -> Spectrum:
     """Every eigenvalue in one top-down pass, keyed in ascending ball id.
 
     The ancestor sum of a ball's child is the ball's own sum plus one term,
@@ -156,10 +160,10 @@ def spectrum(tree: BallTree, symbol: Symbol, tail: bool | None = None) -> Spectr
         return Spectrum({})
     try:
         t = {b: symbol.value(tree, b) for b in balls}
-        extra = _tail_sum(tree, symbol) if _wants_tail(symbol, tail) else None
+        extra = _tail_sum(tree, symbol)
     except Exception:
         for b in balls:
-            eigenvalue(tree, symbol, b, tail)
+            eigenvalue(tree, symbol, b)
         raise
     measure, children = tree.measure, tree.children
     lam = {}
@@ -175,35 +179,6 @@ def spectrum(tree: BallTree, symbol: Symbol, tail: bool | None = None) -> Spectr
     if extra is None:
         return Spectrum({b: lam[b] for b in balls})
     return Spectrum({b: lam[b] + extra for b in balls})
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    converges: bool
-    ratio: float | None
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.converges
-
-
-def check_convergence(tree: BallTree, symbol: Symbol, tail: bool | None = None) -> ConvergenceReport:
-    """Whether all eigenvalue sums for this symbol/tree combination are finite."""
-    if not _wants_tail(symbol, tail):
-        return ConvergenceReport(True, None, "finite tree without tail: all sums are finite")
-    if not isinstance(symbol, HomogeneousSymbol):
-        return ConvergenceReport(False, None, "table symbols do not define an upward tail")
-    if tree.padic is None:
-        return ConvergenceReport(False, None, "upward tail requires a p-adic tree")
-    if symbol.c == 0:
-        return ConvergenceReport(True, 0.0, "zero symbol: tail is identically zero")
-    p = tree.padic[0]
-    ratio = _tail_ratio(p, symbol.beta)
-    if ratio >= 1.0:
-        return ConvergenceReport(
-            False, ratio, f"geometric ratio p**(1-beta) = {ratio} >= 1; partial sums grow"
-        )
-    return ConvergenceReport(True, ratio, f"geometric ratio p**(1-beta) = {ratio} < 1")
 
 
 def operator_matrix(tree: BallTree, symbol: Symbol) -> np.ndarray:

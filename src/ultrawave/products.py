@@ -15,6 +15,7 @@ component that has children; ``TOP`` and leaves contribute no direction.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,29 +55,16 @@ def vertex_key(v: Vertex) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class AugmentedFactor:
-    """One factor tree, optionally augmented by the TOP vertex.
+    """One factor tree; ``TOP`` joins its vertices when the product is augmented.
 
-    ``top_present`` is true exactly when the factor has finite total measure
-    (always the case for the finite trees handled here, but it can be forced
-    off to model an infinite-measure factor structurally).
+    Every tree here has finite total measure, so ``TOP`` is always present.
     """
 
     tree: BallTree
-    top_present: bool = True
-
-    @property
-    def total_measure(self) -> float:
-        return self.tree.total_measure
 
     def vertex_components(self, augmented: bool) -> list[Component]:
         comps: list[Component] = list(range(self.tree.n_vertices))
-        if augmented and self.top_present:
-            comps.append(TOP)
-        return comps
-
-    def generic_components(self, augmented: bool) -> list[Component]:
-        comps: list[Component] = list(self.tree.non_leaf_balls())
-        if augmented and self.top_present:
+        if augmented:
             comps.append(TOP)
         return comps
 
@@ -104,19 +92,12 @@ class ProductSpace:
     def vertices(self, augmented: bool = False) -> Iterator[Vertex]:
         yield from itertools.product(*(f.vertex_components(augmented) for f in self.factors))
 
-    def generic_vertices(self, augmented: bool = False) -> Iterator[Vertex]:
-        yield from itertools.product(*(f.generic_components(augmented) for f in self.factors))
-
-    def is_generic(self, v: Vertex) -> bool:
-        self._check_vertex(v)
-        return all(c is TOP or not f.tree.is_leaf(c) for c, f in zip(v, self.factors))
-
     def contains(self, v: Vertex, augmented: bool = False) -> bool:
         if len(v) != self.n:
             return False
         for c, f in zip(v, self.factors):
             if c is TOP:
-                if not (augmented and f.top_present):
+                if not augmented:
                     return False
             else:
                 try:
@@ -124,13 +105,6 @@ class ProductSpace:
                 except UnknownBallError:
                     return False
         return True
-
-    def measure(self, v: Vertex) -> float:
-        self._check_vertex(v)
-        out = 1.0
-        for c, f in zip(v, self.factors):
-            out *= f.total_measure if c is TOP else f.tree.measure[c]
-        return out
 
     def sup(self, a: Vertex, b: Vertex) -> Vertex:
         self._check_vertex(a)
@@ -142,24 +116,6 @@ class ProductSpace:
             else:
                 out.append(f.tree.sup(ca, cb))
         return tuple(out)
-
-    def sufficiently_larger(self, a: Vertex, b: Vertex) -> bool:
-        """True iff a is strictly greater than b in every component."""
-        self._check_vertex(a)
-        self._check_vertex(b)
-        for ca, cb, f in zip(a, b, self.factors):
-            if ca is TOP:
-                if cb is TOP:
-                    return False
-            elif cb is TOP:
-                return False
-            elif not (ca != cb and f.tree.is_ancestor(ca, cb)):
-                return False
-        return True
-
-    def point_grid(self) -> Iterator[tuple[int, ...]]:
-        """All tuples of factor leaves, ordered like nested Kronecker products."""
-        yield from itertools.product(*(f.tree.leaves for f in self.factors))
 
 
 def product(factors: Sequence[AugmentedFactor | BallTree]) -> ProductSpace:
@@ -258,15 +214,6 @@ class MultiWavelet:
     j: tuple[int | None, ...]
     parts: tuple[Wavelet | None, ...]
 
-    def value(self, space: ProductSpace, point: tuple[int, ...]) -> complex:
-        out = 1.0 + 0.0j
-        for part, f, x in zip(self.parts, space.factors, point):
-            if part is None:
-                out *= normalized_constant(f.tree)
-            else:
-                out *= evaluate(f.tree, part, x)
-        return out
-
     def leaf_vector(self, space: ProductSpace) -> np.ndarray:
         vecs = []
         for part, f in zip(self.parts, space.factors):
@@ -285,7 +232,7 @@ def multiwavelet_basis(space: ProductSpace, augmented: bool = True) -> Iterator[
     """All tensor wavelets over generic vertices, in deterministic order."""
     per_factor: list[list[tuple[Component, int | None, Wavelet | None]]] = []
     for f in space.factors:
-        top = [(TOP, None, None)] if augmented and f.top_present else []
+        top = [(TOP, None, None)] if augmented else []
         per_factor.append([(w.ball, w.j, w) for w in tree_wavelets(f.tree)] + top)
     for combo in itertools.product(*per_factor):
         yield MultiWavelet(
@@ -321,7 +268,10 @@ class MultiOperator:
             for i in idx:
                 if not (0 <= i < len(self.factors)):
                     raise ParameterError(f"term index {i} out of range for {len(self.factors)} factors")
-            checked.append((idx, complex(coeff)))
+            coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise ParameterError(f"operator terms need finite coefficients, got {coeff!r}")
+            checked.append((idx, coeff))
         self.terms = tuple(checked)
         self._spectra: list[dict[int, complex] | None] = [None] * len(self.factors)
 

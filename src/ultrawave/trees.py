@@ -136,9 +136,6 @@ class BallTree:
     def branching_index(self, i: int) -> int:
         return len(self.children[self.check_ball(i)])
 
-    def maximal_subballs(self, i: int) -> tuple[int, ...]:
-        return self.children[self.check_ball(i)]
-
     def non_leaf_balls(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n_vertices) if self.children[i])
 
@@ -352,7 +349,3 @@ class RegularSubtree:
 
     def __contains__(self, ball: int) -> bool:
         return ball in self.members
-
-
-def full_subtree(tree: BallTree) -> RegularSubtree:
-    return RegularSubtree(tree, range(tree.n_vertices))

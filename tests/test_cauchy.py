@@ -345,7 +345,7 @@ def _reference_term_scale(op, lams):
 
 def _reference_classify(op, epsilon):
     lam_map, chars = {}, []
-    for v in op.space().generic_vertices(augmented=False):
+    for v in itertools.product(*(tree.non_leaf_balls() for tree, _ in op.factors)):
         lams = op.lambda_vector(v)
         lam = op.form(lams)
         scale = _reference_term_scale(op, lams)

@@ -396,9 +396,8 @@ class TestErrorPaths:
 
     def test_non_finite_json_output_exit_four(self, tmp_path, capsys):
         symbol = tmp_path / "symbol.json"
-        # json.load accepts the Infinity token, so the table value loads as inf
-        symbol.write_text('{"kind": "table", "entries": [{"ball": 0, "re": Infinity, "im": 0.0}, '
-                          '{"ball": 1, "re": 1.0, "im": 0.0}, {"ball": 2, "re": 1.0, "im": 0.0}]}')
+        # finite symbol values and a finite tail (0.85e308) whose sum at the root overflows
+        symbol.write_text('{"kind": "homogeneous", "c": [1.7e308, 0.0], "beta": 2.0, "tail": true}')
         out = tmp_path / "spectrum.json"
         assert main(["spectrum", "--space", "padic(2,1)", "--symbol", str(symbol), "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("numeric failure: cannot write a non-finite value")
@@ -603,6 +602,64 @@ class TestInlinePartLocations:
         path.write_text(json.dumps({"spaces": ["padic(2,2)"], "operator": "op.json", "anchor": {"vertex": [3]}}))
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {op}: homogeneous symbol: 'tail'")
+
+
+class TestNonFiniteData:
+    """Non-finite operator data and solution values are refused, not classified or paired as if finite."""
+
+    @staticmethod
+    def run(argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        return captured.err
+
+    @staticmethod
+    def characteristics(op_path, depth=2, fmt="json"):
+        space = f"padic(2,{depth})"
+        return ["characteristics", "--space", space, "--space", space, "--operator", str(op_path), "--format", fmt]
+
+    def test_table_symbol_entry_exit_two(self, tmp_path, capsys):
+        table = ('{"kind": "table", "entries": [{"ball": 0, "re": 1e400}, '
+                 '{"ball": 1, "re": 1.0}, {"ball": 2, "re": 1.0}]}')
+        op = tmp_path / "op.json"
+        op.write_text('{"factors": [%s, %s], "terms": [{"indices": [1], "re": 1.0}, {"indices": [2], "re": -1.0}]}'
+                      % (table, table))
+        err = self.run(self.characteristics(op), 2, capsys)
+        assert err.startswith("error: table symbol needs finite values, got (inf+0j) at ball 0")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_homogeneous_factor_exit_four(self, tmp_path, capsys, fmt):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(_with(_WAVE_OPERATOR, ("factors",), ["homog(beta=2,c=1e308)"] * 2)))
+        err = self.run(self.characteristics(op, depth=3, fmt=fmt), 4, capsys)
+        assert err.startswith("numeric failure: symbol value at ball 1 overflows")
+
+    def test_term_coefficient_exit_two(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(_WAVE_OPERATOR).replace('"re": -1.0', '"re": 1e400'))
+        err = self.run(self.characteristics(op), 2, capsys)
+        assert err.startswith("error: operator terms need finite coefficients, got (inf+0j)")
+
+    def test_homog_shorthand_tail_typo_exit_two(self, capsys):
+        err = self.run(["spectrum", "--space", "padic(2,2)", "--symbol", "homog(beta=0.5,tail=ture)"], 2, capsys)
+        assert err.startswith("error: homog(beta=0.5,tail=ture): bad homog() value 'tail=ture'")
+
+    @pytest.mark.parametrize("at,fmt", [("[[0, 1]]", "json"), ("[[3, 3]]", "json"), ("[[0, 1]]", "csv")])
+    def test_solution_coefficient_exit_two(self, tmp_path, capsys, at, fmt):
+        """Whether or not the pairing reaches the key, and in either format."""
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(_TWO_FACTOR_SOLUTION).replace('"re": 1.0', '"re": 1e400'))
+        err = self.run(["eval", str(path), "--space", "padic(2,2)", "--space", "padic(2,2)", "--at", at,
+                        "--format", fmt], 2, capsys)
+        assert err.startswith(f"error: {path}: coefficient (inf+0j) at ((0, 1), (1, 1)) is not finite")
+
+    def test_solution_anchor_value_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(_with(_TWO_FACTOR_SOLUTION, ("anchor", "value"), [0.0, "@"])).replace('"@"', "NaN"))
+        err = self.run(["eval", str(path), "--space", "padic(2,2)", "--space", "padic(2,2)", "--at", "[[3, 3]]"],
+                       2, capsys)
+        assert err.startswith(f"error: {path}: the anchor value")
 
 
 # -- junk input: every subcommand exits 0, 2, 3 or 4 and never prints a traceback --

@@ -20,8 +20,6 @@ from ultrawave.io import (
     _fast_coeff_records,
     _pair_of,
     _strict_coeff_records,
-    expansion_from_obj,
-    expansion_to_obj,
     genfun_from_obj,
     genfun_to_obj,
     lizorkin_from_obj,
@@ -45,7 +43,6 @@ from ultrawave.operators import HomogeneousSymbol, TableSymbol
 from ultrawave.products import MultiOperator
 from ultrawave.solver import CauchyProblem, ResidualReport, Solution, solve
 from ultrawave.trees import BallTree, build_padic_tree
-from ultrawave.wavelets import WaveletExpansion
 
 
 class TestSpaceFiles:
@@ -106,6 +103,8 @@ class TestSymbolFiles:
         assert sym == HomogeneousSymbol(beta=0.5)
         sym = load_symbol("homog(beta=2, c=3, tail=true)")
         assert sym == HomogeneousSymbol(c=3.0, beta=2.0, tail=True)
+        for text, tail in [("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False)]:
+            assert load_symbol(f"homog(beta=2, tail={text})").tail is tail
 
     def test_shorthand_requires_beta(self):
         with pytest.raises(FileFormatError):
@@ -131,11 +130,6 @@ class TestOperatorFiles:
 
 
 class TestCoefficientFiles:
-    def test_expansion_roundtrip(self):
-        e = WaveletExpansion(1.0 - 2.0j, {(0, 1): 3.0, (1, 1): -1.0j})
-        back = expansion_from_obj(expansion_to_obj(e))
-        assert back.mean == e.mean and back.coeffs == e.coeffs
-
     def test_lizorkin_roundtrip_nd(self):
         s = LizorkinSeries(2, {((0, 0), (1, 1)): 2.0 + 1.0j})
         back = lizorkin_from_obj(lizorkin_to_obj(s), 2)
@@ -192,11 +186,6 @@ class TestIdsWrittenAsJsonIntegers:
         s = LizorkinSeries(2, {((np.int64(0), True), (True, np.int32(2))): 2.0, ((1, 2), (1, 1)): 1j})
         back = lizorkin_from_obj(written(lizorkin_to_obj(s)), 2)
         assert back.coeffs == s.coeffs == {((0, 1), (1, 2)): 2.0, ((1, 2), (1, 1)): 1j}
-
-    def test_expansion_roundtrip(self):
-        e = WaveletExpansion(1.0, {(np.int64(0), True): 3.0, (1, np.int32(1)): -1.0j})
-        back = expansion_from_obj(written(expansion_to_obj(e)))
-        assert back.coeffs == e.coeffs == {(0, 1): 3.0, (1, 1): -1.0j}
 
     def test_space_and_table_symbol_roundtrip(self):
         t = BallTree([None, np.int64(0), np.int32(0)], [1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
@@ -323,7 +312,7 @@ class TestNonIntegralIds:
     def test_every_coefficient_loader_rejects_them(self):
         bad = [{"ball": 1, "j": 1.5, "re": 1.0}]
         with pytest.raises(FileFormatError, match="non-integral"):
-            expansion_from_obj({"mean": 0.0, "coeffs": bad})
+            genfun_from_obj({"anchor": {"vertex": [3]}, "coeffs": bad}, [build_padic_tree(2, 2)])
         with pytest.raises(FileFormatError, match="non-integral"):
             lizorkin_from_obj({"mean": 0.0, "coeffs": bad}, 1)
 
@@ -373,8 +362,6 @@ class TestStringAndBooleanIds:
         with pytest.raises(FileFormatError, match="is not a number"):
             lizorkin_from_obj({"mean": 0.0, "coeffs": [entry]}, len(trees))
         if one_dim:
-            with pytest.raises(FileFormatError, match="is not a number"):
-                expansion_from_obj({"mean": 0.0, "coeffs": [entry]})
             return
         for part in ("boundary", "free_params"):
             problem = {"spaces": ["padic(2,2)"] * 2, "operator": {"factors": ["homog(beta=1)"] * 2},
@@ -423,12 +410,6 @@ class TestRecordLoaderPaths:
         fast = _fast_coeff_records(records)
         assert list(fast) == [((1,), (1,)), ((0,), (1,))]
         assert repr(list(fast.items())) == repr(list(_strict_coeff_records(records, "f").items()))
-
-    def test_one_dim_declines_longer_vertices(self):
-        assert _fast_coeff_records(self.VERTEX, one_dim=True) is None
-        with pytest.raises(FileFormatError, match="one-dimensional"):
-            expansion_from_obj({"mean": 0.0, "coeffs": self.VERTEX})
-        assert expansion_from_obj({"mean": 0.0, "coeffs": self.BALL}).coeffs == {(1, 1): 2.0, (0, 1): 3j}
 
 
 class TestNonFiniteOutput:
@@ -519,10 +500,6 @@ class TestRecordEncoder:
         series = LizorkinSeries(n, {key: c for key, c in u.items() if all(j >= 1 for j in key[1])})
         cases = [(genfun_to_obj(u), _reference_genfun_obj(u)),
                  (lizorkin_to_obj(series), {"mean": [0.0, 0.0], "coeffs": _reference_entry_objs(series.items(), n)})]
-        if n == 1:
-            e = WaveletExpansion(1.0, {(b, j): c for ((b,), (j,)), c in series.items()})
-            pairs = [(((b,), (j,)), complex(c)) for (b, j), c in sorted(e.coeffs.items())]
-            cases.append((expansion_to_obj(e), {"mean": [1.0, 0.0], "coeffs": _reference_entry_objs(pairs, 1)}))
         for got, want in cases:
             assert got == want
             assert json.dumps(got) == json.dumps(want)  # also the sign of zero, and ints that are not bools
@@ -556,6 +533,15 @@ class TestMalformedSolutions:
         ({"anchor": {"vertex": [0, 0], "value": [1, None]}}, "expected"),
         ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"vertex": [1, 1], "j": [1, 1], "re": 10**400}]},
          "bad complex entry"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"vertex": [1, 1], "j": [1, 1], "re": 1.0},
+                                                   {"vertex": [0, 1], "j": [1, 1], "re": float("inf")}]},
+         re.escape("coefficient (inf+0j) at ((0, 1), (1, 1)) is not finite")),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"vertex": [1, 1], "j": [1, 1], "im": float("nan")}]},
+         "is not finite"),
+        ({"anchor": {"vertex": [0, 0]}, "coeffs": [{"vertex": [1, 0], "j": [1, 1], "re": 2, "im": float("-inf")}]},
+         "is not finite"),  # an int ``re``: the strict record loader
+        ({"anchor": {"vertex": [0, 0], "value": [float("inf"), 0.0]}, "coeffs": []}, "the anchor value .* is not finite"),
+        ({"anchor": {"vertex": [0, 0], "value": float("nan")}, "coeffs": []}, "the anchor value .* is not finite"),
     ])
     def test_schema_errors_name_the_location(self, obj, message):
         trees = [build_padic_tree(2, 2)] * 2
@@ -695,10 +681,10 @@ def loader_outcome(load):
 
 
 @settings(max_examples=300)
-@given(records=coefficient_records(), one_dim=st.booleans())
-def test_fast_and_strict_record_loaders_agree(records, one_dim):
-    fast = loader_outcome(lambda: _coeff_records(records, "f.json", one_dim))
-    assert fast == loader_outcome(lambda: _strict_coeff_records(records, "f.json", one_dim))
+@given(records=coefficient_records())
+def test_fast_and_strict_record_loaders_agree(records):
+    fast = loader_outcome(lambda: _coeff_records(records, "f.json"))
+    assert fast == loader_outcome(lambda: _strict_coeff_records(records, "f.json"))
     if fast[0] != "ok":
         assert fast[0] is FileFormatError and fast[1].startswith("f.json: ")
 
@@ -870,6 +856,9 @@ class TestProblemSchema:
         ("homog(beta=x)", "bad homog() value 'beta=x'"),
         ("homog(beta=1, c=2+)", "bad homog() value 'c=2+'"),
         ("homog(beta=1, gamma=2)", "unknown homog() key 'gamma'"),
+        ("homog(beta=0.5,tail=ture)", "bad homog() value 'tail=ture'"),
+        ("homog(beta=2, tail=)", "bad homog() value 'tail='"),
+        ("homog(beta=2, tail=on)", "bad homog() value 'tail=on'"),
     ])
     def test_bad_shorthand_values(self, text, message):
         with pytest.raises(FileFormatError, match=re.escape(message)):
@@ -976,7 +965,6 @@ def test_fuzzed_problems_raise_only_library_errors(obj):
 
 SERIES = {"mean": [0.0, 0.0], "coeffs": [{"vertex": [1, 0], "j": [1, 1], "re": 1.0, "im": 0.0},
                                          {"vertex": [2, 1], "j": [2, 1], "re": -0.5}, {"ball": 3, "j": 1, "im": 2.0}]}
-EXPANSION = {"mean": [0.5, 0.0], "coeffs": [{"ball": 0, "j": 1, "re": 1.0, "im": 0.0}, {"ball": 2, "j": 2, "im": 2.0}]}
 # Only small p and depth: junk must not ask for a tree too large to build.
 SMALL_INTEGRAL = st.integers(-1, 4) | st.sampled_from([2.0, 3.0, 2.5, float("nan"), True, None, "2", [2]])
 PADIC_SPACES = st.fixed_dictionaries({"kind": st.just("padic")},
@@ -987,12 +975,6 @@ PADIC_SPACES = st.fixed_dictionaries({"kind": st.just("padic")},
 @given(obj=mutated(SERIES), n=st.integers(1, 3))
 def test_fuzzed_series_raise_only_library_errors(obj, n):
     only_library_errors(lambda: lizorkin_from_obj(obj, n))
-
-
-@settings(max_examples=300)
-@given(obj=mutated(EXPANSION))
-def test_fuzzed_expansions_raise_only_library_errors(obj):
-    only_library_errors(lambda: expansion_from_obj(obj))
 
 
 @settings(max_examples=300)

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from ultrawave.operators import (
     HomogeneousSymbol,
     TableSymbol,
     apply_dense,
-    check_convergence,
     eigenvalue,
     operator_matrix,
     spectrum,
@@ -120,7 +121,8 @@ class TestSpectrum:
 class TestConvergence:
     def test_finite_tree_always_converges(self):
         t = build_padic_tree(2, 2)
-        assert check_convergence(t, TableSymbol({b: 9.0 for b in t.non_leaf_balls()}))
+        spec = spectrum(t, TableSymbol({b: 9.0 for b in t.non_leaf_balls()}))
+        assert all(cmath.isfinite(lam) for lam in spec.eigenvalues.values())
 
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_tail_direction_matches_partial_sums(self, beta):
@@ -128,15 +130,19 @@ class TestConvergence:
         sums = tail_partial_sums(2, beta, 1.0, 60)
         increments = [abs(b - a) for a, b in zip(sums, sums[1:])]
         oracle_converges = increments[-1] < 1e-9 and increments[-1] < increments[0]
-        report = check_convergence(build_padic_tree(2, 3), HomogeneousSymbol(beta=beta, tail=True))
-        assert report.converges == oracle_converges
-        assert report.converges == (beta > 1)
+        t = build_padic_tree(2, 3)
+        try:
+            eigenvalue(t, HomogeneousSymbol(beta=beta, tail=True), t.root)
+            diverges = False
+        except DivergenceError:
+            diverges = True
+        assert diverges == (not oracle_converges)
+        assert oracle_converges == (beta > 1)
 
     def test_tail_value_matches_partial_sums(self):
         t = build_padic_tree(2, 2)
-        sym = HomogeneousSymbol(beta=2.0, tail=True)
-        lam_plain = eigenvalue(t, sym, t.root, tail=False)
-        lam_tail = eigenvalue(t, sym, t.root, tail=True)
+        lam_plain = eigenvalue(t, HomogeneousSymbol(beta=2.0), t.root)
+        lam_tail = eigenvalue(t, HomogeneousSymbol(beta=2.0, tail=True), t.root)
         limit = tail_partial_sums(2, 2.0, 1.0, 200)[-1]
         assert abs((lam_tail - lam_plain) - limit) < 1e-12
 
@@ -144,12 +150,6 @@ class TestConvergence:
         t = build_padic_tree(2, 2)
         with pytest.raises(DivergenceError):
             eigenvalue(t, HomogeneousSymbol(beta=0.5, tail=True), t.root)
-
-    def test_tail_for_table_symbol_rejected(self):
-        t = build_padic_tree(2, 2)
-        sym = TableSymbol({b: 1.0 for b in t.non_leaf_balls()})
-        with pytest.raises(UnsupportedTailError):
-            eigenvalue(t, sym, t.root, tail=True)
 
     def test_tail_needs_padic_tree(self):
         rng = np.random.default_rng(5)
@@ -239,9 +239,9 @@ class CountingSymbol:
         return self.inner.value(tree, ball)
 
 
-def assert_matches_eigenvalues(tree, symbol, tail=None):
-    spec = spectrum(tree, symbol, tail)
-    want = {b: eigenvalue(tree, symbol, b, tail) for b in tree.non_leaf_balls()}
+def assert_matches_eigenvalues(tree, symbol):
+    spec = spectrum(tree, symbol)
+    want = {b: eigenvalue(tree, symbol, b) for b in tree.non_leaf_balls()}
     assert list(spec.eigenvalues) == sorted(want)
     scale = max(abs(v) for v in want.values())
     for b, lam in want.items():
@@ -260,10 +260,10 @@ class TestOnePassSpectrum:
         assert_matches_eigenvalues(u, random_table_symbol(rng, u))
 
     @pytest.mark.parametrize("p,depth", [(2, 9), (3, 5), (5, 3)])
-    @pytest.mark.parametrize("beta,tail", [(0.5, None), (1.7, True), (1.7, False), (3.0, True)])
+    @pytest.mark.parametrize("beta,tail", [(0.5, False), (1.7, True), (1.7, False), (3.0, True)])
     def test_homogeneous_symbols(self, p, depth, beta, tail):
         t = build_padic_tree(p, depth)
-        assert_matches_eigenvalues(t, HomogeneousSymbol(c=0.7 - 0.2j, beta=beta), tail)
+        assert_matches_eigenvalues(t, HomogeneousSymbol(c=0.7 - 0.2j, beta=beta, tail=tail))
         assert_matches_eigenvalues(t, HomogeneousSymbol(c=2.0, beta=beta, tail=beta > 1.0))
 
     def test_homogeneous_symbol_on_relabeled_random_tree(self):
@@ -300,20 +300,17 @@ class TestOnePassSpectrum:
             return TableSymbol({b: 1.0 for b in balls if b not in missing})
 
         cases = [
-            (table_without(balls[0]), None),
-            (table_without(balls[-1]), None),
-            (table_without(top, min(off_chain)), None),  # the chain's error, not the smaller id's
-            (table_without(off_chain[-1]), True),  # no tail for a table symbol comes first
-            (table_without(top), True),
-            (TableSymbol({b: 1.0 for b in balls}), True),
-            (HomogeneousSymbol(beta=2.0, tail=True), None),  # not a p-adic tree
+            table_without(balls[0]),
+            table_without(balls[-1]),
+            table_without(top, min(off_chain)),  # the chain's error, not the smaller id's
+            HomogeneousSymbol(beta=2.0, tail=True),  # not a p-adic tree
         ]
-        for sym, tail in cases:
+        for sym in cases:
             with pytest.raises(Exception) as per_ball:
                 for b in balls:
-                    eigenvalue(t, sym, b, tail)
+                    eigenvalue(t, sym, b)
             with pytest.raises(Exception) as one_pass:
-                spectrum(t, sym, tail)
+                spectrum(t, sym)
             assert type(one_pass.value) is type(per_ball.value)
             assert str(one_pass.value) == str(per_ball.value)
 
@@ -332,7 +329,7 @@ class TestOnePassSpectrum:
     def test_tree_without_non_leaf_balls_is_empty(self):
         t = BallTree([None], [1.0], [0.0])
         assert spectrum(t, HomogeneousSymbol(beta=0.5, tail=True)).eigenvalues == {}
-        assert spectrum(t, TableSymbol({}), tail=True).eigenvalues == {}
+        assert spectrum(t, TableSymbol({})).eigenvalues == {}
 
     def test_factor_eigenvalue_reads_the_spectrum(self):
         rng = np.random.default_rng(4)
@@ -357,6 +354,7 @@ class TestOverflow:
     @pytest.mark.parametrize("symbol,error", [
         (HomogeneousSymbol(beta=2000.0), NonFiniteError),
         (HomogeneousSymbol(beta=-2000.0, tail=True), DivergenceError),
+        (HomogeneousSymbol(c=1e308, beta=2.0), NonFiniteError),
     ])
     def test_spectrum_raises_like_eigenvalue(self, symbol, error):
         t = build_padic_tree(2, 2)
@@ -377,5 +375,26 @@ class TestOverflow:
         sym = HomogeneousSymbol(beta=-2000.0, tail=True)
         with pytest.raises(DivergenceError, match="inf >= 1"):
             eigenvalue(t, sym, t.root)
-        report = check_convergence(t, sym)
-        assert not report.converges and report.ratio == float("inf")
+
+    @pytest.mark.parametrize("c", [1e308, complex(0.0, -1e308), complex(1e308, 1e308)])
+    def test_overflowing_product_with_c_is_non_finite(self, c):
+        t = build_padic_tree(2, 3)
+        sym = HomogeneousSymbol(c=c, beta=2.0)
+        assert sym.value(t, t.root) == c  # diameter 1: c itself
+        with pytest.raises(NonFiniteError, match="symbol value at ball 1 overflows"):
+            sym.value(t, 1)
+
+
+class TestNonFiniteOperatorData:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(1.0, float("-inf"))])
+    def test_table_symbol_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ParameterError, match="table symbol needs finite values"):
+            TableSymbol({0: 1.0, 2: bad})
+        assert TableSymbol({0: 1e308, 2: -5e-324j}).entries[0] == 1e308
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(float("nan"), 0.0)])
+    def test_multi_operator_rejects_non_finite_coefficients(self, bad):
+        t = build_padic_tree(2, 2)
+        sym = HomogeneousSymbol(beta=0.5)
+        with pytest.raises(ParameterError, match="finite coefficients"):
+            MultiOperator([(t, sym), (t, sym)], [((0,), 1.0), ((1,), bad)])

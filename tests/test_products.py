@@ -40,16 +40,26 @@ def dense_multi_operator(op):
     return total
 
 
+def generic_vertices(space):
+    """Vertices whose every component is a non-leaf ball, in ``space.vertices()`` order."""
+    return itertools.product(*(f.tree.non_leaf_balls() for f in space.factors))
+
+
+def full_dimension_vertices(space):
+    """Vertices with a decreasing edge in every component: the generic ones, as ``decreasing_edges`` decides."""
+    return [v for v in space.vertices() if decreasing_edges(space, v).max_dimension == space.n]
+
+
 class TestProductCounts:
     def test_two_binary_depth_one(self):
         space = product([build_padic_tree(2, 1), build_padic_tree(2, 1)])
         assert sum(1 for _ in space.vertices()) == 9
-        generic = list(space.generic_vertices())
-        assert generic == [(0, 0)]
+        assert full_dimension_vertices(space) == [(0, 0)]
 
     def test_mixed_depths(self):
         space = product([build_padic_tree(2, 2), build_padic_tree(3, 1)])
-        assert sum(1 for _ in space.generic_vertices()) == 3 * 1
+        assert len(full_dimension_vertices(space)) == 3 * 1
+        assert full_dimension_vertices(space) == list(generic_vertices(space))
 
     def test_augmented_count(self):
         t1, t2 = build_padic_tree(2, 1), build_padic_tree(3, 1)
@@ -60,12 +70,6 @@ class TestProductCounts:
     def test_zero_factors_rejected(self):
         with pytest.raises(ParameterError):
             product([])
-
-    def test_top_can_be_forced_off(self):
-        t = build_padic_tree(2, 1)
-        space = product([AugmentedFactor(t, top_present=False), AugmentedFactor(t)])
-        assert sum(1 for _ in space.vertices(augmented=True)) == 3 * 4
-        assert all(v[0] is not TOP for v in space.vertices(augmented=True))
 
 
 class TestVertexOrder:
@@ -79,17 +83,9 @@ class TestVertexOrder:
         # leaves in distinct root children per factor
         assert space.sup((3, 5), (5, 3)) == (0, 0)
 
-    def test_sufficiently_larger_strict_in_every_component(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(2, 2)])
-        assert space.sufficiently_larger((0, 0), (1, 1))
-        assert not space.sufficiently_larger((0, 1), (1, 1))  # equal in one component
-        assert not space.sufficiently_larger((1, 0), (0, 1))
-
     def test_top_is_larger_than_every_ball(self):
         space = product([AugmentedFactor(build_padic_tree(2, 1))])
-        assert space.sufficiently_larger((TOP,), (0,))
-        assert not space.sufficiently_larger((TOP,), (TOP,))
-        assert space.sup((TOP,), (1,)) == (TOP,)
+        assert space.sup((TOP,), (1,)) == space.sup((0,), (TOP,)) == (TOP,)
 
     def test_membership(self):
         space = product([build_padic_tree(2, 1), build_padic_tree(2, 1)])
@@ -101,10 +97,10 @@ class TestVertexOrder:
 
     @pytest.mark.parametrize("c", [np.int64(0), np.int32(2), np.uint8(1), True, 2.0, np.float64(0.0), "0", None, 3])
     def test_membership_agrees_with_vertex_check(self, c):
-        """``contains`` takes an id exactly when ``is_generic`` (through ``check_ball``) does."""
+        """``contains`` takes an id exactly when ``decreasing_edges`` (through ``check_ball``) does."""
         space = product([build_padic_tree(2, 1)])
         try:
-            space.is_generic((c,))
+            decreasing_edges(space, (c,))
             valid = True
         except UnknownBallError:
             valid = False
@@ -144,7 +140,7 @@ class TestEdges:
 
     def test_corner_partial_order_diagonal(self):
         space = product([build_padic_tree(2, 2), build_padic_tree(3, 2)])
-        for v in space.generic_vertices():
+        for v in generic_vertices(space):
             for e in decreasing_edges(space, v):
                 corners = e.corners()
                 assert e.largest == corners[frozenset()] == v
@@ -178,7 +174,9 @@ class TestMultiWavelets:
         space = product([build_padic_tree(2, 2), build_padic_tree(3, 2)])
         basis = [w.leaf_vector(space) for w in multiwavelet_basis(space)]
         B = np.array(basis)
-        nu = np.array([space.measure(pt) for pt in space.point_grid()])
+        nu = np.array([1.0])
+        for f in space.factors:
+            nu = np.kron(nu, [f.tree.measure[x] for x in f.tree.leaves])
         G = np.conj(B) @ (B * nu[None, :]).T
         assert np.max(np.abs(G - np.eye(len(basis)))) < 1e-10
 
@@ -218,7 +216,7 @@ def old_factor_entries(f, augmented):
         except DegenerateBallError:
             continue
         entries.extend((ball, w.j, w) for w in basis)
-    if augmented and f.top_present:
+    if augmented:
         entries.append((TOP, None, None))
     return entries
 
@@ -244,8 +242,7 @@ class TestMultiEigenvalue:
         t1, t2 = build_padic_tree(2, 2), build_padic_tree(3, 2)
         s1, s2 = random_table_symbol(rng, t1), random_table_symbol(rng, t2)
         op = MultiOperator([(t1, s1), (t2, s2)], [((0, 1), 1.0)])
-        space = op.space()
-        for v in space.generic_vertices():
+        for v in generic_vertices(op.space()):
             lam = op.eigenvalue(v)
             expected = eigenvalue(t1, s1, v[0]) * eigenvalue(t2, s2, v[1])
             assert lam == expected

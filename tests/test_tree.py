@@ -16,7 +16,6 @@ from ultrawave.trees import (
     BallTree,
     RegularSubtree,
     build_padic_tree,
-    full_subtree,
     tree_from_leaf_measures,
     validate_regular_subtree,
 )
@@ -136,23 +135,23 @@ class TestRegularSubtree:
         s = RegularSubtree(t, {1, 3, 4})
         assert s.top == 1
         assert s.minimal == (3, 4)
-        assert full_subtree(t).minimal == t.leaves
+        assert RegularSubtree(t, range(t.n_vertices)).minimal == t.leaves
 
 
 class TestBranching:
     def test_ternary_root(self):
         t = build_padic_tree(3, 1)
         assert t.branching_index(t.root) == 3
-        assert len(t.maximal_subballs(t.root)) == 3
+        assert len(t.children[t.root]) == 3
 
     def test_leaf(self):
         t = build_padic_tree(2, 2)
-        assert t.maximal_subballs(3) == ()
+        assert t.children[3] == ()
         assert t.branching_index(3) == 0
 
     def test_interior(self):
         t = build_padic_tree(2, 2)
-        assert len(t.maximal_subballs(1)) == 2
+        assert t.branching_index(1) == 2
 
 
 class TestValidation:
