@@ -2,8 +2,8 @@
 
 Each subcommand accepts ``--out`` and the options ``_COMMANDS`` lists for it.
 Exit codes: 0 success, 2 parse/validation failure, 3 solvability violation,
-4 numeric (divergent tail, ill-conditioned division or a non-finite result
-in JSON output).
+4 numeric (divergent tail, ill-conditioned division, an overflowing
+eigenvalue or a non-finite value to write).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import gc
 import json
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from .distributions import eval_on_char_nd
 from .errors import (
@@ -27,6 +29,7 @@ from .errors import (
 from .io import (
     _int_tuple,
     _read_json,
+    encode_records,
     fmt17,
     load_operator,
     load_problem,
@@ -37,43 +40,23 @@ from .io import (
     write_json,
 )
 from .operators import spectrum
-from .solver import characteristics, solve
+from .solver import characteristic_columns, solve
 from .wavelets import tree_wavelets
 
 
-def _emit_json(obj, out: str | None) -> None:
-    text = write_json(obj, out)
-    if not out:
-        sys.stdout.write(text + "\n")
+def _emit(obj, args: argparse.Namespace) -> None:
+    """``obj`` to ``--out`` or stdout: CSV text as it is, anything else as JSON through ``write_json``."""
+    if vars(args).get("format") != "csv":
+        obj = write_json(obj, args.out) + "\n"
+    elif args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(obj)
+    if not args.out:
+        sys.stdout.write(obj)
 
 
-def _emit_rows(rows: list[dict], columns: list[str], args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            cells = []
-            for col in columns:
-                v = row[col]
-                cells.append(fmt17(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit_json(rows, args.out)
-
-
-def _emit_vertex_rows(rows: list[dict], n: int, columns: list[str], args: argparse.Namespace) -> None:
-    """Rows with an n-factor ``vertex``; CSV spreads it over vertex_1..vertex_n."""
-    if args.format == "csv":
-        names = [f"vertex_{i + 1}" for i in range(n)]
-        flat = [{**dict(zip(names, row["vertex"])), **{c: row[c] for c in columns}} for row in rows]
-        _emit_rows(flat, names + columns, args)
-    else:
-        _emit_rows(rows, [], args)
+def _re_im(values: list[complex]) -> dict[str, list[float]]:
+    return {"re": [z.real for z in values], "im": [z.imag for z in values]}
 
 
 def _require(value, flag: str):
@@ -88,59 +71,38 @@ def _one_space(args: argparse.Namespace):
 
 
 def _spaces(args: argparse.Namespace):
-    if not args.space:
-        raise ParameterError("this command requires --space (repeat once per factor)")
-    return [load_space(s) for s in args.space]
+    return [load_space(s) for s in _require(args.space or None, "--space (repeat once per factor)")]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     tree = _one_space(args)
-    report = {
-        "ok": True,
-        "vertices": tree.n_vertices,
-        "leaves": len(tree.leaves),
-        "total_measure": tree.total_measure,
-        "zero_measure_balls": sorted(tree.zero_measure),
-    }
-    _emit_json(report, args.out)
+    _emit({"ok": True, "vertices": tree.n_vertices, "leaves": len(tree.leaves), "total_measure": tree.total_measure,
+           "zero_measure_balls": sorted(tree.zero_measure)}, args)
     return 0
 
 
 def _cmd_wavelets(args: argparse.Namespace) -> int:
     tree = _one_space(args)
-    rows = []
-    for w in tree_wavelets(tree):
-        for sub in tree.children[w.ball]:
-            v = complex(w.values[sub])
-            rows.append({"ball": w.ball, "j": w.j, "subball": sub, "re": v.real, "im": v.imag})
-    _emit_rows(rows, ["ball", "j", "subball", "re", "im"], args)
+    cells = [(w.ball, w.j, sub, complex(w.values[sub])) for w in tree_wavelets(tree) for sub in tree.children[w.ball]]
+    ball, j, subball, values = map(list, zip(*cells)) if cells else [[]] * 4
+    _emit(encode_records({"ball": ball, "j": j, "subball": subball}, _re_im(values), args.format), args)
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     tree = _one_space(args)
     symbol = load_symbol(_require(args.symbol, "--symbol"))
-    spec = spectrum(tree, symbol)
-    rows = [{"ball": b, "re": lam.real, "im": lam.imag} for b, lam in spec.items()]
-    _emit_rows(rows, ["ball", "re", "im"], args)
+    items = spectrum(tree, symbol).items()
+    _emit(encode_records({"ball": [b for b, _ in items]}, _re_im([lam for _, lam in items]), args.format), args)
     return 0
 
 
 def _cmd_characteristics(args: argparse.Namespace) -> int:
     trees = _spaces(args)
     op = load_operator(_require(args.operator, "--operator"), trees)
-    eps = args.epsilon if args.epsilon is not None else 1e-9
-    rows = []
-    for c in characteristics(op, eps):
-        rows.append(
-            {
-                "vertex": list(c.vertex),
-                "abs": abs(c.eigenvalue),
-                "re": c.eigenvalue.real,
-                "im": c.eigenvalue.imag,
-            }
-        )
-    _emit_vertex_rows(rows, len(trees), ["abs", "re", "im"], args)
+    ids, re, im, _ = characteristic_columns(op, args.epsilon if args.epsilon is not None else 1e-9)
+    floats = {"abs": np.hypot(re, im).tolist(), "re": re.tolist(), "im": im.tolist()}
+    _emit(encode_records({"vertex": tuple(col.tolist() for col in ids)}, floats, args.format), args)
     return 0
 
 
@@ -151,12 +113,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if overrides:
         problem = replace(problem, **overrides)  # re-runs the problem's checks
     sol = solve(problem)
-    _emit_json(solution_to_obj(sol), args.out)
-    sys.stderr.write(
-        f"solved: residual max_rel={fmt17(sol.residual.max_rel)}, "
-        f"{len(sol.characteristic_vertices)} characteristic vertices, "
-        f"{len(sol.free_params)} free parameters\n"
-    )
+    _emit(solution_to_obj(sol), args)
+    sys.stderr.write(f"solved: residual max_rel={fmt17(sol.residual.max_rel)}, {len(sol.characteristic_vertices)} "
+                     f"characteristic vertices, {len(sol.free_params)} free parameters\n")
     return 0
 
 
@@ -167,19 +126,16 @@ def _parse_at(at: str) -> list[tuple[int, ...]]:
         data = _read_json(at)
     if not isinstance(data, list):
         raise FileFormatError("--at expects a JSON list of vertices")
-    return [_int_tuple([item] if isinstance(item, int) else item, "vertex", item, "--at")
-            for item in data]
+    return [_int_tuple([item] if isinstance(item, int) else item, "vertex", item, "--at") for item in data]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     trees = _spaces(args)
     u = load_solution(_require(args.input, "a solution file"), trees)
-    vertices = _parse_at(_require(args.at, "--at"))
-    rows = []
-    for v in sorted(vertices):
-        value = eval_on_char_nd(u, v)
-        rows.append({"vertex": list(v), "re": value.real, "im": value.imag})
-    _emit_vertex_rows(rows, len(trees), ["re", "im"], args)
+    vertices = sorted(_parse_at(_require(args.at, "--at")))
+    values = [eval_on_char_nd(u, v) for v in vertices]
+    ids = tuple([v[i] for v in vertices] for i in range(len(trees)))
+    _emit(encode_records({"vertex": ids}, _re_im(values), args.format), args)
     return 0
 
 

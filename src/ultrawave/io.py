@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import os
 import re
 from bisect import bisect_left
 from itertools import chain, repeat
 from operator import contains, index, itemgetter
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .distributions import GeneralizedFunction, Key, LizorkinSeries
 from .errors import FileFormatError, NonFiniteError, ParameterError
@@ -400,35 +401,51 @@ class _JSONText(str):
     """JSON text that ``write_json`` writes as it is, in place of the value it encodes."""
 
 
-def _coeff_records_json(keys, n: int, values=None) -> _JSONText:
-    """The JSON list of the coefficient records of ``keys`` of arity ``n``, in key order.
+def encode_records(ids: Mapping[str, Any], floats: Mapping[str, list], fmt: str = "json",
+                   where: Callable[[int], str] | None = None) -> str:
+    """Records of id fields, then float fields, from columns: ``json.dumps`` of the row dicts, or CSV.
 
-    Arity 1 writes ``{ball, j}`` records, arity n >= 2 ``{vertex, j}``; with
-    ``values`` (one ``complex`` per key) each record also holds ``re`` and
-    ``im``.  The text is ``json.dumps`` of those records byte for byte: one
-    ``%`` format per record, fed by ``zip`` over the id columns and the
-    ``re``/``im`` columns.  Ids are written as JSON integers: unless every id
-    is an exact ``int``, they go through ``operator.index`` (a numpy integer
-    is not JSON, and a ``bool`` would be written as ``true``).  NaN and
-    infinity are not JSON: they raise ``NonFiniteError``.
+    An id field is a column, or a tuple of n columns that JSON writes as a
+    list and CSV spreads over ``name_1..name_n``.  Ids that are not all exact
+    ``int`` go through ``operator.index`` (a numpy integer is not JSON, a
+    ``bool`` would be ``true``).  Floats are Python floats (``.tolist()``),
+    written by ``repr`` in JSON and as ``fmt17`` does in CSV.  One ``%``
+    format per record, fed by ``zip`` over the columns, writes each record.
+    A NaN or an infinity raises ``NonFiniteError`` naming the first record
+    holding one (by ``where(k)`` if given).  JSON comes as ``_JSONText``.
     """
-    keys = list(keys)
-    if values is not None:
-        values = list(values)
-        if not all(map(cmath.isfinite, values)):
-            key, c = next((key, c) for key, c in zip(keys, values) if not cmath.isfinite(c))
-            raise NonFiniteError(f"cannot write a non-finite value as JSON: coefficient {c} at {key}")
-    # map/itemgetter columns: ``zip(*keys)`` would allocate an iterator per key
-    vertices, js = list(map(itemgetter(0), keys)), list(map(itemgetter(1), keys))
-    columns = [list(map(itemgetter(i), part)) for part in (vertices, js) for i in range(n)]
+    widths = {name: len(cols) if isinstance(cols, tuple) else 0 for name, cols in ids.items()}
+    columns = [col for name, cols in ids.items() for col in (cols if widths[name] else [cols])]
     if not set(map(type, chain.from_iterable(columns))) <= {int}:
         columns = [list(map(index, col)) for col in columns]
-    ids = "%d" if n == 1 else "[" + ", ".join(["%d"] * n) + "]"
-    fmt = ('{"ball": ' if n == 1 else '{"vertex": ') + ids + ', "j": ' + ids
-    if values is not None:
-        fmt += ', "re": %r, "im": %r'
-        columns += [[c.real for c in values], [c.imag for c in values]]
-    return _JSONText("[" + ", ".join(map((fmt + "}").__mod__, zip(*columns))) + "]")
+    values = list(floats.values())
+    if not math.isfinite(sum(map(sum, values))):  # a NaN or an infinity, or finite floats whose sum overflows
+        for k, row in enumerate(zip(*values)):
+            for name, x in zip(floats, row):
+                if not math.isfinite(x):
+                    raise NonFiniteError(f"cannot write a non-finite value as {fmt.upper()}: "
+                                         + (where(k) if where else f"{name} {x} in record {k}"))
+    if fmt == "csv":
+        names = [f"{name}_{i + 1}" if w else name for name, w in widths.items() for i in range(w or 1)]
+        line = ",".join(["%d"] * len(columns) + ["%.17g"] * len(values))
+        return "\n".join([",".join(names + list(floats)), *map(line.__mod__, zip(*columns, *values)), ""])
+    record = "{" + ", ".join([f'"{name}": ' + ("[" + ", ".join(["%d"] * w) + "]" if w else "%d")
+                              for name, w in widths.items()] + [f'"{name}": %r' for name in floats]) + "}"
+    return _JSONText("[%s]" % ", ".join(map(record.__mod__, zip(*columns, *values))))
+
+
+def _coeff_records_json(keys, n: int, values=None) -> _JSONText:
+    """The records of ``keys`` of arity ``n`` (``{ball, j}`` at n = 1, else ``{vertex, j}``), with ``values``."""
+    keys = list(keys)
+    # map/itemgetter columns: ``zip(*keys)`` would allocate an iterator per key
+    vertex, j = ([list(map(itemgetter(i), part)) for i in range(n)]
+                 for part in (list(map(itemgetter(0), keys)), list(map(itemgetter(1), keys))))
+    ids = {"ball": vertex[0], "j": j[0]} if n == 1 else {"vertex": tuple(vertex), "j": tuple(j)}
+    if values is None:
+        return encode_records(ids, {})
+    values = list(values)
+    return encode_records(ids, {"re": [c.real for c in values], "im": [c.imag for c in values]},
+                          where=lambda k: f"coefficient {values[k]} at {keys[k]}")
 
 
 def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") -> LizorkinSeries:
@@ -472,8 +489,7 @@ def _genfun_obj(u: GeneralizedFunction) -> dict[str, Any]:
 
 def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
     obj = _genfun_obj(u)
-    obj["coeffs"] = json.loads(obj["coeffs"])
-    return obj
+    return {**obj, "coeffs": json.loads(obj["coeffs"])}
 
 
 def genfun_from_obj(
@@ -554,24 +570,21 @@ def load_problem(path: str) -> tuple[CauchyProblem, list[BallTree]]:
 
 
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, check_circular=False, allow_nan=False)
+    return obj if isinstance(obj, _JSONText) else json.dumps(obj, check_circular=False, allow_nan=False)
 
 
 def write_json(obj: Any, path: str | None) -> str:
-    """Compact single-line JSON, written to ``path`` (with a newline) when given.
+    """Compact single-line JSON, written to ``path`` with a newline when given.
 
-    Without ``indent`` CPython serializes with its C encoder; an indented
-    dump falls back to the pure-Python one.  The objects written here hold
-    no reference cycles, so the circular-reference check is skipped.  A
-    ``_JSONText`` value of a top-level dict (keyed by strings) is written as
-    it is, between the other values' encodings.  NaN and infinity are not
-    JSON: they raise ``NonFiniteError`` before anything is written.
+    Compact output keeps CPython's C encoder (``indent`` would not).  The
+    objects written here hold no reference cycles, so the circular-reference
+    check is skipped.  A ``_JSONText``, on its own or as a value of a
+    top-level dict (keyed by strings), is written as it is.  NaN and
+    infinity raise ``NonFiniteError`` before anything is written.
     """
     try:
         if isinstance(obj, dict) and any(isinstance(value, _JSONText) for value in obj.values()):
-            text = "{" + ", ".join(
-                json.dumps(key) + ": " + (value if isinstance(value, _JSONText) else _dumps(value))
-                for key, value in obj.items()) + "}"
+            text = "{" + ", ".join(json.dumps(key) + ": " + _dumps(value) for key, value in obj.items()) + "}"
         else:
             text = _dumps(obj)
     except ValueError as exc:

@@ -23,7 +23,8 @@ Everything after the classification works on columns, not per vertex:
 * ``_classify`` returns the characteristic vertices as per-factor ball-id
   columns with their eigenvalues and scales (``characteristics`` wraps them
   into ``Characteristic`` objects; ``solve`` only zips the id columns into
-  vertex tuples).
+  vertex tuples).  A NaN or infinite eigenvalue or term scale (the
+  polynomial overflowed) is an error, never a characteristic vertex.
 * The rhs vertices map to axis positions through per-factor id -> position
   arrays (-1 at a leaf).  One ``form_arrays`` call gives the eigenvalue of
   every generic entry; ``_classify``'s test on it marks the entry characteristic.
@@ -52,6 +53,7 @@ from .errors import (
     DegenerateBallError,
     DomainError,
     IllConditionedError,
+    NonFiniteError,
     ParameterError,
     UnsolvableError,
 )
@@ -59,6 +61,7 @@ from .products import MultiOperator
 from .wavelets import wavelet_basis
 
 BLOCK_POINTS = 1 << 16  # grid points per classification block, unless one row is larger
+MAX_GRID_POINTS = 1 << 18  # _factor_spectra refuses a larger generic grid before any eigenvalue
 
 # per factor: the generic grid's axis (non-leaf ball ids, ascending), each id's
 # position on it (-1 at a leaf), and the axis eigenvalues' real and imaginary parts
@@ -75,14 +78,34 @@ class Characteristic:
 
 def _factor_spectra(op: MultiOperator) -> list[FactorSpectrum]:
     """Per factor, the generic grid's axis, the id -> axis position map and the axis eigenvalues."""
+    axes = [tree.non_leaf_balls() for tree, _ in op.factors]
+    points = math.prod(map(len, axes))
+    if points > MAX_GRID_POINTS:
+        raise ParameterError(f"the generic grid {' x '.join(str(len(axis)) for axis in axes)} has "
+                             f"{points} points, more than the {MAX_GRID_POINTS} allowed")
     out = []
-    for i, (tree, _) in enumerate(op.factors):
-        axis = np.array(tree.non_leaf_balls(), dtype=np.int64)
+    for i, ((tree, _), balls) in enumerate(zip(op.factors, axes)):
+        axis = np.array(balls, dtype=np.int64)
         position = np.full(tree.n_vertices, -1, dtype=np.int64)
         position[axis] = np.arange(len(axis))
         lams = [op.factor_eigenvalue(i, b) for b in axis.tolist()]
         out.append((axis, position, np.array([z.real for z in lams]), np.array([z.imag for z in lams])))
     return out
+
+
+def _characteristic_mask(lam_re, lam_im, scale, epsilon: float, vertices) -> np.ndarray:
+    """|lambda| <= epsilon * scale at each point; a NaN or an infinity in any of the three raises NonFiniteError.
+
+    ``vertices(mask)`` gives per factor the ball ids of the points ``mask``
+    selects, in C order; the error names the smallest vertex.
+    """
+    bad = ~(np.isfinite(lam_re) & np.isfinite(lam_im) & np.isfinite(scale))
+    if bad.any():
+        at = zip(np.flatnonzero(bad).tolist(), zip(*(col.tolist() for col in vertices(bad))))
+        k, vertex = min(at, key=itemgetter(1))
+        raise NonFiniteError(f"the eigenvalue {complex(lam_re.flat[k], lam_im.flat[k])} "
+                             f"(term scale {scale.flat[k]}) at vertex {vertex} is not finite")
+    return np.hypot(lam_re, lam_im) <= epsilon * scale
 
 
 def _classify(op: MultiOperator, epsilon: float, spectra: list[FactorSpectrum]) -> CharColumns:
@@ -102,25 +125,33 @@ def _classify(op: MultiOperator, epsilon: float, spectra: list[FactorSpectrum]) 
     axes = [axis for axis, _, _, _ in spectra]
     re = [along(r, i) for i, (_, _, r, _) in enumerate(spectra)]
     im = [along(m, i) for i, (_, _, _, m) in enumerate(spectra)]
+
+    def ids_of(mask: np.ndarray, start: int) -> list[np.ndarray]:  # per factor, the ball ids of a block's points
+        k0, *ks = np.nonzero(mask)
+        return [axes[0][k0 + start], *(axis[k] for axis, k in zip(axes[1:], ks))]
+
     inner = math.prod(len(axis) for axis in axes[1:])
     step = max(1, BLOCK_POINTS // max(inner, 1))
     blocks = []
     for start in range(0, len(axes[0]) or 1, step):  # one empty block for an empty leading axis
         rows = slice(start, start + step)
         lam_re, lam_im, scale = op.form_arrays([re[0][rows], *re[1:]], [im[0][rows], *im[1:]])
-        mask = np.hypot(lam_re, lam_im) <= epsilon * scale
-        k0, *ks = np.nonzero(mask)
-        ids = [axes[0][k0 + start], *(axis[k] for axis, k in zip(axes[1:], ks))]
-        blocks.append((ids, lam_re[mask], lam_im[mask], scale[mask]))
+        mask = _characteristic_mask(lam_re, lam_im, scale, epsilon, lambda bad: ids_of(bad, start))
+        blocks.append((ids_of(mask, start), lam_re[mask], lam_im[mask], scale[mask]))
     ids, lam_re, lam_im, scale = zip(*blocks)
     return ([np.concatenate(col) for col in zip(*ids)],
             np.concatenate(lam_re), np.concatenate(lam_im), np.concatenate(scale))
 
 
+def characteristic_columns(op: MultiOperator, epsilon: float = 1e-9) -> CharColumns:
+    """``_classify``'s columns of the characteristic vertices, after checking ``epsilon``."""
+    _check_tolerance("epsilon", epsilon)
+    return _classify(op, epsilon, _factor_spectra(op))
+
+
 def characteristics(op: MultiOperator, epsilon: float = 1e-9) -> list[Characteristic]:
     """All generic vertices whose eigenvalue vanishes relative to the term scale."""
-    _check_tolerance("epsilon", epsilon)
-    ids, lam_re, lam_im, scale = _classify(op, epsilon, _factor_spectra(op))
+    ids, lam_re, lam_im, scale = characteristic_columns(op, epsilon)
     vertices = zip(*(col.tolist() for col in ids))
     return list(map(Characteristic, vertices, map(complex, lam_re.tolist(), lam_im.tolist()), scale.tolist()))
 
@@ -255,7 +286,7 @@ def _rhs_columns(problem: CauchyProblem, spectra: list[FactorSpectrum]) -> _RhsC
         [m[pos[generic]] for (_, _, _, m), pos in zip(spectra, positions)],
     )
     on_char = np.zeros(m, dtype=bool)
-    on_char[generic] = np.hypot(lam_re, lam_im) <= problem.epsilon * scale
+    on_char[generic] = _characteristic_mask(lam_re, lam_im, scale, problem.epsilon, lambda bad: ids[generic][bad].T)
     return _RhsColumns(keys, values, mags, max(mags.tolist(), default=0.0), generic, on_char, eigen)
 
 

@@ -21,10 +21,11 @@ from ultrawave.errors import (
     DegenerateBallError,
     DomainError,
     IllConditionedError,
+    NonFiniteError,
     ParameterError,
     UnsolvableError,
 )
-from ultrawave.operators import TableSymbol, apply_dense, spectrum
+from ultrawave.operators import HomogeneousSymbol, TableSymbol, apply_dense, spectrum
 from ultrawave.products import MultiOperator, vertex_key
 from ultrawave.solver import (
     CauchyProblem,
@@ -239,6 +240,42 @@ class TestErrors:
         rhs2 = LizorkinSeries.one_dim({(0, 1): 1.0, (1, 1): 1e-12})
         sol2 = solve(CauchyProblem(op, rhs2, anchor=(3,)))
         assert any("near-characteristic" in w for w in sol2.residual.warnings)
+
+    def test_overflowing_eigenvalue_names_the_first_vertex(self, monkeypatch):
+        """1e10 * lambda_1 * lambda_2 overflows wherever a factor sits below the root: not characteristic, an error.
+
+        The grid names its first such vertex in ``vertex_key`` order, whatever
+        the blocks; the rhs names the smallest of its own, whatever its order.
+        """
+        t = build_padic_tree(2, 2)
+        sym = TableSymbol({0: 1.0, 1: 1e300, 2: 1e300})
+        op = MultiOperator([(t, sym), (t, sym)], [((0, 1), 1e10)])
+        rhs = LizorkinSeries(2, {((2, 2), (1, 1)): 1.0, ((1, 0), (1, 1)): 1.0, ((0, 0), (1, 1)): 1.0})
+        problem = CauchyProblem(op, rhs, anchor=(3, 3))
+        for block_points in (solver.BLOCK_POINTS, 1):
+            monkeypatch.setattr(solver, "BLOCK_POINTS", block_points)
+            with pytest.raises(NonFiniteError, match=r"^the eigenvalue \(inf.*\) \(term scale inf\) at vertex \(0, 1\) "):
+                characteristics(op)
+            for fn in (check_solvability, solve):
+                with pytest.raises(NonFiniteError, match=r"at vertex \(1, 0\) is not finite$"):
+                    fn(problem)
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("depths", [(3, 3), (3, 4)])
+    def test_checked_before_any_eigenvalue(self, monkeypatch, depths):
+        monkeypatch.setattr(solver, "MAX_GRID_POINTS", 49)  # padic(2,3)**2 has 7 x 7 points
+        trees = [build_padic_tree(2, d) for d in depths]
+        op = MultiOperator([(tree, HomogeneousSymbol(beta=0.5)) for tree in trees], [((0,), 1.0), ((1,), -1.0)])
+        problem = CauchyProblem(op, LizorkinSeries(2, {((1, 3), (1, 1)): 1.0}), anchor=(7, 7))
+        if depths == (3, 3):  # at the cap
+            assert len(characteristics(op)) == len(solve(problem).free_params) == 1 + 2**2 + 4**2
+            assert check_solvability(problem)
+            return
+        monkeypatch.setattr(MultiOperator, "factor_eigenvalue", None)  # a call would fail with TypeError
+        for fn, arg in ((characteristics, op), (check_solvability, problem), (solve, problem)):
+            with pytest.raises(ParameterError, match=r"^the generic grid 7 x 15 has 105 points, more than the 49 "):
+                fn(arg)
 
 
 def _random_problem_1d(rng):

@@ -1,15 +1,19 @@
 import gc
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import ultrawave.solver as solver_module
+from conftest import random_table_symbol
 from ultrawave import cli
 from ultrawave.cli import build_parser, main
-from ultrawave.io import fmt17, load_problem
-from ultrawave.operators import HomogeneousSymbol, operator_matrix
+from ultrawave.io import fmt17, load_problem, load_solution, load_space, operator_to_obj
+from ultrawave.operators import HomogeneousSymbol, operator_matrix, spectrum
 from ultrawave.distributions import eval_on_char_nd
-from ultrawave.solver import solve
+from ultrawave.products import MultiOperator
+from ultrawave.solver import characteristics, solve
 from ultrawave.trees import build_padic_tree
 from ultrawave.wavelets import evaluate, tree_wavelets
 
@@ -660,6 +664,175 @@ class TestNonFiniteData:
         err = self.run(["eval", str(path), "--space", "padic(2,2)", "--space", "padic(2,2)", "--at", "[[3, 3]]"],
                        2, capsys)
         assert err.startswith(f"error: {path}: the anchor value")
+
+    _OVERFLOW = {"factors": ["homog(beta=0.5,c=2)"] * 2, "terms": [{"indices": [1], "re": 1e308}]}
+    _OVERFLOW_MESSAGE = "numeric failure: the eigenvalue (inf+0j) (term scale inf) at vertex (0, 0) is not finite"
+
+    @pytest.mark.parametrize("extra", [
+        {"rhs": {"mean": [0.0, 0.0], "coeffs": [{"vertex": [0, 0], "j": [1, 1], "re": 1.0, "im": 0.0}]}},
+        {"free_params": {"seed": 3}},
+    ], ids=["rhs on the vertex", "seeded free values"])
+    def test_overflowing_eigenvalue_in_solve_exit_four(self, tmp_path, capsys, extra):
+        """The rhs entry's own classification and the grid's both refuse the overflow (exits 3 and 0 before)."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"spaces": ["padic(2,1)"] * 2, "operator": self._OVERFLOW,
+                                       "anchor": {"vertex": [1, 2]}, **extra}))
+        out = tmp_path / "solution.json"
+        err = self.run(["solve", str(problem), "--out", str(out)], 4, capsys)
+        assert err == self._OVERFLOW_MESSAGE + "\n" and not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("listing", ["spectrum", "characteristics"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--out"])
+    def test_non_finite_listing_value_exit_four(self, tmp_path, capsys, fmt, listing, to_file):
+        """Neither format writes a NaN or an infinity; CSV printed ``0,inf,0`` and ``0,0,inf,inf,0`` before."""
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(self._OVERFLOW))
+        argv = {"spectrum": ["spectrum", "--space", "padic(2,1)", "--symbol", "homog(beta=2,c=1.7e308,tail=true)",
+                             "--format", fmt],
+                "characteristics": self.characteristics(op, depth=1, fmt=fmt)}[listing]
+        out = tmp_path / "listing.txt"
+        err = self.run(argv + (["--out", str(out)] if to_file else []), 4, capsys)
+        assert not out.exists()
+        if listing == "spectrum":  # finite symbol values and a finite tail whose sum at the root overflows
+            assert err == f"numeric failure: cannot write a non-finite value as {fmt.upper()}: re inf in record 0\n"
+        else:  # 2e308 overflows at (0, 0), and so does its term scale: |lambda| <= epsilon * scale held there
+            assert err == self._OVERFLOW_MESSAGE + "\n"
+
+
+class TestGridCap:
+    """The generic grid is capped as a whole, checked from the axis lengths before any eigenvalue."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "MAX_GRID_POINTS", 49)  # padic(2,3)**2 has 7 x 7 points
+
+    def test_characteristics_at_and_above_the_cap(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(_WAVE_OPERATOR))
+        argv = ["characteristics", "--operator", str(op), "--space", "padic(2,3)"]
+        assert main(argv + ["--space", "padic(2,3)"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 1 + 2**2 + 4**2  # equal-level pairs
+        assert main(argv + ["--space", "padic(2,4)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the generic grid 7 x 15 has 105 points, more than the 49 allowed\n"
+
+    @pytest.mark.parametrize("spaces,code", [(["padic(2,3)", "padic(2,3)"], 0), (["padic(2,3)", "padic(2,4)"], 2)])
+    def test_solve(self, tmp_path, capsys, spaces, code):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"spaces": spaces, "operator": _WAVE_OPERATOR, "anchor": {"vertex": [7, 7]}}))
+        out = tmp_path / "solution.json"
+        assert main(["solve", str(problem), "--out", str(out)]) == code
+        assert out.exists() is (code == 0)
+        if code:
+            assert capsys.readouterr().err.startswith("error: the generic grid 7 x 15 has 105 points")
+
+
+# -- listings: the bytes of the per-row dict writers the record encoder replaced --
+
+
+def _reference_rows(rows, columns, fmt):
+    """The per-row writer of listings before the record encoder, kept as the oracle of its bytes."""
+    if fmt == "json":
+        return json.dumps(rows) + "\n"
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt17(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_vertex_rows(rows, n, columns, fmt):
+    """``vertex`` spread over vertex_1..vertex_n in CSV."""
+    if fmt == "json":
+        return _reference_rows(rows, [], fmt)
+    names = [f"vertex_{i + 1}" for i in range(n)]
+    flat = [{**dict(zip(names, row["vertex"])), **{c: row[c] for c in columns}} for row in rows]
+    return _reference_rows(flat, names + columns, fmt)
+
+
+_ZERO_LEAF_SPACE = {"kind": "explicit", "vertices": [
+    {"id": 0, "parent": None, "measure": 1.0, "diameter": 1.0},
+    {"id": 1, "parent": 0, "measure": 0.6, "diameter": 0.5},
+    {"id": 2, "parent": 0, "measure": 0.4, "diameter": 0.5},
+    {"id": 3, "parent": 0, "measure": 0.0, "diameter": 0.5},
+    {"id": 4, "parent": 1, "measure": 0.1, "diameter": 0.25},
+    {"id": 5, "parent": 1, "measure": 0.5, "diameter": 0.25},
+    {"id": 6, "parent": 2, "measure": 0.4, "diameter": 0.2},
+    {"id": 7, "parent": 2, "measure": 0.0, "diameter": 0.2},
+]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+class TestListingBytes:
+    """Each listing, in each format, is byte for byte what the per-row writer printed."""
+
+    @pytest.fixture
+    def space(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(_ZERO_LEAF_SPACE))
+        return str(path)
+
+    @staticmethod
+    def listing(argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("which", ["zero-measure leaf", "padic(3,2)"])
+    def test_wavelets_and_spectrum(self, space, capsys, fmt, which):
+        space = space if which == "zero-measure leaf" else which
+        tree = load_space(space)
+        rows = [{"ball": w.ball, "j": w.j, "subball": sub, "re": complex(w.values[sub]).real,
+                 "im": complex(w.values[sub]).imag} for w in tree_wavelets(tree) for sub in tree.children[w.ball]]
+        assert len(rows) > 4
+        assert self.listing(["wavelets", "--space", space, "--format", fmt], capsys) == \
+            _reference_rows(rows, ["ball", "j", "subball", "re", "im"], fmt)
+        symbol = "homog(beta=0.7,c=1-2j)"
+        rows = [{"ball": b, "re": lam.real, "im": lam.imag}
+                for b, lam in spectrum(tree, HomogeneousSymbol(beta=0.7, c=1 - 2j)).items()]
+        assert self.listing(["spectrum", "--space", space, "--symbol", symbol, "--format", fmt], capsys) == \
+            _reference_rows(rows, ["ball", "re", "im"], fmt)
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 2.0])
+    def test_characteristics_of_a_complex_three_factor_operator(self, tmp_path, capsys, fmt, epsilon):
+        rng = np.random.default_rng(5)
+        trees = [build_padic_tree(2, 3), build_padic_tree(3, 2), build_padic_tree(2, 2)]
+        symbols = [random_table_symbol(rng, tree) for tree in trees]
+        terms = [((0, 1), 1 + 0.5j), ((2,), -0.25 + 0j), ((0,), -1j), ((), 0.5 + 0.5j)]
+        op = MultiOperator(list(zip(trees, symbols)), terms)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(operator_to_obj(op)))
+        rows = [{"vertex": list(c.vertex), "abs": abs(c.eigenvalue), "re": c.eigenvalue.real,
+                 "im": c.eigenvalue.imag} for c in characteristics(op, epsilon)]
+        assert bool(rows) is (epsilon == 2.0)
+        argv = ["characteristics", "--operator", str(path), "--epsilon", str(epsilon), "--format", fmt,
+                "--space", "padic(2,3)", "--space", "padic(3,2)", "--space", "padic(2,2)"]
+        assert self.listing(argv, capsys) == _reference_vertex_rows(rows, 3, ["abs", "re", "im"], fmt)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_eval(self, tmp_path, capsys, fmt, n):
+        """One factor gives ``vertex_1`` in CSV and one-element vertex lists in JSON."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "spaces": ["padic(3,2)"] * n,
+            "operator": {"factors": ["homog(beta=0.7,c=1-2j)"] * n,
+                         "terms": [{"indices": [1], "re": 1.0}, {"indices": [], "re": -0.5, "im": 0.1}]},
+            "rhs": {"mean": [0.0, 0.0], "coeffs": [{"vertex": [b] * n, "j": [j] * n, "re": 0.1 * b + 0.3, "im": -j}
+                                                   for b in range(4) for j in (1, 2)]},
+            "anchor": {"vertex": [5] * n, "value": [1.0, 0.5]},
+        }))
+        solution = tmp_path / "solution.json"
+        assert main(["solve", str(problem), "--out", str(solution)]) == 0
+        capsys.readouterr()
+        trees = [build_padic_tree(3, 2)] * n
+        u = load_solution(str(solution), trees)
+        vertices = sorted({tuple(int(x) for x in v) for v in itertools.product([0, 2, 5, 12], repeat=n)})
+        rows = [{"vertex": list(v), "re": eval_on_char_nd(u, v).real, "im": eval_on_char_nd(u, v).imag}
+                for v in vertices]
+        assert any(r["re"] for r in rows)
+        argv = ["eval", str(solution), *itertools.chain.from_iterable(["--space", "padic(3,2)"] for _ in trees),
+                "--at", json.dumps([list(v) for v in reversed(vertices)]), "--format", fmt]
+        assert self.listing(argv, capsys) == _reference_vertex_rows(rows, n, ["re", "im"], fmt)
 
 
 # -- junk input: every subcommand exits 0, 2, 3 or 4 and never prints a traceback --

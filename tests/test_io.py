@@ -20,6 +20,8 @@ from ultrawave.io import (
     _fast_coeff_records,
     _pair_of,
     _strict_coeff_records,
+    encode_records,
+    fmt17,
     genfun_from_obj,
     genfun_to_obj,
     lizorkin_from_obj,
@@ -515,6 +517,30 @@ class TestRecordEncoder:
         tree = build_padic_tree(2, 2)
         u = GeneralizedFunction([tree] * 2, (3, 3), {((0, 1), (1, 1)): 1.0, ((1, 2), (1, 1)): bad})
         with pytest.raises(NonFiniteError, match=r"^cannot write a non-finite value as JSON"):
+            solution_to_obj(Solution(u, (), ResidualReport(0.0, 0.0), ()))
+
+    def test_listing_columns_equal_the_row_dicts(self):
+        """Scalar and n-column id fields of any integer type, and awkward floats, in both formats."""
+        ids = {"ball": [np.int64(3), True, 5], "vertex": ([1, 2, 3], [np.int32(4), 5, np.uint8(6)])}
+        floats = {"abs": [-0.0, 5e-324, 1e300], "re": [1 / 3, -2.5e-7, 0.0]}
+        rows = [{"ball": b, "vertex": [v1, v2], "abs": a, "re": r}
+                for b, v1, v2, a, r in zip([3, 1, 5], [1, 2, 3], [4, 5, 6], *floats.values())]
+        assert encode_records(ids, floats) == json.dumps(rows)
+        lines = [f"{r['ball']},{r['vertex'][0]},{r['vertex'][1]},{fmt17(r['abs'])},{fmt17(r['re'])}" for r in rows]
+        assert encode_records(ids, floats, "csv") == "\n".join(["ball,vertex_1,vertex_2,abs,re", *lines]) + "\n"
+        assert encode_records({"ball": []}, {"re": []}, "csv") == "ball,re\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_first_non_finite_record_is_named(self, fmt):
+        floats = {"re": [1.0, 2.0, float("inf")], "im": [0.0, float("nan"), 0.0]}
+        with pytest.raises(NonFiniteError, match=rf"^cannot write a non-finite value as {fmt.upper()}: im nan in record 1$"):
+            encode_records({"ball": [0, 1, 2]}, floats, fmt)
+
+    def test_non_finite_coefficient_message(self):
+        u = GeneralizedFunction([build_padic_tree(2, 2)] * 2, (3, 3),
+                                {((0, 1), (1, 1)): complex(1.0, float("nan")), ((0, 0), (1, 1)): float("inf")})
+        with pytest.raises(NonFiniteError, match=r"^cannot write a non-finite value as JSON: "
+                                                 r"coefficient \(inf\+0j\) at \(\(0, 0\), \(1, 1\)\)$"):
             solution_to_obj(Solution(u, (), ResidualReport(0.0, 0.0), ()))
 
 

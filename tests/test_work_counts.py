@@ -12,6 +12,7 @@ import ultrawave.distributions as distributions_module
 import ultrawave.solver as solver_module
 import ultrawave.wavelets as wavelets_module
 from conftest import random_leaf_function
+from ultrawave.cli import main
 from ultrawave.distributions import GeneralizedFunction, LizorkinSeries, eval_extended, eval_on_product
 from ultrawave.errors import UnsolvableError
 from ultrawave.operators import HomogeneousSymbol, spectrum
@@ -116,6 +117,21 @@ def test_solve_builds_no_characteristic_and_draws_free_values_once(calls, monkey
     assert len(sol.characteristic_vertices) == len(sol.free_params) == n_char == 341
     assert calls.counts == {"Characteristic": 0}
     assert draws == [((2 * n_char,), {})]
+
+
+def test_characteristics_command_builds_no_characteristic(calls, tmp_path, capsys):
+    """``ultrawave characteristics`` lists padic(2,5)**2 from the classification's columns."""
+    op = tmp_path / "op.json"
+    op.write_text('{"factors": ["homog(beta=0.5)", "homog(beta=0.5)"], '
+                  '"terms": [{"indices": [1], "re": 1.0}, {"indices": [2], "re": -1.0}]}')
+    calls(solver_module, "Characteristic")
+    calls(solver_module, "_classify")
+    for fmt in ("json", "csv"):
+        assert main(["characteristics", "--operator", str(op), "--space", "padic(2,5)", "--space", "padic(2,5)",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert (out.count('{"vertex"') if fmt == "json" else out.count("\n") - 1) == 341
+    assert calls.counts == {"Characteristic": 0, "_classify": 2}
 
 
 def test_only_the_free_keys_classify_the_grid(calls):
