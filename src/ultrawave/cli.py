@@ -35,6 +35,7 @@ from .io import (
     load_problem,
     load_solution,
     load_space,
+    load_spaces,
     load_symbol,
     solution_to_obj,
     write_json,
@@ -71,7 +72,7 @@ def _one_space(args: argparse.Namespace):
 
 
 def _spaces(args: argparse.Namespace):
-    return [load_space(s) for s in _require(args.space or None, "--space (repeat once per factor)")]
+    return load_spaces(_require(args.space or None, "--space (repeat once per factor)"))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

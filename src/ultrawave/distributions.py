@@ -23,13 +23,17 @@ combinations are visited in sorted key order, so the sum is the one the
 all-terms scan gives, bit for bit; that honest all-terms summation lives in
 the test suite as its oracle.
 
-Construction validates each distinct (factor, ball, j) component once
-rather than every component of every key, so it costs O(keys + distinct
-components) plus one wavelet-basis lookup per distinct component.  Ball ids
-and wavelet indices may be of any integer type (``int``, ``bool``, numpy
-integers): they are checked through ``operator.index`` and stored as given.
-The key-by-key check runs only after a failure, to find the first bad key
-or value in insertion order and raise its error.
+Construction checks the keys as int64 id columns, one vectorized mask per
+factor: an id of the tree, j = 0 only at the anchor ball, otherwise
+1 <= j <= ``basis_sizes`` at the ball (0 at a leaf or a degenerate ball).
+It builds no wavelet basis and costs O(keys).  The io loader hands its
+columns over in a ``KeyColumns``, having type-checked every id once; the
+columns of any other mapping come from its keys.  There ids may be of any
+integer type (``int``, ``bool``, numpy integers): ids that are not all
+exact ``int`` go through ``operator.index``, and every id is stored as
+given.  A bad row, an id that is not an integer or does not fit int64, or
+a key of another arity sends the input to the key-by-key check, which
+raises at the first bad key or value in insertion order.
 
 A rank-1 test function costs one bottom-up pass of ball integrals per
 factor.  ``eval_on_product`` turns each factor's pass into a (ball, j) ->
@@ -52,11 +56,21 @@ from operator import index as operator_index, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import AnchorError, DegenerateBallError, DomainError, ParameterError
 from .operators import Spectrum
 from .products import MultiOperator
 from .trees import BallTree
-from .wavelets import WaveletExpansion, TestFunction, ball_integrals, synthesize, tree_wavelets, wavelet_basis
+from .wavelets import (
+    TestFunction,
+    WaveletExpansion,
+    ball_integrals,
+    basis_sizes,
+    synthesize,
+    tree_wavelets,
+    wavelet_basis,
+)
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -89,44 +103,74 @@ def _check_anchor(trees: Sequence[BallTree], anchor: Sequence[int]) -> None:
             raise AnchorError(f"anchor ball {b} has zero measure")
 
 
-def _index_column(ids: list) -> list:
-    return ids if set(map(type, ids)) <= {int} else list(map(operator_index, ids))
+class KeyColumns(dict):
+    """A coefficient dict that also holds its keys' ids as int64 columns.
+
+    ``balls`` and ``js`` are (records x factors) arrays, one row per record
+    the dict was built from, in record order (a repeated key repeats its
+    row).  The io loader builds one only from ids it has checked to be exact
+    ``int``; ``_checked`` then takes the columns as they are.
+    """
+
+    def __init__(self, items, balls: np.ndarray, js: np.ndarray):
+        super().__init__(items)
+        self.balls, self.js = balls, js
 
 
-def _checked(coeffs: Mapping, n: int, check_component, check_key) -> dict[Key, complex]:
-    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values, each distinct component checked once.
+def _id_columns(keys: list, n: int) -> list[np.ndarray]:
+    """The ball and the j ids of normalized keys of arity ``n``, each as an int64 (keys x n) array.
 
-    ``check_component(i, b, j, key)`` raises unless ``(b, j)`` may be
-    component i of a key; ``check_key(key)`` raises at the first rule a key
-    of ``coeffs`` breaks.  The ids of a column that are not all exact ``int``
-    go through ``operator.index`` before its distinct components are taken,
-    so ``2.0`` cannot hide behind an equal ``2``.  A dict that is already
-    normalized (the io loaders build one) is copied as it is.  On any
-    failure the keys are checked one by one in insertion order, which raises
-    at the first bad key or value.
+    Raises ValueError for a key of another arity, TypeError for an id that
+    is not an integer (ids that are not all exact ``int`` go through
+    ``operator.index``, so ``2.0`` cannot pass as ``2``) and OverflowError
+    for one beyond int64.
+    """
+    columns = []
+    for part in (list(map(itemgetter(0), keys)), list(map(itemgetter(1), keys))):
+        if not set(map(len, part)) <= {n}:
+            raise ValueError(f"a key does not have arity {n}")
+        ids = list(itertools.chain.from_iterable(part))
+        if not set(map(type, ids)) <= {int}:
+            ids = list(map(operator_index, ids))
+        columns.append(np.array(ids, dtype=np.int64).reshape(len(keys), n))
+    return columns
+
+
+def _checked(coeffs: Mapping, n: int, columns_ok, check_key) -> dict[Key, complex]:
+    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values, checked as int64 id columns.
+
+    ``columns_ok(balls, js)`` says whether every row of the (keys x n) id
+    columns is a valid key; ``check_key(key)`` raises at the first rule a
+    key of ``coeffs`` breaks.  A ``KeyColumns`` brings its own columns; the
+    columns of any other mapping come from its keys (``_id_columns``).  A
+    dict that is already normalized (``solve`` builds one) is copied as it
+    is.  On a bad row, or any failure (an id that is not an integer or does
+    not fit int64, a key of another arity, a value that is not a number),
+    the keys are checked one by one in insertion order, which raises at the
+    first bad key or value; the key-by-key check decides, so an input it
+    passes is stored from there.
     """
     try:
-        if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
-                and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
-                and set(map(type, coeffs.values())) <= {complex}):
+        if isinstance(coeffs, KeyColumns):
             stored = dict(coeffs)
+            balls, js = coeffs.balls, coeffs.js
         else:
-            stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
-        # map/itemgetter columns: ``zip(*...)`` would allocate an iterator per key
-        vertices = list(map(itemgetter(0), stored))
-        js = list(map(itemgetter(1), stored))
-        if set(map(len, vertices)) | set(map(len, js)) <= {n}:
-            for i in range(n):
-                balls, idx = (_index_column(list(map(itemgetter(i), column))) for column in (vertices, js))
-                for b, ji in set(zip(balls, idx)):
-                    check_component(i, b, ji, None)
+            if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
+                    and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
+                    and set(map(type, coeffs.values())) <= {complex}):
+                stored = dict(coeffs)
+            else:
+                stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
+            balls, js = _id_columns(list(stored), n)
+        if balls.shape[1:] == js.shape[1:] == (n,) and columns_ok(balls, js):
             return stored
     except Exception:  # the key-by-key check raises it again at the right key
         pass
+    stored = {}
     for key, c in coeffs.items():
         check_key(key)
-        complex(c)
-    raise AssertionError("the component check and the key check disagree")
+        stored[_as_nd_key(key)] = complex(c)
+    return stored
 
 
 @dataclass(frozen=True)
@@ -137,11 +181,11 @@ class LizorkinSeries:
     coeffs: Mapping[Key, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked(self.coeffs, self.n, self._check_component, self._check_key))
+        object.__setattr__(self, "coeffs", _checked(self.coeffs, self.n, self._columns_ok, self._check_key))
 
-    def _check_component(self, i: int, b, ji, key) -> None:
-        if ji < 1:
-            raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
+    @staticmethod
+    def _columns_ok(balls: np.ndarray, js: np.ndarray) -> bool:
+        return bool((js >= 1).all())
 
     def _check_key(self, key) -> None:
         vertex, j = _as_nd_key(key)
@@ -151,8 +195,8 @@ class LizorkinSeries:
             _require_integer(key, "ball", b)
         for ji in j:
             _require_integer(key, "j", ji)
-        for i, (b, ji) in enumerate(zip(vertex, j)):
-            self._check_component(i, b, ji, key)
+        if any(ji < 1 for ji in j):
+            raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
 
     @classmethod
     def one_dim(cls, coeffs: Mapping[tuple[int, int], complex]) -> "LizorkinSeries":
@@ -185,7 +229,7 @@ class GeneralizedFunction:
         if len(self.anchor) != self.n:
             raise ParameterError("anchor arity does not match the number of factors")
         _check_anchor(self.factors, self.anchor)
-        stored = _checked(coeffs or {}, self.n, self._check_component, self._check_key)
+        stored = _checked(coeffs or {}, self.n, self._columns_ok, self._check_key)
         if anchor_value is not None:
             stored[self.anchor_key] = complex(anchor_value)
         # read-only, so the cached order below never goes stale
@@ -203,6 +247,15 @@ class GeneralizedFunction:
     @property
     def anchor_value(self) -> complex:
         return self.coeffs.get(self.anchor_key, 0.0 + 0.0j)
+
+    def _columns_ok(self, balls: np.ndarray, js: np.ndarray) -> bool:
+        """Per factor: an id of the tree, j = 0 only at the anchor ball, else 1 <= j <= the ball's basis size."""
+        ok = np.ones(len(balls), dtype=bool)
+        for tree, a0, b, j in zip(self.factors, self.anchor, balls.T, js.T):
+            inside = (b >= 0) & (b < tree.n_vertices)
+            size = basis_sizes(tree)[np.where(inside, b, 0)]
+            ok &= inside & np.where(j == 0, b == a0, (j >= 1) & (j <= size))
+        return bool(ok.all())
 
     def _check_component(self, i: int, b, ji, key) -> None:
         tree = self.factors[i]

@@ -16,9 +16,11 @@ import re
 from bisect import bisect_left
 from itertools import chain, repeat
 from operator import contains, index, itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .distributions import GeneralizedFunction, Key, LizorkinSeries
+import numpy as np
+
+from .distributions import GeneralizedFunction, Key, KeyColumns, LizorkinSeries
 from .errors import FileFormatError, NonFiniteError, ParameterError
 from .operators import HomogeneousSymbol, Symbol, TableSymbol
 from .products import MultiOperator
@@ -201,6 +203,25 @@ def load_space(spec: str | Mapping[str, Any], base_dir: str = ".", location: str
     return space_from_obj(_read_json(path), location=path)
 
 
+def load_spaces(specs: Iterable[str | Mapping[str, Any]], base_dir: str = ".",
+                location: str = "space") -> list[BallTree]:
+    """``load_space`` of each spec in order, building each distinct string spec once.
+
+    Trees are immutable, so factors given by the same string share one tree.
+    """
+    built: dict[str, BallTree] = {}
+    trees = []
+    for spec in specs:
+        if isinstance(spec, str) and spec in built:
+            trees.append(built[spec])
+            continue
+        tree = load_space(spec, base_dir, location)
+        if isinstance(spec, str):
+            built[spec] = tree
+        trees.append(tree)
+    return trees
+
+
 def space_to_obj(tree: BallTree) -> dict[str, Any]:
     if tree.padic is not None:
         return {"kind": "padic", "p": tree.padic[0], "depth": tree.padic[1]}
@@ -359,26 +380,34 @@ def _fast_coeff_records(records) -> dict[Key, complex] | None:
     ``ball``/``j`` (a ``vertex`` next to ``ball`` is ignored, as the strict
     loader ignores it) or all with list ``vertex``/``j``, with exact ``int``
     ids and indices and ``float`` ``re``/``im``.  Returns None on any miss;
-    the strict loader then decides.
+    the strict loader then decides.  When every record has the same arity
+    and every id fits int64, the dict is a ``KeyColumns`` holding the ids as
+    int64 columns, so the ids are type-checked here and nowhere else.
     """
     if not set(map(type, records)) <= {dict}:
         return None
     try:
         js, res, ims = (list(map(get, records)) for get in (_J, _RE, _IM))
         if any(map(contains, records, repeat("ball"))):
-            keys = list(zip(zip(map(_BALL, records)), zip(js)))
+            vertices, js = list(zip(map(_BALL, records))), list(zip(js))
         else:
             vertices = list(map(_VERTEX, records))
             if not set(map(type, chain(vertices, js))) <= {list}:
                 return None
-            keys = list(zip(map(tuple, vertices), map(tuple, js)))
     except KeyError:
         return None
-    if not set(map(type, chain.from_iterable(chain.from_iterable(keys)))) <= {int}:
+    if not set(map(type, chain.from_iterable(chain(vertices, js)))) <= {int}:
         return None
     if not set(map(type, chain(res, ims))) <= {float}:
         return None
-    return dict(zip(keys, map(complex, res, ims)))
+    items = zip(zip(map(tuple, vertices), map(tuple, js)), map(complex, res, ims))
+    try:
+        n, = set(map(len, chain(vertices, js)))  # ValueError: no record, or keys of mixed arity
+        columns = [np.fromiter(chain.from_iterable(part), np.int64, len(part) * n).reshape(len(part), n)
+                   for part in (vertices, js)]
+    except (ValueError, OverflowError):  # OverflowError: an id beyond int64; the validator decides either way
+        return dict(items)
+    return KeyColumns(items, *columns)
 
 
 def _coeff_records(records, location: str) -> dict[Key, complex]:
@@ -499,9 +528,10 @@ def genfun_from_obj(
     coeffs = _coeff_records(obj.get("coeffs", []), location)
     if not cmath.isfinite(value):
         raise FileFormatError(f"the anchor value {value} is not finite", location)
-    if not all(map(cmath.isfinite, coeffs.values())):
-        key, c = next((key, c) for key, c in coeffs.items() if not cmath.isfinite(c))
-        raise FileFormatError(f"coefficient {c} at {key} is not finite", location)
+    if not cmath.isfinite(sum(coeffs.values(), 0j)):  # a NaN or an infinity, or finite values whose sum overflows
+        for key, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise FileFormatError(f"coefficient {c} at {key} is not finite", location)
     return GeneralizedFunction(trees, anchor, coeffs, value)
 
 
@@ -534,7 +564,7 @@ def problem_from_obj(
     space_specs = _object(obj, "a problem", location).get("spaces")
     if not isinstance(space_specs, list) or not space_specs:
         raise FileFormatError("problem needs a non-empty 'spaces' list", location)
-    trees = [load_space(_spec(s, "a space", location), base_dir, location) for s in space_specs]
+    trees = load_spaces((_spec(s, "a space", location) for s in space_specs), base_dir, location)
     if "operator" not in obj:
         raise FileFormatError("problem has no 'operator'", location)
     op = load_operator(_spec(obj["operator"], "the operator", location), trees, base_dir, location)

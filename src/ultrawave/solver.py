@@ -33,6 +33,10 @@ Everything after the classification works on columns, not per vertex:
   reciprocal and differs from CPython's in the last bit.
 * Errors and warnings read only the flagged entries, sorted by key, so their
   order is the sorted key order whatever the rhs insertion order.
+* The free keys are counted from ``basis_sizes`` before any is built (per
+  characteristic vertex, the product of its balls' wavelet counts; no
+  wavelet basis is built), and more than ``MAX_GRID_POINTS`` of them is a
+  ParameterError.
 * A seeded problem draws all free values with one ``standard_normal(2k)``
   call, the same stream as 2k scalar draws.
 """
@@ -50,7 +54,6 @@ import numpy as np
 
 from .distributions import GeneralizedFunction, Key, LizorkinSeries, _as_nd_key, _check_anchor
 from .errors import (
-    DegenerateBallError,
     DomainError,
     IllConditionedError,
     NonFiniteError,
@@ -58,10 +61,10 @@ from .errors import (
     UnsolvableError,
 )
 from .products import MultiOperator
-from .wavelets import wavelet_basis
+from .wavelets import basis_sizes
 
 BLOCK_POINTS = 1 << 16  # grid points per classification block, unless one row is larger
-MAX_GRID_POINTS = 1 << 18  # _factor_spectra refuses a larger generic grid before any eigenvalue
+MAX_GRID_POINTS = 1 << 18  # caps the generic grid before any eigenvalue, and the free keys before any is built
 
 # per factor: the generic grid's axis (non-leaf ball ids, ascending), each id's
 # position on it (-1 at a leaf), and the axis eigenvalues' real and imaginary parts
@@ -333,10 +336,20 @@ def _free_values(problem: CauchyProblem, keys: list[Key]) -> list[complex]:
 
 def _wavelet_indices(tree, ball: int) -> range:
     """The wavelet indices 1..k at ``ball``; none at a degenerate ball."""
-    try:
-        return range(1, len(wavelet_basis(tree, ball)) + 1)
-    except DegenerateBallError:
-        return range(1, 1)
+    return range(1, int(basis_sizes(tree)[ball]) + 1)
+
+
+def _check_free_count(trees, char_ids: list[np.ndarray]) -> None:
+    """Raise ParameterError when the characteristic vertices carry more than ``MAX_GRID_POINTS`` free keys.
+
+    A vertex carries the product of its balls' basis sizes; the count is
+    taken from the id columns before any key is built.
+    """
+    sizes = [basis_sizes(tree)[col] for tree, col in zip(trees, char_ids)]
+    if np.prod(sizes, axis=0, dtype=np.float64).sum() > MAX_GRID_POINTS:  # float: an int64 product may overflow
+        count = sum(map(math.prod, zip(*(col.tolist() for col in sizes))))
+        raise ParameterError(f"the {len(char_ids[0])} characteristic vertices carry {count} free parameters, "
+                             f"more than the {MAX_GRID_POINTS} allowed")
 
 
 def solve(problem: CauchyProblem) -> Solution:
@@ -385,6 +398,7 @@ def solve(problem: CauchyProblem) -> Solution:
     max_abs = max(itertools.chain((0.0,), map(abs, map(sub, map(mul, lams, quotients), values))))
 
     char_ids = _classify(op, problem.epsilon, spectra)[0]
+    _check_free_count(trees, char_ids)
     vertices = list(zip(*(col.tolist() for col in char_ids)))
     indices = [{b: _wavelet_indices(tree, b) for b in set(col.tolist())} for tree, col in zip(trees, char_ids)]
     free_keys = [(v, j) for v in vertices for j in itertools.product(*map(getitem, indices, v))]

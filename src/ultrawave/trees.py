@@ -83,6 +83,7 @@ class BallTree:
         self.leaves = tuple(i for i in range(n) if not self.children[i])
         self.zero_measure = frozenset(i for i in range(n) if self.measure[i] == 0.0)
         self._wavelet_bases: dict[int, tuple] = {}  # filled by wavelets.wavelet_basis
+        self._basis_sizes = None  # filled by wavelets.basis_sizes
         self._validate()
 
     # -- structure checks -------------------------------------------------

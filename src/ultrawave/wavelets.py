@@ -117,6 +117,24 @@ def wavelet_basis(tree: BallTree, ball: int) -> tuple[Wavelet, ...]:
     return basis
 
 
+def basis_sizes(tree: BallTree) -> np.ndarray:
+    """The number of wavelets at each ball as a read-only int64 array: 0 at leaves and degenerate balls.
+
+    Equal to ``len(wavelet_basis(tree, b))`` wherever that basis exists, but
+    counted from the measures alone (positive-measure subballs less one),
+    so no basis is built.  Built on first use and memoized on the tree.
+    """
+    sizes = tree._basis_sizes
+    if sizes is None:
+        n = tree.n_vertices
+        parent = np.fromiter((-1 if p is None else p for p in tree.parent), dtype=np.int64, count=n)
+        positive = (np.array(tree.measure) > 0.0) & (parent >= 0)
+        counts = np.bincount(parent[positive], minlength=n)
+        sizes = tree._basis_sizes = np.where(counts >= 2, counts - 1, 0)
+        sizes.flags.writeable = False
+    return sizes
+
+
 def tree_wavelets(tree: BallTree) -> Iterator[Wavelet]:
     """All wavelets of the tree in (ball id, j) order, skipping degenerate balls."""
     for ball in tree.non_leaf_balls():

@@ -1,6 +1,6 @@
 from hypothesis import settings
 
-from ultrawave.trees import BallTree
+from ultrawave.trees import BallTree, tree_from_leaf_measures
 
 # One profile for every property test: no per-example deadline (timings on a
 # shared host vary too much for one), and a failure prints the blob that
@@ -41,6 +41,14 @@ def random_measured_tree(rng, max_depth=4, max_branching=4, grow_prob=0.6) -> Ba
         else:
             measure[i] = float(rng.uniform(0.1, 2.0))
     return BallTree(parent, measure, diameter)
+
+
+def with_zero_leaves(rng, tree, fraction=0.3) -> BallTree:
+    """The same tree with a random share of its leaf measures set to 0."""
+    leaf_measure = {x: (0.0 if rng.random() < fraction else tree.measure[x]) for x in tree.leaves}
+    if not any(leaf_measure.values()):
+        leaf_measure[tree.leaves[0]] = 1.0
+    return tree_from_leaf_measures(tree.parent, leaf_measure, tree.diameter)
 
 
 def permuted_tree(rng, tree) -> BallTree:

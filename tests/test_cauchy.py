@@ -278,6 +278,23 @@ class TestGridCap:
                 fn(arg)
 
 
+    @pytest.mark.parametrize("cap", [64, 63])
+    def test_free_keys_counted_before_any_is_built(self, monkeypatch, cap):
+        """padic(3,2)**2 without terms: 16 grid points, all characteristic, each carrying 2 x 2 free keys."""
+        monkeypatch.setattr(solver, "MAX_GRID_POINTS", cap)
+        tree = build_padic_tree(3, 2)
+        op = MultiOperator([(tree, HomogeneousSymbol(beta=0.5))] * 2, [])
+        problem = CauchyProblem(op, LizorkinSeries(2, {}), anchor=(4, 4))
+        if cap == 64:
+            sol = solve(problem)
+            assert len(sol.characteristic_vertices) == 16 and len(sol.free_params) == 64
+            return
+        monkeypatch.setattr(solver, "_wavelet_indices", None)  # a call would fail with TypeError
+        with pytest.raises(ParameterError, match=r"^the 16 characteristic vertices carry 64 free parameters, "
+                                                 r"more than the 63 allowed$"):
+            solve(problem)
+
+
 def _random_problem_1d(rng):
     t = random_measured_tree(rng, max_depth=3)
     sym = random_table_symbol(rng, t)

@@ -8,6 +8,7 @@ import pytest
 import ultrawave.solver as solver_module
 from conftest import random_table_symbol
 from ultrawave import cli
+from ultrawave import io as io_module
 from ultrawave.cli import build_parser, main
 from ultrawave.io import fmt17, load_problem, load_solution, load_space, operator_to_obj
 from ultrawave.operators import HomogeneousSymbol, operator_matrix, spectrum
@@ -727,6 +728,59 @@ class TestGridCap:
         assert out.exists() is (code == 0)
         if code:
             assert capsys.readouterr().err.startswith("error: the generic grid 7 x 15 has 105 points")
+
+
+    def test_solve_refuses_more_free_keys_than_the_cap(self, tmp_path, capsys):
+        """padic(3,2)**2 without terms has 16 grid points (under the cap of 49) but 64 free keys."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"spaces": ["padic(3,2)", "padic(3,2)"], "anchor": {"vertex": [4, 4]},
+                                       "operator": {"factors": ["homog(beta=1)", "homog(beta=1)"], "terms": []}}))
+        out = tmp_path / "solution.json"
+        assert main(["solve", str(problem), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == ("error: the 16 characteristic vertices carry 64 free parameters, "
+                                           "more than the 49 allowed\n")
+
+
+class TestSharedTrees:
+    """Equal string specs of a command or a problem file build one tree, shared by their factors."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+        build = io_module.build_padic_tree
+        monkeypatch.setattr(io_module, "build_padic_tree", lambda p, depth: count.append((p, depth)) or build(p, depth))
+        return count
+
+    def test_eval_and_characteristics(self, tmp_path, capsys, builds):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(_WAVE_OPERATOR))
+        spaces = ["--space", "padic(2,3)", "--space", "padic(2,3)"]
+        assert main(["characteristics", "--operator", str(op), *spaces]) == 0
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"anchor": {"vertex": [7, 7]}, "coeffs": [{"vertex": [1, 2], "j": [1, 1], "re": 1.0}]}))
+        assert main(["eval", str(sol), *spaces, "--at", "[[1, 2]]"]) == 0
+        assert builds == [(2, 3), (2, 3)]
+        capsys.readouterr()
+
+    def test_problem_file(self, tmp_path, builds):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"spaces": ["padic(2,3)", {"kind": "padic", "p": 2, "depth": 3}, "padic(2,3)"],
+                                       "operator": {"factors": ["homog(beta=1)"] * 3}, "anchor": {"vertex": [7, 7, 7]}}))
+        _, trees = load_problem(str(problem))
+        assert trees[0] is trees[2] and trees[1] is not trees[0]
+        assert builds == [(2, 3), (2, 3)]
+
+    def test_first_bad_spec_named(self, tmp_path, capsys, builds):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(_WAVE_OPERATOR))
+        argv = ["characteristics", "--operator", str(op), "--space", "padic(2,3)"]
+        assert main(argv + ["--space", "missing1.json", "--space", "missing2.json"]) == 2
+        err = capsys.readouterr().err
+        assert "missing1.json" in err and "missing2.json" not in err
+        assert main(argv + ["--space", "padic(1,3)"] * 2) == 2
+        assert capsys.readouterr().err == "error: p must be an integer >= 2, got 1\n"
+        assert builds == [(2, 3), (2, 3), (1, 3)]
 
 
 # -- listings: the bytes of the per-row dict writers the record encoder replaced --

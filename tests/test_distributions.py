@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections.abc import Mapping
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_leaf_function, random_measured_tree, random_table_symbol
+from conftest import random_leaf_function, random_measured_tree, random_table_symbol, with_zero_leaves
 from ultrawave.distributions import (
     GeneralizedFunction,
+    KeyColumns,
     LizorkinSeries,
     _as_nd_key,
     _require_integer,
@@ -21,7 +23,15 @@ from ultrawave.distributions import (
     extended_leaf_values,
     lizorkin_pair,
 )
-from ultrawave.errors import AnchorError, DegenerateBallError, DomainError, ParameterError, UnknownBallError
+from ultrawave.errors import (
+    AnchorError,
+    DegenerateBallError,
+    DomainError,
+    FileFormatError,
+    ParameterError,
+    UnknownBallError,
+)
+from ultrawave.io import _coeff_records, _strict_coeff_records
 from ultrawave.operators import TableSymbol, apply_dense, spectrum
 from ultrawave.products import TOP, vertex_key
 from ultrawave.trees import BallTree, build_padic_tree
@@ -840,6 +850,116 @@ class TestLizorkinColumnCheck:
         coeffs = {((np.int64(1), True), (1, np.int32(2))): 2, ((1, 2), (1, 1)): 1j}
         series = LizorkinSeries(2, coeffs)
         assert repr(list(series.coeffs.items())) == repr(list(per_key_series(2, coeffs).items()))
+
+
+FAULT_KINDS = ["2**70 ball", "2**70 j", "negative ball", "past the tree", "leaf", "zero measure", "degenerate",
+               "j = 0 off the anchor", "j past the basis", "negative j", "longer", "shorter", "bool", "3.0", "numpy"]
+
+
+def faulty_key(rng, trees, anchor, key, kind):
+    """``key`` with one component (or its arity) changed by ``kind``; the change may leave it valid."""
+    vertex, j = key
+    if kind == "longer":
+        return vertex + (0,), j + (1,)
+    if kind == "shorter":
+        return vertex[:-1], j[:-1]
+    i = int(rng.integers(len(trees)))
+    tree, a0 = trees[i], anchor[i]
+
+    def pick(balls):
+        return balls[int(rng.integers(len(balls)))]
+
+    sizes = {w.ball: w.j for w in tree_wavelets(tree)}  # the last index at a ball is its basis size
+    w = pick(list(sizes) or [a0])
+    leaf = pick(tree.leaves)
+    non_leaf = tree.non_leaf_balls()
+    degenerate = [b for b in non_leaf if b not in sizes] or [leaf]
+    true_ball = 1 in sizes or not tree.children[1]  # at a degenerate ball 1 the oracle names "ball True", not "ball 1"
+    ball, ji = {
+        "2**70 ball": (2**70, 1),
+        "2**70 j": (w, 2**70),
+        "negative ball": (-1, 1),
+        "past the tree": (tree.n_vertices, 1),
+        "leaf": (leaf, 1),
+        "zero measure": (pick(sorted(tree.zero_measure) or [leaf]), int(rng.integers(0, 2))),
+        "degenerate": (pick(degenerate), 1),
+        "j = 0 off the anchor": (pick([b for b in range(tree.n_vertices) if b != a0]), 0),
+        "j past the basis": (w, sizes.get(w, 0) + 1),
+        "negative j": (w, -1),
+        "bool": pick([(vertex[i], True)] + [(True, j[i])] * true_ball),
+        "3.0": (float(vertex[i]), j[i]),  # the oracle takes a 1.0 j; test_non_integral_j_rejected covers it
+        "numpy": (np.int64(vertex[i]), np.int32(j[i])),
+    }[kind]
+    return vertex[:i] + (ball,) + vertex[i + 1:], j[:i] + (ji,) + j[i + 1:]
+
+
+class TestIdColumns:
+    """The int64 id-column check against the per-key loops ``per_key_stored`` and ``per_key_series``.
+
+    On io records, whose loader brings the columns (``KeyColumns``), and on
+    plain keys, whose columns come from the keys.  Trees have zero-measure
+    leaves, and factor 0 is sometimes ``DEGENERATE_TREE``.
+    """
+
+    @staticmethod
+    def cases(rng, n, kinds):
+        """(trees, anchor, coeffs, kind): per tree set, the valid keys and each kind injected once or twice."""
+        for _ in range(3):
+            trees = [with_zero_leaves(rng, random_measured_tree(rng, max_depth=3, max_branching=3)) for _ in range(n)]
+            if rng.random() < 0.4:
+                trees[0] = DEGENERATE_TREE
+            anchor = tuple(int(rng.choice([b for b in range(t.n_vertices) if t.measure[b] > 0])) for t in trees)
+            valid = dict(list(valid_key_set(rng, trees, anchor).items())[:60])
+            keys = list(valid)
+            for kind in [None, *kinds]:
+                entries = [] if kind is None else [
+                    (faulty_key(rng, trees, anchor, keys[int(rng.integers(len(keys)))], kind),
+                     complex(rng.standard_normal(), 1.0)) for _ in range(int(rng.integers(1, 3)))]
+                yield trees, anchor, with_inserted(rng, valid, entries), kind
+
+    @staticmethod
+    def records(coeffs, ball_form):
+        """The JSON records of ``coeffs`` as a file holds them (``{ball, j}`` when ``ball_form``)."""
+        recs = [{"ball": v[0], "j": j[0]} if ball_form else {"vertex": list(v), "j": list(j)} for v, j in coeffs]
+        for rec, c in zip(recs, coeffs.values()):
+            rec.update(re=complex(c).real, im=complex(c).imag)
+        return json.loads(json.dumps(recs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_records_match_per_key_loops(self, n):
+        rng = np.random.default_rng(1200 + n)
+        seen = set()
+        for trees, anchor, coeffs, kind in self.cases(rng, n, [k for k in FAULT_KINDS if k != "numpy"]):
+            for ball_form in {False, n == 1 and kind not in ("longer", "shorter")}:
+                records = self.records(coeffs, ball_form)
+                got = outcome(lambda: GeneralizedFunction(trees, anchor, _coeff_records(records, "f")).coeffs)
+                assert got == outcome(lambda: per_key_stored(trees, anchor, _strict_coeff_records(records, "f"))), kind
+                series = outcome(lambda: LizorkinSeries(n, _coeff_records(records, "f")).coeffs)
+                assert series == outcome(lambda: per_key_series(n, _strict_coeff_records(records, "f"))), kind
+                if kind not in ("2**70 ball", "2**70 j", "longer", "shorter", "bool", "3.0"):
+                    assert isinstance(_coeff_records(records, "f"), KeyColumns), kind
+                seen.update((got[0], series[0]))
+        assert {"ok", FileFormatError, ParameterError, UnknownBallError, DomainError} <= seen
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_plain_keys_match_per_key_loops(self, n):
+        rng = np.random.default_rng(1300 + n)
+        seen = set()
+        for trees, anchor, coeffs, kind in self.cases(rng, n, FAULT_KINDS):
+            got = outcome(lambda: GeneralizedFunction(trees, anchor, coeffs).coeffs)
+            assert got == outcome(lambda: per_key_stored(trees, anchor, coeffs)), kind
+            series = outcome(lambda: LizorkinSeries(n, coeffs).coeffs)
+            assert series == outcome(lambda: per_key_series(n, coeffs)), kind
+            seen.update((got[0], series[0]))
+        assert {"ok", ParameterError, UnknownBallError, DomainError} <= seen
+
+    def test_degenerate_ball_matches_per_key_loop_on_both_paths(self):
+        coeffs = {((0,), (1,)): 1.0, ((1,), (1,)): 2.0}  # ball 1 of DEGENERATE_TREE has one positive-measure subball
+        records = self.records(coeffs, ball_form=False)
+        for given in (coeffs, _coeff_records(records, "f")):
+            got = outcome(lambda: GeneralizedFunction([DEGENERATE_TREE], (2,), given).coeffs)
+            assert got[0] is DegenerateBallError
+            assert got == outcome(lambda: per_key_stored([DEGENERATE_TREE], (2,), coeffs))
 
 
 def leaf_enumerating_eval_on_product(u, factor_values):

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permuted_tree, random_leaf_function, random_measured_tree, random_table_symbol
+from conftest import permuted_tree, random_leaf_function, random_measured_tree, random_table_symbol, with_zero_leaves
 from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import spectrum
-from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree, tree_from_leaf_measures
+from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
     WaveletExpansion,
     _character_rows,
     _haar_rows,
     analyze,
+    basis_sizes,
     evaluate,
     normalized_constant,
     synthesize,
@@ -153,6 +154,31 @@ class TestBasisMemo:
             wavelet_basis(t, b)
         with pytest.raises(UnknownBallError):
             wavelet_basis(t, bad)
+
+    def test_basis_sizes_count_each_basis(self):
+        """``basis_sizes`` against ``len(wavelet_basis)``, 0 where the basis raises (leaves, degenerate balls)."""
+        rng = np.random.default_rng(7)
+        trees = [with_zero_leaves(rng, random_measured_tree(rng, max_depth=4, max_branching=4), fraction=0.4)
+                 for _ in range(12)]
+        trees.append(BallTree([None, 0, 0, 1, 1, 2, 2], [1.0, 0.0, 1.0, 0.0, 0.0, 0.25, 0.75],
+                              [1.0, 0.5, 0.5, 0.2, 0.2, 0.2, 0.2]))  # a degenerate root, zero-measure ball 1
+        degenerate = 0
+        for t in trees:
+            sizes = basis_sizes(t)
+            assert sizes.dtype == np.int64 and sizes.shape == (t.n_vertices,) and not sizes.flags.writeable
+            assert basis_sizes(t) is sizes
+            want = []
+            for b in range(t.n_vertices):
+                try:
+                    want.append(len(wavelet_basis(t, b)))
+                except DegenerateBallError:
+                    want.append(0)
+                    degenerate += 1
+                except ParameterError:  # a leaf
+                    want.append(0)
+            assert sizes.tolist() == want
+        assert want == [0, 0, 1, 0, 0, 0, 0]
+        assert degenerate > 2 and sum(len(t.zero_measure) > 0 for t in trees) > 6
 
     def test_leaf_and_degenerate_errors_repeat(self):
         t = build_padic_tree(2, 1)
@@ -370,14 +396,6 @@ def numpy_basis(tree, ball):
         values.update((c, complex(v)) for c, v in zip(pos, row))
         out.append(values)
     return out
-
-
-def with_zero_leaves(rng, tree, fraction=0.3):
-    """The same tree with a random share of its leaf measures set to 0."""
-    leaf_measure = {x: (0.0 if rng.random() < fraction else tree.measure[x]) for x in tree.leaves}
-    if not any(leaf_measure.values()):
-        leaf_measure[tree.leaves[0]] = 1.0
-    return tree_from_leaf_measures(tree.parent, leaf_measure, tree.diameter)
 
 
 class TestClosedFormBases:

@@ -15,6 +15,7 @@ from conftest import random_leaf_function
 from ultrawave.cli import main
 from ultrawave.distributions import GeneralizedFunction, LizorkinSeries, eval_extended, eval_on_product
 from ultrawave.errors import UnsolvableError
+from ultrawave.io import load_solution, solution_to_obj, write_json
 from ultrawave.operators import HomogeneousSymbol, spectrum
 from ultrawave.products import MultiOperator
 from ultrawave.solver import CauchyProblem, check_solvability, solve
@@ -151,11 +152,11 @@ def test_only_the_free_keys_classify_the_grid(calls):
 
 
 @pytest.mark.parametrize("ids", ["int", "numpy", "bool j"])
-def test_construction_checks_each_distinct_component_once(ids, calls):
-    """Valid series of 1k and 4k keys on padic(2,7)**2: no key-by-key check, whatever integer type the ids have.
+def test_construction_checks_id_columns_and_builds_no_basis(ids, calls):
+    """Valid series of 1k and 4k keys on padic(2,7)**2: no key-by-key or per-component check and no
+    wavelet basis, whatever integer type the ids have.
 
-    The first 127 keys put every non-leaf ball in both columns, so each
-    factor has the same 127 distinct (ball, j) components at both sizes.
+    The first 127 keys put every non-leaf ball in both columns.
     """
     rng = np.random.default_rng(3)
     trees = [build_padic_tree(2, 7)] * 2
@@ -166,7 +167,6 @@ def test_construction_checks_each_distinct_component_once(ids, calls):
     calls(GeneralizedFunction, "_check_key")
     calls(LizorkinSeries, "_check_key")
     calls(GeneralizedFunction, "_check_component")
-    calls(LizorkinSeries, "_check_component")
     calls(distributions_module, "wavelet_basis")
     counts = []
     for k in (1000, 4000):
@@ -178,5 +178,25 @@ def test_construction_checks_each_distinct_component_once(ids, calls):
         assert len(u.coeffs) == len(series.coeffs) == k
         assert repr(list(u.coeffs)) == repr(list(series.coeffs)) == repr(list(coeffs))  # ids stored as given
         counts.append(dict(calls.counts))
-    # a name counts both classes: 127 components per factor of each
-    assert counts == [{"_check_key": 0, "_check_component": 2 * 2 * 127, "wavelet_basis": 2 * 127}] * 2
+    assert counts == [{"_check_key": 0, "_check_component": 0, "wavelet_basis": 0}] * 2
+
+
+def test_loading_a_solution_and_solving_build_no_basis(calls, tmp_path):
+    """Validation counts wavelets through ``basis_sizes``: the loader and ``solve`` build no basis.
+
+    A seeded solve on padic(2,5)**2 and the load of its solution file, with
+    boundary keys (a j = 0 component) among the rhs quotients and free keys.
+    """
+    tree = build_padic_tree(2, 5)
+    symbol = HomogeneousSymbol(beta=0.5)
+    op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+    rhs = LizorkinSeries(2, {((1, 3), (1, 1)): 1.0, ((0, 5), (1, 1)): 2j, ((9, 2), (1, 1)): -1.0})
+    problem = CauchyProblem(op, rhs, anchor=(31, 40), boundary={((31, 4), (0, 1)): 0.5}, free_values=7)
+    calls(wavelets_module, "wavelet_basis")
+    calls(distributions_module, "wavelet_basis")  # shares the count
+    sol = solve(problem)
+    path = tmp_path / "sol.json"
+    write_json(solution_to_obj(sol), str(path))
+    u = load_solution(str(path), [build_padic_tree(2, 5)] * 2)
+    assert len(u.coeffs) == len(sol.u.coeffs) == 3 + 1 + 341 + 1  # rhs, boundary, free keys, anchor
+    assert calls.counts == {"wavelet_basis": 0}
