@@ -35,7 +35,6 @@ from .wavelets import (
 )
 from .operators import (
     HomogeneousSymbol,
-    Spectrum,
     TableSymbol,
     apply_dense,
     eigenvalue,
@@ -58,10 +57,8 @@ from .distributions import (
     LizorkinSeries,
     apply_operator,
     eval_extended,
-    eval_on_char,
     eval_on_char_nd,
     eval_on_product,
-    eval_on_test,
     lizorkin_pair,
 )
 from .solver import (

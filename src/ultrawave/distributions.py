@@ -39,9 +39,9 @@ A rank-1 test function costs one bottom-up pass of ball integrals per
 factor.  ``eval_on_product`` turns each factor's pass into a (ball, j) ->
 term factor table, then multiplies every stored coefficient by one table
 entry per factor: O(sum of n_i * p_i + coefficients * n), whatever the size
-of the balls.  ``eval_extended`` and ``eval_on_test`` read it.  Masses are
-summed up the tree rather than over sorted leaves, so values may differ
-from the old leaf sums in the last bits.
+of the balls.  ``eval_extended`` reads it.  Masses are summed up the tree
+rather than over sorted leaves, so values may differ from the old leaf sums
+in the last bits.
 
 A Lizorkin series is the same coefficient data without an anchor, restricted
 to true wavelet indices (all ``j[i] >= 1``); it pairs with mean-zero
@@ -59,18 +59,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AnchorError, DegenerateBallError, DomainError, ParameterError
-from .operators import Spectrum
 from .products import MultiOperator
 from .trees import BallTree
-from .wavelets import (
-    TestFunction,
-    WaveletExpansion,
-    ball_integrals,
-    basis_sizes,
-    synthesize,
-    tree_wavelets,
-    wavelet_basis,
-)
+from .wavelets import WaveletExpansion, ball_integrals, basis_sizes, tree_wavelets, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -198,10 +189,6 @@ class LizorkinSeries:
         if any(ji < 1 for ji in j):
             raise DomainError(f"series key {key} is not a wavelet index (every j must be >= 1)")
 
-    @classmethod
-    def one_dim(cls, coeffs: Mapping[tuple[int, int], complex]) -> "LizorkinSeries":
-        return cls(1, {((b,), (j,)): c for (b, j), c in coeffs.items()})
-
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
@@ -297,17 +284,6 @@ class GeneralizedFunction:
             self._items = tuple(sorted(self.coeffs.items(), key=itemgetter(0)))
         return self._items
 
-    @classmethod
-    def one_dim(
-        cls,
-        tree: BallTree,
-        anchor_ball: int,
-        anchor_value: complex = 0.0,
-        coeffs: Mapping[tuple[int, int], complex] | None = None,
-    ) -> "GeneralizedFunction":
-        nd = {((b,), (j,)): c for (b, j), c in (coeffs or {}).items()}
-        return cls([tree], (anchor_ball,), nd, anchor_value)
-
 
 def _toward(tree: BallTree, ball: int, top: int) -> dict[int, int]:
     """Each strict ancestor of ``ball`` inside ``top``, mapped to its maximal subball containing ``ball``."""
@@ -393,12 +369,6 @@ def eval_on_char_nd(u: GeneralizedFunction, vertex: Sequence[int]) -> complex:
     return complex(total)
 
 
-def eval_on_char(u: GeneralizedFunction, ball: int) -> complex:
-    if u.n != 1:
-        raise ParameterError("eval_on_char expects a one-factor generalized function")
-    return eval_on_char_nd(u, (ball,))
-
-
 def _term_factors(
     tree: BallTree, a0: int, leaf_values: Mapping[int, complex]
 ) -> dict[tuple[int, int], complex]:
@@ -429,16 +399,6 @@ def eval_on_product(u: GeneralizedFunction, factor_values: Sequence[Mapping[int,
             c *= table[b, j]
         total += c
     return complex(total)
-
-
-def eval_on_test(u: GeneralizedFunction, f: TestFunction | WaveletExpansion) -> complex:
-    """Apply a one-factor generalized function to a test function."""
-    if u.n != 1:
-        raise ParameterError("eval_on_test expects a one-factor generalized function")
-    tree = u.factors[0]
-    if isinstance(f, WaveletExpansion):
-        f = synthesize(tree, f)
-    return eval_on_product(u, [f.leaf_values()])
 
 
 def extended_leaf_values(
@@ -492,20 +452,17 @@ def lizorkin_pair(phi: LizorkinSeries, f: WaveletExpansion | Mapping[Key, comple
     return complex(sum(c * lookup.get(key, 0.0) for key, c in phi.items()))
 
 
-def apply_operator(u: GeneralizedFunction, operator: Spectrum | MultiOperator) -> LizorkinSeries:
+def apply_operator(u: GeneralizedFunction, operator: MultiOperator) -> LizorkinSeries:
     """Coefficient series of the operator applied to ``u``.
 
     Diagonal action: each true wavelet coefficient is scaled by the
     eigenvalue at its vertex; indicator components and the anchor value are
-    killed because the operator maps constants to zero.
+    killed because the operator maps constants to zero.  The operator must
+    act on ``u``'s own trees, factor by factor.
     """
-    items = u.wavelet_items()
-    if not isinstance(operator, Spectrum):
-        return LizorkinSeries(u.n, {key: operator.eigenvalue(key[0]) * c for key, c in items})
-    if u.n != 1:
-        raise ParameterError("a plain spectrum applies to one-factor functions only")
-    try:
-        out = {key: operator[key[0][0]] * c for key, c in items}
-    except KeyError as exc:
-        raise DomainError(f"the spectrum has no eigenvalue at ball {exc.args[0]}") from None
-    return LizorkinSeries(1, out)
+    if operator.n != u.n:
+        raise ParameterError(f"operator arity {operator.n} does not match {u.n} factors")
+    for i, ((tree, _), own) in enumerate(zip(operator.factors, u.factors)):
+        if tree is not own:
+            raise DomainError(f"factor {i} of the operator acts on another tree than factor {i} of the function")
+    return LizorkinSeries(u.n, {key: operator.eigenvalue(key[0]) * c for key, c in u.wavelet_items()})

@@ -133,21 +133,8 @@ def eigenvalue(tree: BallTree, symbol: Symbol, ball: int) -> complex:
     return complex(lam)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues indexed by non-leaf ball id."""
-
-    eigenvalues: Mapping[int, complex]
-
-    def __getitem__(self, ball: int) -> complex:
-        return self.eigenvalues[ball]
-
-    def items(self):
-        return sorted(self.eigenvalues.items())
-
-
-def spectrum(tree: BallTree, symbol: Symbol) -> Spectrum:
-    """Every eigenvalue in one top-down pass, keyed in ascending ball id.
+def spectrum(tree: BallTree, symbol: Symbol) -> dict[int, complex]:
+    """Every eigenvalue in one top-down pass, as a dict keyed by ``tree.non_leaf_balls()`` in ascending id.
 
     The ancestor sum of a ball's child is the ball's own sum plus one term,
     ``P(child) = P(v) + T(v) * (nu(v) - nu(child))``, so
@@ -157,7 +144,7 @@ def spectrum(tree: BallTree, symbol: Symbol) -> Spectrum:
     """
     balls = tree.non_leaf_balls()
     if not balls:
-        return Spectrum({})
+        return {}
     try:
         t = {b: symbol.value(tree, b) for b in balls}
         extra = _tail_sum(tree, symbol)
@@ -177,8 +164,8 @@ def spectrum(tree: BallTree, symbol: Symbol) -> Spectrum:
                 term = tv * (nv - measure[c])
                 stack.append((c, term if pv is None else pv + term))
     if extra is None:
-        return Spectrum({b: lam[b] for b in balls})
-    return Spectrum({b: lam[b] + extra for b in balls})
+        return {b: lam[b] for b in balls}
+    return {b: lam[b] + extra for b in balls}
 
 
 def operator_matrix(tree: BallTree, symbol: Symbol) -> np.ndarray:

@@ -287,7 +287,7 @@ class MultiOperator:
         cache = self._spectra[i]
         if cache is None:
             tree, symbol = self.factors[i]
-            cache = spectrum(tree, symbol).eigenvalues
+            cache = spectrum(tree, symbol)
             self._spectra[i] = cache
         return cache[ball]
 

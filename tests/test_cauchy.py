@@ -14,7 +14,6 @@ from ultrawave.distributions import (
     LizorkinSeries,
     apply_operator,
     eval_extended,
-    eval_on_char,
     eval_on_char_nd,
 )
 from ultrawave.errors import (
@@ -129,16 +128,16 @@ class TestSolve:
         assert sol.free_params == ()
         for b in range(t.n_vertices):
             expected = (2.0 - 1.0j) * t.measure[b]
-            assert abs(eval_on_char(sol.u, b) - expected) < 1e-14
+            assert abs(eval_on_char_nd(sol.u, (b,)) - expected) < 1e-14
 
     def test_delta_rhs_divides_and_matches_dense_oracle(self):
         t, sym, op = two_level_operator()
-        rhs = LizorkinSeries.one_dim({(1, 1): 1.0})
+        rhs = LizorkinSeries(1, {(1, 1): 1.0})
         problem = CauchyProblem(op, rhs, anchor=(3,), anchor_value=0.5)
         sol = solve(problem)
         assert abs(sol.u.coefficient((1,), (1,)) - 2.0) < 1e-14  # 1 / (1/2)
         # dense residual oracle: realize u pointwise, apply the kernel, re-analyze
-        values = {x: eval_on_char(sol.u, x) / t.measure[x] for x in t.leaves}
+        values = {x: eval_on_char_nd(sol.u, (x,)) / t.measure[x] for x in t.leaves}
         g = apply_dense(t, sym, TestFunction(t, values))
         e = analyze(t, g)
         assert abs(e.mean) < 1e-12
@@ -148,10 +147,10 @@ class TestSolve:
 
     def test_anchor_condition_reproduced(self):
         t, sym, op = two_level_operator()
-        rhs = LizorkinSeries.one_dim({(0, 1): 1.0 + 2.0j, (2, 1): -0.25})
+        rhs = LizorkinSeries(1, {(0, 1): 1.0 + 2.0j, (2, 1): -0.25})
         problem = CauchyProblem(op, rhs, anchor=(1,), anchor_value=-3.0 + 0.5j)
         sol = solve(problem)
-        assert abs(eval_on_char(sol.u, 1) - (-3.0 + 0.5j) * t.measure[1]) < 1e-12
+        assert abs(eval_on_char_nd(sol.u, (1,)) - (-3.0 + 0.5j) * t.measure[1]) < 1e-12
 
     def test_wave_solution_kills_operator(self):
         t = build_padic_tree(2, 2)
@@ -204,7 +203,7 @@ class TestSolve:
 
     def test_operator_scaling(self):
         t, sym, op = two_level_operator()
-        rhs = LizorkinSeries.one_dim({(1, 1): 1.0, (0, 1): 2.0})
+        rhs = LizorkinSeries(1, {(1, 1): 1.0, (0, 1): 2.0})
         c = 2.0 - 1.0j
         scaled = MultiOperator([(t, sym)], [(idx, c * coeff) for idx, coeff in op.terms])
         sol = solve(CauchyProblem(op, rhs, anchor=(3,)))
@@ -227,17 +226,17 @@ class TestErrors:
     def test_near_characteristic_rhs_is_ill_conditioned(self):
         t = build_padic_tree(2, 1)
         op = MultiOperator([(t, TableSymbol({0: 1.0}))], [((0,), 1.0), ((), -(1.0 - 1e-8))])
-        rhs = LizorkinSeries.one_dim({(0, 1): 1.0})
+        rhs = LizorkinSeries(1, {(0, 1): 1.0})
         with pytest.raises(IllConditionedError):
             solve(CauchyProblem(op, rhs, anchor=(1,)))
 
     def test_near_characteristic_without_rhs_is_warned(self):
         t = build_padic_tree(2, 2)
         op = MultiOperator([(t, TableSymbol({0: 1.0, 1: 0.0, 2: 0.0}))], [((0,), 1.0), ((), -(0.5 - 1e-8))])
-        rhs = LizorkinSeries.one_dim({(0, 1): 1.0})  # lambda_root - c = 0.5 + 1e-8, fine
+        rhs = LizorkinSeries(1, {(0, 1): 1.0})  # lambda_root - c = 0.5 + 1e-8, fine
         sol = solve(CauchyProblem(op, rhs, anchor=(3,)))
         assert sol.residual.warnings == ()
-        rhs2 = LizorkinSeries.one_dim({(0, 1): 1.0, (1, 1): 1e-12})
+        rhs2 = LizorkinSeries(1, {(0, 1): 1.0, (1, 1): 1e-12})
         sol2 = solve(CauchyProblem(op, rhs2, anchor=(3,)))
         assert any("near-characteristic" in w for w in sol2.residual.warnings)
 
@@ -328,7 +327,7 @@ def test_random_1d_residual_and_anchor(seed):
         assert abs(applied.coefficient(*key) - c) <= 1e-10 * max(fnorm, 1.0)
     anchor = problem.anchor[0]
     expected = problem.anchor_value * t.measure[anchor]
-    assert abs(eval_on_char(sol.u, anchor) - expected) <= 1e-12 * max(1.0, abs(expected))
+    assert abs(eval_on_char_nd(sol.u, (anchor,)) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 @settings(max_examples=12)

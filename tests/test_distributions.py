@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 from collections.abc import Mapping
 
 import numpy as np
@@ -16,10 +17,8 @@ from ultrawave.distributions import (
     _require_integer,
     apply_operator,
     eval_extended,
-    eval_on_char,
     eval_on_char_nd,
     eval_on_product,
-    eval_on_test,
     extended_leaf_values,
     lizorkin_pair,
 )
@@ -32,8 +31,8 @@ from ultrawave.errors import (
     UnknownBallError,
 )
 from ultrawave.io import _coeff_records, _strict_coeff_records
-from ultrawave.operators import TableSymbol, apply_dense, spectrum
-from ultrawave.products import TOP, vertex_key
+from ultrawave.operators import HomogeneousSymbol, TableSymbol, apply_dense, spectrum
+from ultrawave.products import TOP, MultiOperator, vertex_key
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
@@ -182,43 +181,41 @@ def random_product_function(rng, n, n_keys):
 class TestEvalOnChar:
     def test_constant_generalized_function(self):
         t = build_padic_tree(2, 2)
-        u = GeneralizedFunction.one_dim(t, 1, anchor_value=2.5 - 1.0j)
+        u = GeneralizedFunction([t], (1,), anchor_value=2.5 - 1.0j)
         for b in range(t.n_vertices):
-            assert abs(eval_on_char(u, b) - (2.5 - 1.0j) * t.measure[b]) < 1e-15
+            assert abs(eval_on_char_nd(u, (b,)) - (2.5 - 1.0j) * t.measure[b]) < 1e-15
 
     def test_anchor_ball_exact(self):
         t = build_padic_tree(2, 2)
-        u = GeneralizedFunction.one_dim(
-            t, 1, anchor_value=0.3, coeffs={(0, 1): 2.0 + 1.0j, (1, 1): -0.7j, (2, 1): 5.0}
-        )
-        assert eval_on_char(u, 1) == 0.3 * t.measure[1]  # cancellation is exact here
+        u = GeneralizedFunction([t], (1,), {(0, 1): 2.0 + 1.0j, (1, 1): -0.7j, (2, 1): 5.0}, 0.3)
+        assert eval_on_char_nd(u, (1,)) == 0.3 * t.measure[1]  # cancellation is exact here
 
     def test_single_coefficient_vs_naive(self):
         t = build_padic_tree(2, 3)
-        u = GeneralizedFunction.one_dim(t, 7, anchor_value=1.1, coeffs={(1, 1): 2.0 - 0.5j})
+        u = GeneralizedFunction([t], (7,), {(1, 1): 2.0 - 0.5j}, 1.1)
         for b in range(t.n_vertices):
-            assert abs(eval_on_char(u, b) - naive_eval_on_char(u, b)) < 1e-12
+            assert abs(eval_on_char_nd(u, (b,)) - naive_eval_on_char(u, b)) < 1e-12
 
     def test_zero_measure_anchor_rejected(self):
         t = BallTree([None, 0, 0], [1.0, 1.0, 0.0], [1.0, 0.5, 0.5])
         with pytest.raises(AnchorError):
-            GeneralizedFunction.one_dim(t, 2, anchor_value=1.0)
+            GeneralizedFunction([t], (2,), anchor_value=1.0)
 
 
 class TestPairings:
     def test_biorthogonality(self):
         t = build_padic_tree(3, 2)
-        phi = LizorkinSeries.one_dim({(1, 2): 1.0})
+        phi = LizorkinSeries(1, {(1, 2): 1.0})
         (target,) = [w for w in tree_wavelets(t) if (w.ball, w.j) == (1, 2)]
         f = TestFunction(t, {x: evaluate(t, target, x) for x in t.leaves})
         assert abs(lizorkin_pair(phi, analyze(t, f)) - 1.0) < 1e-13
 
     def test_zero_function(self):
-        phi = LizorkinSeries.one_dim({(0, 1): 3.0})
+        phi = LizorkinSeries(1, {(0, 1): 3.0})
         assert lizorkin_pair(phi, WaveletExpansion(0.0, {})) == 0
 
     def test_non_mean_zero_rejected(self):
-        phi = LizorkinSeries.one_dim({(0, 1): 1.0})
+        phi = LizorkinSeries(1, {(0, 1): 1.0})
         with pytest.raises(DomainError):
             lizorkin_pair(phi, WaveletExpansion(1.0, {(0, 1): 1.0}))
 
@@ -234,13 +231,13 @@ class TestPairings:
             for k in rng.choice(len(keys), size=5, replace=False).tolist()
             for k in [keys[k]]
         }
-        phi = LizorkinSeries.one_dim(phi_coeffs)
+        phi = LizorkinSeries(1, phi_coeffs)
         dense = sum(phi_coeffs.get(k, 0.0) * e.coeffs[k] for k in keys)
         assert abs(lizorkin_pair(phi, e0) - dense) < 1e-13
 
     def test_wavelet_index_validation(self):
         with pytest.raises(DomainError):
-            LizorkinSeries.one_dim({(0, 0): 1.0})
+            LizorkinSeries(1, {(0, 0): 1.0})
 
     @pytest.mark.parametrize("j", [1.5, 1.0, "1", None])
     def test_non_integer_index_rejected(self, j):
@@ -341,8 +338,8 @@ class TestPathIndexedPairing:
 
     def test_coefficients_are_read_only(self):
         t = build_padic_tree(2, 2)
-        u = GeneralizedFunction.one_dim(t, 3, anchor_value=1.0, coeffs={(0, 1): 2.0})
-        eval_on_char(u, 4)
+        u = GeneralizedFunction([t], (3,), {(0, 1): 2.0}, 1.0)
+        eval_on_char_nd(u, (4,))
         with pytest.raises(TypeError):
             u.coeffs[((1,), (1,))] = 5.0
         assert u.items() == ((((0,), (1,)), 2.0 + 0j), (((3,), (0,)), 1.0 + 0j))
@@ -352,16 +349,16 @@ class TestPathIndexedPairing:
 class TestApplyOperator:
     def test_constant_gives_zero_series(self):
         t = build_padic_tree(2, 2)
-        u = GeneralizedFunction.one_dim(t, 0, anchor_value=3.0)
+        u = GeneralizedFunction([t], (0,), anchor_value=3.0)
         sym = TableSymbol({b: 1.0 for b in t.non_leaf_balls()})
-        out = apply_operator(u, spectrum(t, sym))
+        out = apply_operator(u, MultiOperator.single(t, sym))
         assert out.coeffs == {}
 
     def test_delta_scaling(self):
         t = build_padic_tree(2, 2)
-        u = GeneralizedFunction.one_dim(t, 0, coeffs={(1, 1): 1.0})
+        u = GeneralizedFunction([t], (0,), {(1, 1): 1.0})
         sym = TableSymbol({0: 0.0, 1: 3.0, 2: 0.0})
-        out = apply_operator(u, spectrum(t, sym))
+        out = apply_operator(u, MultiOperator.single(t, sym))
         assert abs(out.coefficient((1,), (1,)) - 3.0 * 0.5) < 1e-15  # lambda_1 = 3*nu(1)
 
     def test_pairing_against_dense_oracle(self):
@@ -370,15 +367,33 @@ class TestApplyOperator:
         sym = random_table_symbol(rng, t)
         g = random_leaf_function(rng, t)
         gc = analyze(t, g).coeffs
-        u = GeneralizedFunction.one_dim(t, 0, anchor_value=1.3, coeffs=gc)
+        u = GeneralizedFunction([t], (0,), gc, 1.3)
         f = random_leaf_function(rng, t)
         f_coeffs = analyze(t, f).coeffs
         f0 = synthesize(t, WaveletExpansion(0.0, f_coeffs))
-        lhs = lizorkin_pair(apply_operator(u, spectrum(t, sym)), WaveletExpansion(0.0, f_coeffs))
+        lhs = lizorkin_pair(apply_operator(u, MultiOperator.single(t, sym)), WaveletExpansion(0.0, f_coeffs))
         # dense route: never touches the eigenvalue formula
         tf = apply_dense(t, sym, f0)
         dense = sum(gc[k] * c for k, c in analyze(t, tf).coeffs.items())
         assert abs(lhs - dense) < 1e-12 * max(1.0, abs(dense))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_single_factor_operator_scales_by_the_spectrum(self, seed):
+        """Bit for bit the one-factor spectral scaling: each coefficient times ``spectrum`` at its ball."""
+        rng = np.random.default_rng(1400 + seed)
+        t = with_zero_leaves(rng, random_measured_tree(rng, max_depth=4))
+        coeffs = {(w.ball, w.j): complex(*rng.standard_normal(2)) for w in tree_wavelets(t)}
+        for k, key in enumerate(coeffs):
+            coeffs[key] = {0: 0j, 1: -0j}.get(k % 7, coeffs[key])
+        anchor = int(rng.choice([b for b in range(t.n_vertices) if t.measure[b] > 0]))
+        u = GeneralizedFunction([t], (anchor,), coeffs, complex(rng.standard_normal()))
+        scale = complex(*rng.standard_normal(2))
+        for sym in (random_table_symbol(rng, t), HomogeneousSymbol(beta=0.5), HomogeneousSymbol(c=scale, beta=1.5)):
+            spec = spectrum(t, sym)
+            want = {k: spec[k[0][0]] * c for k, c in u.wavelet_items()}
+            got = apply_operator(u, MultiOperator.single(t, sym)).coeffs
+            assert want and list(got) == list(want)
+            assert [bits(z) for z in got.values()] == [bits(z) for z in want.values()]
 
 
 class TestInvariants:
@@ -389,12 +404,12 @@ class TestInvariants:
         for w in itertools.islice(tree_wavelets(t), 4):
             coeffs[(w.ball, w.j)] = complex(rng.standard_normal(), rng.standard_normal())
         anchor = int(t.leaves[0])
-        u1 = GeneralizedFunction.one_dim(t, anchor, anchor_value=0.4, coeffs=coeffs)
-        u2 = GeneralizedFunction.one_dim(t, anchor, anchor_value=0.4 + 9.3j, coeffs=coeffs)
+        u1 = GeneralizedFunction([t], (anchor,), coeffs, 0.4)
+        u2 = GeneralizedFunction([t], (anchor,), coeffs, 0.4 + 9.3j)
         f = random_leaf_function(rng, t)
         e = analyze(t, f)
         f0 = synthesize(t, WaveletExpansion(0.0, e.coeffs))
-        v1, v2 = eval_on_test(u1, f0), eval_on_test(u2, f0)
+        v1, v2 = eval_on_product(u1, [f0.leaf_values()]), eval_on_product(u2, [f0.leaf_values()])
         assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
 
     def test_anchor_reconstruction(self):
@@ -405,8 +420,8 @@ class TestInvariants:
             coeffs[(w.ball, w.j)] = complex(rng.standard_normal(), rng.standard_normal())
         anchor = int(t.leaves[1])
         u0 = 1.7 - 0.6j
-        u = GeneralizedFunction.one_dim(t, anchor, anchor_value=u0, coeffs=coeffs)
-        assert abs(eval_on_char(u, anchor) - u0 * t.measure[anchor]) < 1e-12
+        u = GeneralizedFunction([t], (anchor,), coeffs, u0)
+        assert abs(eval_on_char_nd(u, (anchor,)) - u0 * t.measure[anchor]) < 1e-12
         scale = max(abs(c) for c in coeffs.values())
         for (b, j), c in coeffs.items():
             got = eval_extended(u, (b,), (j,))
@@ -418,10 +433,10 @@ class TestInvariants:
         coeffs = {}
         for w in itertools.islice(tree_wavelets(t), 5):
             coeffs[(w.ball, w.j)] = complex(rng.standard_normal(), rng.standard_normal())
-        u = GeneralizedFunction.one_dim(t, t.root, anchor_value=0.9, coeffs=coeffs)
+        u = GeneralizedFunction([t], (t.root,), coeffs, 0.9)
         for ball in t.non_leaf_balls():
-            whole = eval_on_char(u, ball)
-            parts = sum(eval_on_char(u, c) for c in t.children[ball])
+            whole = eval_on_char_nd(u, (ball,))
+            parts = sum(eval_on_char_nd(u, (c,)) for c in t.children[ball])
             assert abs(whole - parts) < 1e-12 * max(1.0, abs(whole))
 
     def test_extended_family_full_rank(self):
@@ -450,9 +465,9 @@ class TestInvariants:
     def test_filtration_independence(self):
         # the truncated series stabilizes once the subtree holds sup and support
         t = build_padic_tree(2, 3)
-        u = GeneralizedFunction.one_dim(t, 8, anchor_value=0.7, coeffs={(1, 1): 2.0 + 1.0j})
+        u = GeneralizedFunction([t], (8,), {(1, 1): 2.0 + 1.0j}, 0.7)
         target = 11  # leaf under the other root child
-        closed = eval_on_char(u, target)
+        closed = eval_on_char_nd(u, (target,))
         for members in ({0, 1, 2}, {0, 1, 2, 3, 4}, set(range(t.n_vertices))):
             assert abs(naive_eval_on_char(u, target, members=members) - closed) < 1e-12
 
@@ -468,12 +483,10 @@ def test_random_sparse_closed_vs_naive_1d(seed):
         w = wavelets[int(w)]
         coeffs[(w.ball, w.j)] = complex(rng.standard_normal(), rng.standard_normal())
     anchor = int(rng.choice([b for b in range(t.n_vertices) if t.measure[b] > 0]))
-    u = GeneralizedFunction.one_dim(
-        t, anchor, anchor_value=complex(rng.standard_normal()), coeffs=coeffs
-    )
+    u = GeneralizedFunction([t], (anchor,), coeffs, complex(rng.standard_normal()))
     for ball in rng.choice(t.n_vertices, size=6):
         ball = int(ball)
-        closed = eval_on_char(u, ball)
+        closed = eval_on_char_nd(u, (ball,))
         naive = naive_eval_on_char(u, ball)
         assert abs(closed - naive) < 1e-12 * max(1.0, abs(naive))
 
@@ -497,7 +510,11 @@ def per_key_stored(factors, anchor, coeffs):
         if len(vertex) != n or len(j) != n:
             raise ParameterError(f"key {key} does not have arity {n}")
         for i, (tree, b, ji) in enumerate(zip(factors, vertex, j)):
-            ball = tree.check_ball(b)
+            ball = tree.check_ball(b)  # operator.index, then the range
+            try:
+                operator.index(ji)
+            except TypeError:
+                raise DomainError(f"index {key}: j={ji!r} is not an integer") from None
             if ji == 0:
                 if b != anchor[i]:
                     raise DomainError(
@@ -506,7 +523,7 @@ def per_key_stored(factors, anchor, coeffs):
             elif ji >= 1:
                 if not tree.children[ball]:
                     raise DomainError(f"index {key}: wavelets do not attach to the minimal ball {b}")
-                if ji > len(wavelet_basis(tree, b)):
+                if ji > len(wavelet_basis(tree, ball)):
                     raise DomainError(f"index {key}: no wavelet with index {ji} at ball {b}")
             else:
                 raise DomainError(f"index {key}: negative j")
@@ -633,7 +650,7 @@ class TestComponentValidation:
         assert got[0] is DegenerateBallError
         assert got == outcome(lambda: per_key_stored(trees, anchor, coeffs))
 
-    def test_one_dim_shorthand_keys_and_anchor_value(self):
+    def test_single_factor_shorthand_keys_and_anchor_value(self):
         t = build_padic_tree(3, 2)
         coeffs = {(0, 1): 1.0, ((1,), 2): 2.0, (2, (1,)): 3.0, ((0,), (2,)): 4.0}
         u = GeneralizedFunction([t], (4,), coeffs, anchor_value=0.5)
@@ -776,7 +793,7 @@ class TestLizorkinKeyOrder:
         with pytest.raises(DomainError, match=r"ball=.* is not an integer"):
             LizorkinSeries(2, {((0, ball), (1, 1)): 1.0})
         with pytest.raises(DomainError, match=r"ball=.* is not an integer"):
-            LizorkinSeries.one_dim({(ball, 1): 1.0})
+            LizorkinSeries(1, {((ball,), (1,)): 1.0})
 
     def test_numpy_int_vertex_components_accepted(self):
         series = LizorkinSeries(2, {((np.int64(3), np.int32(0)), (1, 1)): 2.0})
@@ -874,7 +891,6 @@ def faulty_key(rng, trees, anchor, key, kind):
     leaf = pick(tree.leaves)
     non_leaf = tree.non_leaf_balls()
     degenerate = [b for b in non_leaf if b not in sizes] or [leaf]
-    true_ball = 1 in sizes or not tree.children[1]  # at a degenerate ball 1 the oracle names "ball True", not "ball 1"
     ball, ji = {
         "2**70 ball": (2**70, 1),
         "2**70 j": (w, 2**70),
@@ -886,8 +902,8 @@ def faulty_key(rng, trees, anchor, key, kind):
         "j = 0 off the anchor": (pick([b for b in range(tree.n_vertices) if b != a0]), 0),
         "j past the basis": (w, sizes.get(w, 0) + 1),
         "negative j": (w, -1),
-        "bool": pick([(vertex[i], True)] + [(True, j[i])] * true_ball),
-        "3.0": (float(vertex[i]), j[i]),  # the oracle takes a 1.0 j; test_non_integral_j_rejected covers it
+        "bool": pick([(vertex[i], True), (True, j[i])]),
+        "3.0": pick([(float(vertex[i]), j[i]), (vertex[i], float(j[i]))]),
         "numpy": (np.int64(vertex[i]), np.int32(j[i])),
     }[kind]
     return vertex[:i] + (ball,) + vertex[i + 1:], j[:i] + (ji,) + j[i + 1:]
@@ -1005,7 +1021,10 @@ def leaf_enumerating_eval_on_product(u, factor_values):
 
 @pytest.mark.parametrize("n,seed", [(n, seed) for n in (1, 2, 3) for seed in range(4)])
 def test_term_factor_tables_match_leaf_enumeration(n, seed):
-    """eval_on_product, eval_extended and eval_on_test agree with the leaf sums to 1e-12 of their scale."""
+    """eval_on_product and eval_extended agree with the leaf sums to 1e-12 of their scale.
+
+    At n = 1 the test function also comes as a ``TestFunction`` and as a synthesized expansion.
+    """
     rng = np.random.default_rng(500 + 10 * n + seed)
     u = random_product_function(rng, n, n_keys=80)
 
@@ -1026,9 +1045,10 @@ def test_term_factor_tables_match_leaf_enumeration(n, seed):
     if n == 1:
         tree = u.factors[0]
         f = TestFunction(tree, full[0])
-        close(eval_on_test(u, f), leaf_enumerating_eval_on_product(u, full))
+        close(eval_on_product(u, [f.leaf_values()]), leaf_enumerating_eval_on_product(u, full))
         e = analyze(tree, f)
-        close(eval_on_test(u, e), leaf_enumerating_eval_on_product(u, [synthesize(tree, e).values]))
+        close(eval_on_product(u, [synthesize(tree, e).leaf_values()]),
+              leaf_enumerating_eval_on_product(u, [synthesize(tree, e).values]))
 
 
 class TestExtendedInputChecks:
@@ -1061,7 +1081,19 @@ class TestExtendedInputChecks:
             extended_leaf_values(build_padic_tree(2, 2), 3, 0, 1.0)
 
     def test_spectrum_of_another_tree(self):
-        u = GeneralizedFunction.one_dim(build_padic_tree(2, 3), 7, coeffs={(5, 1): 1.0})
+        t = build_padic_tree(2, 3)
+        u = GeneralizedFunction([t], (7,), {(5, 1): 1.0})
         small = build_padic_tree(2, 2)
-        with pytest.raises(DomainError, match="no eigenvalue at ball 5"):
-            apply_operator(u, spectrum(small, TableSymbol({b: 1.0 for b in small.non_leaf_balls()})))
+        same_shape = BallTree(t.parent, [2.0 * m for m in t.measure], t.diameter)  # other measures
+        for other in (small, same_shape, build_padic_tree(2, 3)):
+            op = MultiOperator.single(other, TableSymbol({b: 1.0 for b in other.non_leaf_balls()}))
+            with pytest.raises(DomainError, match="factor 0 of the operator acts on another tree"):
+                apply_operator(u, op)
+        sym = TableSymbol({b: 1.0 for b in t.non_leaf_balls()})
+        u2 = GeneralizedFunction([t, t], (7, 7), {((5, 5), (1, 1)): 1.0})
+        with pytest.raises(DomainError, match="factor 1 of the operator acts on another tree"):
+            apply_operator(u2, MultiOperator([(t, sym), (same_shape, sym)], [((0, 1), 1.0)]))
+        with pytest.raises(ParameterError, match="operator arity 2 does not match 1 factors"):
+            apply_operator(u, MultiOperator([(t, sym), (t, sym)], [((0,), 1.0)]))
+        with pytest.raises(ParameterError, match="operator arity 1 does not match 2 factors"):
+            apply_operator(u2, MultiOperator.single(t, sym))

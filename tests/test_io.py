@@ -157,7 +157,7 @@ class TestCoefficientFiles:
 
     def test_j_zero_encodes_anchor_components(self):
         t = build_padic_tree(2, 2)
-        u = GeneralizedFunction.one_dim(t, 1, anchor_value=2.0, coeffs={(0, 1): 1.0})
+        u = GeneralizedFunction([t], (1,), {(0, 1): 1.0}, 2.0)
         obj = genfun_to_obj(u)
         assert obj["anchor"] == {"vertex": [1], "value": [2.0, 0.0]}
         assert obj["coeffs"] == [{"ball": 0, "j": 1, "re": 1.0, "im": 0.0}]
@@ -356,14 +356,14 @@ class TestStringAndBooleanIds:
         {"vertex": [3, 0], "j": ["1", 1], "re": 1.0, "im": 0.0},
     ])
     def test_every_coefficient_loader_rejects_them(self, entry, tmp_path):
-        one_dim = "ball" in entry
-        trees = [build_padic_tree(2, 2)] * (1 if one_dim else 2)
+        ball_form = "ball" in entry
+        trees = [build_padic_tree(2, 2)] * (1 if ball_form else 2)
         with pytest.raises(FileFormatError, match="^sol.json: bad coefficient entry .* is not a number"):
             genfun_from_obj({"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}, trees,
                             location="sol.json")
         with pytest.raises(FileFormatError, match="is not a number"):
             lizorkin_from_obj({"mean": 0.0, "coeffs": [entry]}, len(trees))
-        if one_dim:
+        if ball_form:
             return
         for part in ("boundary", "free_params"):
             problem = {"spaces": ["padic(2,2)"] * 2, "operator": {"factors": ["homog(beta=1)"] * 2},
