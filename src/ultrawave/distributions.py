@@ -72,9 +72,9 @@ def _as_nd_key(key) -> Key:
     vertex, j = key
     if type(key) is tuple and type(vertex) is tuple and type(j) is tuple:
         return key  # already normalized; skips allocating an equal tuple
-    if isinstance(vertex, int):
+    if not isinstance(vertex, (tuple, list)):  # a (ball, j) shorthand of any id type
         vertex = (vertex,)
-    if isinstance(j, int):
+    if not isinstance(j, (tuple, list)):
         j = (j,)
     return tuple(vertex), tuple(j)
 

@@ -336,10 +336,11 @@ class MultiOperator:
                 for i in indices:
                     p_re, p_im = p_re * re[i] - p_im * im[i], p_re * im[i] + p_im * re[i]
                     mag = mag * mags[i]
-                total_re = total_re + (coeff.real * p_re - coeff.imag * p_im)
-                total_im = total_im + (coeff.real * p_im + coeff.imag * p_re)
-                best = np.where(mag > best, mag, best)  # max(best, mag): a NaN mag never wins
-        return total_re, total_im, np.where(best > 0.0, best, 1.0)
+                total_re += coeff.real * p_re - coeff.imag * p_im
+                total_im += coeff.real * p_im + coeff.imag * p_re
+                np.copyto(best, mag, where=mag > best)  # max(best, mag): a NaN mag never wins
+        np.copyto(best, 1.0, where=~(best > 0.0))
+        return total_re, total_im, best
 
     def eigenvalue(self, vertex: Vertex) -> complex:
         return self.form(self.lambda_vector(vertex))

@@ -9,25 +9,25 @@ parameters.  Boundary data (indices with some ``j == 0``) is copied into the
 solution verbatim; the one-factor case is the n = 1 instance with the anchor
 value as its single boundary index.
 
-The eigenvalue at a generic vertex is the operator's polynomial evaluated on
-the per-factor eigenvalues, so ``solve`` classifies the generic grid once,
-with ``MultiOperator.form_arrays`` over the factors' eigenvalue axes in
-blocks of leading-factor rows (``BLOCK_POINTS`` points at most, or one row
-when a row alone is larger).  The kernel spells out every complex product on
-float arrays because numpy's complex multiply and ``abs`` may differ from
-Python's ``complex`` in the last bit: the characteristic set is the one the
-per-vertex Python arithmetic gives, bit for bit.
+The eigenvalue at a generic vertex is the operator's polynomial in the
+per-factor eigenvalues, so ``MultiOperator.form_arrays`` runs once, on the
+cells: the product of each axis's groups of bit-equal eigenvalues (d per
+axis on ``padic(p,d)`` with a homogeneous symbol).  The kernel spells out
+every complex product on float arrays because numpy's complex multiply and
+``abs`` may differ from Python's ``complex`` in the last bit: the
+characteristic set is the one the per-vertex Python arithmetic gives.
 
 Everything after the classification works on columns, not per vertex:
 
-* ``_classify`` returns the characteristic vertices as per-factor ball-id
-  columns with their eigenvalues and scales (``characteristics`` wraps them
-  into ``Characteristic`` objects; ``solve`` only zips the id columns into
+* ``_classify`` tests the cells, gives each grid point its cell's verdict
+  and returns the characteristic vertices as per-factor ball-id columns
+  with their eigenvalues and scales (``characteristics`` wraps them into
+  ``Characteristic`` objects; ``solve`` only zips the id columns into
   vertex tuples).  A NaN or infinite eigenvalue or term scale (the
   polynomial overflowed) is an error, never a characteristic vertex.
-* The rhs vertices map to axis positions through per-factor id -> position
-  arrays (-1 at a leaf).  One ``form_arrays`` call gives the eigenvalue of
-  every generic entry; ``_classify``'s test on it marks the entry characteristic.
+* The rhs vertices map to cells through per-factor id -> group arrays (-1
+  at a leaf); ``_classify``'s test on a generic entry's cell values marks
+  it characteristic.
   The quotients and the residual use Python ``complex`` arithmetic through
   C-level ``map`` on purpose: numpy's complex division scales by a
   reciprocal and differs from CPython's in the last bit.
@@ -63,12 +63,20 @@ from .errors import (
 from .products import MultiOperator
 from .wavelets import basis_sizes
 
-BLOCK_POINTS = 1 << 16  # grid points per classification block, unless one row is larger
 MAX_GRID_POINTS = 1 << 18  # caps the generic grid before any eigenvalue, and the free keys before any is built
 
-# per factor: the generic grid's axis (non-leaf ball ids, ascending), each id's
-# position on it (-1 at a leaf), and the axis eigenvalues' real and imaginary parts
-FactorSpectrum = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+class FactorSpectrum(NamedTuple):
+    """A factor's generic grid axis and its eigenvalues, grouped by their exact bits."""
+
+    axis: np.ndarray  # the non-leaf ball ids, ascending
+    group: np.ndarray  # each id's group (-1 at a leaf)
+    re: np.ndarray  # each group's eigenvalue, real and imaginary parts
+    im: np.ndarray
+    smallest: np.ndarray  # each group's smallest ball
+
+
+Spectra = tuple[list[FactorSpectrum], tuple[np.ndarray, np.ndarray, np.ndarray]]  # and (re, im, scale) per cell
 CharColumns = tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]  # ball ids per factor, re, im, scale
 
 
@@ -79,21 +87,27 @@ class Characteristic:
     scale: float
 
 
-def _factor_spectra(op: MultiOperator) -> list[FactorSpectrum]:
-    """Per factor, the generic grid's axis, the id -> axis position map and the axis eigenvalues."""
+def _factor_spectra(op: MultiOperator) -> Spectra:
+    """Per factor, the axis and its eigenvalue groups; and ``form_arrays`` once, on the cells.
+
+    A cell is one group per factor.  ``form_arrays`` is elementwise, so a
+    vertex's eigenvalue and term scale are its cell's, bit for bit.
+    """
     axes = [tree.non_leaf_balls() for tree, _ in op.factors]
     points = math.prod(map(len, axes))
     if points > MAX_GRID_POINTS:
         raise ParameterError(f"the generic grid {' x '.join(str(len(axis)) for axis in axes)} has "
                              f"{points} points, more than the {MAX_GRID_POINTS} allowed")
-    out = []
+    factors = []
     for i, ((tree, _), balls) in enumerate(zip(op.factors, axes)):
         axis = np.array(balls, dtype=np.int64)
-        position = np.full(tree.n_vertices, -1, dtype=np.int64)
-        position[axis] = np.arange(len(axis))
-        lams = [op.factor_eigenvalue(i, b) for b in axis.tolist()]
-        out.append((axis, position, np.array([z.real for z in lams]), np.array([z.imag for z in lams])))
-    return out
+        lams = np.array([op.factor_eigenvalue(i, b) for b in balls], dtype=complex)
+        _, first, inverse = np.unique(lams.view(np.uint64).reshape(-1, 2), axis=0,
+                                      return_index=True, return_inverse=True)
+        group = np.full(tree.n_vertices, -1, dtype=np.int64)
+        group[axis] = inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D
+        factors.append(FactorSpectrum(axis, group, lams.real[first], lams.imag[first], axis[first]))
+    return factors, op.form_arrays(np.ix_(*(f.re for f in factors)), np.ix_(*(f.im for f in factors)))
 
 
 def _characteristic_mask(lam_re, lam_im, scale, epsilon: float, vertices) -> np.ndarray:
@@ -111,45 +125,26 @@ def _characteristic_mask(lam_re, lam_im, scale, epsilon: float, vertices) -> np.
     return np.hypot(lam_re, lam_im) <= epsilon * scale
 
 
-def _classify(op: MultiOperator, epsilon: float, spectra: list[FactorSpectrum]) -> CharColumns:
+def _classify(spectra: Spectra, epsilon: float) -> CharColumns:
     """Characteristic vertices of the generic grid as columns, in ``vertex_key`` order.
 
     Returns per-factor ball-id columns, the eigenvalues' real and imaginary
-    parts and the term scales.  The grid is streamed in blocks of the
-    leading factor's axis; within a block, C order (that of ``np.nonzero``)
-    is ``vertex_key`` order because every axis lists its balls in increasing
-    id order.
+    parts and the term scales.  Each grid point takes its cell's verdict; C
+    order over the ascending axes (that of ``np.nonzero``) is ``vertex_key``
+    order.  A non-finite cell names its smallest vertex, its groups' smallest balls.
     """
-    n = op.n
-
-    def along(a: np.ndarray, i: int) -> np.ndarray:
-        return a.reshape([-1 if k == i else 1 for k in range(n)])
-
-    axes = [axis for axis, _, _, _ in spectra]
-    re = [along(r, i) for i, (_, _, r, _) in enumerate(spectra)]
-    im = [along(m, i) for i, (_, _, _, m) in enumerate(spectra)]
-
-    def ids_of(mask: np.ndarray, start: int) -> list[np.ndarray]:  # per factor, the ball ids of a block's points
-        k0, *ks = np.nonzero(mask)
-        return [axes[0][k0 + start], *(axis[k] for axis, k in zip(axes[1:], ks))]
-
-    inner = math.prod(len(axis) for axis in axes[1:])
-    step = max(1, BLOCK_POINTS // max(inner, 1))
-    blocks = []
-    for start in range(0, len(axes[0]) or 1, step):  # one empty block for an empty leading axis
-        rows = slice(start, start + step)
-        lam_re, lam_im, scale = op.form_arrays([re[0][rows], *re[1:]], [im[0][rows], *im[1:]])
-        mask = _characteristic_mask(lam_re, lam_im, scale, epsilon, lambda bad: ids_of(bad, start))
-        blocks.append((ids_of(mask, start), lam_re[mask], lam_im[mask], scale[mask]))
-    ids, lam_re, lam_im, scale = zip(*blocks)
-    return ([np.concatenate(col) for col in zip(*ids)],
-            np.concatenate(lam_re), np.concatenate(lam_im), np.concatenate(scale))
+    factors, (re, im, scale) = spectra
+    mask = _characteristic_mask(re, im, scale, epsilon,
+                                lambda bad: [f.smallest[k] for f, k in zip(factors, np.nonzero(bad))])
+    ids = [f.axis[k] for f, k in zip(factors, np.nonzero(mask[np.ix_(*(f.group[f.axis] for f in factors))]))]
+    at = tuple(f.group[col] for f, col in zip(factors, ids))
+    return ids, re[at], im[at], scale[at]
 
 
 def characteristic_columns(op: MultiOperator, epsilon: float = 1e-9) -> CharColumns:
     """``_classify``'s columns of the characteristic vertices, after checking ``epsilon``."""
     _check_tolerance("epsilon", epsilon)
-    return _classify(op, epsilon, _factor_spectra(op))
+    return _classify(_factor_spectra(op), epsilon)
 
 
 def characteristics(op: MultiOperator, epsilon: float = 1e-9) -> list[Characteristic]:
@@ -251,7 +246,7 @@ class _RhsColumns(NamedTuple):
     norm: float  # rhs.norm_inf()
     generic: np.ndarray
     on_char: np.ndarray
-    eigen: tuple[np.ndarray, np.ndarray, np.ndarray]  # form_arrays (re, im, scale) at the generic entries
+    eigen: tuple[np.ndarray, np.ndarray, np.ndarray]  # the cell's (re, im, scale) at each generic entry
 
     def violations(self, threshold: float) -> tuple[SolvabilityViolation, ...]:
         """The entries above ``threshold`` on a characteristic vertex, in sorted key order."""
@@ -260,34 +255,33 @@ class _RhsColumns(NamedTuple):
                      sorted(((self.keys[k], self.values[k]) for k in flagged), key=itemgetter(0)))
 
 
-def _rhs_columns(problem: CauchyProblem, spectra: list[FactorSpectrum]) -> _RhsColumns:
+def _rhs_columns(problem: CauchyProblem, spectra: Spectra) -> _RhsColumns:
     """The rhs as columns: which entries are generic, their eigenvalues, and which are characteristic.
 
     A vertex is generic when every id is a non-leaf ball of its factor; an
     id outside the factor (negative, too large, beyond int64) is not.  A
-    generic entry is characteristic by ``_classify``'s test on its own
-    eigenvalue: exactly when its vertex is in the grid's characteristic set.
+    generic entry is characteristic by ``_classify``'s test on its cell:
+    exactly when its vertex is in the grid's characteristic set.
     """
     keys = list(problem.rhs.coeffs)
     values = list(problem.rhs.coeffs.values())
     z = np.array(values, dtype=complex)
     mags = np.hypot(z.real, z.imag)  # abs, bit for bit
     vertices = list(map(itemgetter(0), keys))
-    m, n = len(vertices), len(spectra)
+    factors, cells = spectra
+    m, n = len(vertices), len(factors)
     try:
         ids = np.array(vertices, dtype=np.int64).reshape(m, n)
     except (OverflowError, TypeError):  # an id beyond int64 belongs to no tree
         ids = np.array([[b if 0 <= b < 2**62 else -1 for b in map(operator_index, v)] for v in vertices],
                        dtype=np.int64).reshape(m, n)
-    positions = []
-    for (_, position, _, _), col in zip(spectra, ids.T):
-        inside = (col >= 0) & (col < len(position))
-        positions.append(np.where(inside, position[np.where(inside, col, 0)], -1))
-    generic = np.logical_and.reduce([pos >= 0 for pos in positions])
-    lam_re, lam_im, scale = eigen = problem.operator.form_arrays(
-        [r[pos[generic]] for (_, _, r, _), pos in zip(spectra, positions)],
-        [m[pos[generic]] for (_, _, _, m), pos in zip(spectra, positions)],
-    )
+    groups = []
+    for f, col in zip(factors, ids.T):
+        inside = (col >= 0) & (col < len(f.group))
+        groups.append(np.where(inside, f.group[np.where(inside, col, 0)], -1))
+    generic = np.logical_and.reduce([g >= 0 for g in groups])
+    at = tuple(g[generic] for g in groups)
+    lam_re, lam_im, scale = eigen = tuple(col[at] for col in cells)
     on_char = np.zeros(m, dtype=bool)
     on_char[generic] = _characteristic_mask(lam_re, lam_im, scale, problem.epsilon, lambda bad: ids[generic][bad].T)
     return _RhsColumns(keys, values, mags, max(mags.tolist(), default=0.0), generic, on_char, eigen)
@@ -397,7 +391,7 @@ def solve(problem: CauchyProblem) -> Solution:
     quotients = list(map(truediv, values, lams))
     max_abs = max(itertools.chain((0.0,), map(abs, map(sub, map(mul, lams, quotients), values))))
 
-    char_ids = _classify(op, problem.epsilon, spectra)[0]
+    char_ids = _classify(spectra, problem.epsilon)[0]
     _check_free_count(trees, char_ids)
     vertices = list(zip(*(col.tolist() for col in char_ids)))
     indices = [{b: _wavelet_indices(tree, b) for b in set(col.tolist())} for tree, col in zip(trees, char_ids)]

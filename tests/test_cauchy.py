@@ -240,24 +240,22 @@ class TestErrors:
         sol2 = solve(CauchyProblem(op, rhs2, anchor=(3,)))
         assert any("near-characteristic" in w for w in sol2.residual.warnings)
 
-    def test_overflowing_eigenvalue_names_the_first_vertex(self, monkeypatch):
+    def test_overflowing_eigenvalue_names_the_first_vertex(self):
         """1e10 * lambda_1 * lambda_2 overflows wherever a factor sits below the root: not characteristic, an error.
 
         The grid names its first such vertex in ``vertex_key`` order, whatever
-        the blocks; the rhs names the smallest of its own, whatever its order.
+        the cells; the rhs names the smallest of its own, whatever its order.
         """
         t = build_padic_tree(2, 2)
         sym = TableSymbol({0: 1.0, 1: 1e300, 2: 1e300})
         op = MultiOperator([(t, sym), (t, sym)], [((0, 1), 1e10)])
         rhs = LizorkinSeries(2, {((2, 2), (1, 1)): 1.0, ((1, 0), (1, 1)): 1.0, ((0, 0), (1, 1)): 1.0})
         problem = CauchyProblem(op, rhs, anchor=(3, 3))
-        for block_points in (solver.BLOCK_POINTS, 1):
-            monkeypatch.setattr(solver, "BLOCK_POINTS", block_points)
-            with pytest.raises(NonFiniteError, match=r"^the eigenvalue \(inf.*\) \(term scale inf\) at vertex \(0, 1\) "):
-                characteristics(op)
-            for fn in (check_solvability, solve):
-                with pytest.raises(NonFiniteError, match=r"at vertex \(1, 0\) is not finite$"):
-                    fn(problem)
+        with pytest.raises(NonFiniteError, match=r"^the eigenvalue \(inf.*\) \(term scale inf\) at vertex \(0, 1\) "):
+            characteristics(op)
+        for fn in (check_solvability, solve):
+            with pytest.raises(NonFiniteError, match=r"at vertex \(1, 0\) is not finite$"):
+                fn(problem)
 
 
 class TestGridCap:
@@ -607,19 +605,17 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_grid_classification_and_solve_match_per_vertex_oracle(seed, monkeypatch):
-    """Bit for bit, with the whole grid in one block and with one grid point per block."""
+def test_grid_classification_and_solve_match_per_vertex_oracle(seed):
+    """Bit for bit."""
     kwargs = _random_case(np.random.default_rng(seed))
     op, epsilon = kwargs["operator"], kwargs["epsilon"]
     problem = CauchyProblem(**kwargs)
     lam_map, chars = _reference_classify(op, epsilon)
     violations = _reference_violations(problem, {c.vertex for c in chars})
     want = _outcome(_reference_solve, problem)
-    for block_points in (solver.BLOCK_POINTS, 1):
-        monkeypatch.setattr(solver, "BLOCK_POINTS", block_points)
-        assert repr(characteristics(op, epsilon)) == repr(chars)
-        assert repr(check_solvability(problem)) == repr(SolvabilityReport(not violations, violations))
-        assert _outcome(solve, problem) == want
+    assert repr(characteristics(op, epsilon)) == repr(chars)
+    assert repr(check_solvability(problem)) == repr(SolvabilityReport(not violations, violations))
+    assert _outcome(solve, problem) == want
 
 
 def test_oracle_cases_cover_every_outcome():
@@ -654,12 +650,15 @@ def test_unsupported_free_values_raise_after_the_division(inject, value):
     assert ("IllConditionedError" if inject else "unsupported free_values") in want
 
 
-def test_classification_in_blocks_equals_one_block(monkeypatch):
+def test_three_factor_classification_with_repeated_eigenvalues_matches_oracle():
+    """Table values that depend only on ``b % 3`` repeat eigenvalues along each axis, so cells hold
+    several grid points; the classification still matches the per-vertex oracle bit for bit."""
     t1, t2 = build_padic_tree(2, 3), build_padic_tree(3, 2)
-    sym1 = TableSymbol({b: complex(b % 3, -0.5 * b) for b in t1.non_leaf_balls()})
-    sym2 = TableSymbol({b: complex(b % 3, 0.25 * b) for b in t2.non_leaf_balls()})
+    sym1 = TableSymbol({b: complex(b % 3, -0.5 * (b % 3)) for b in t1.non_leaf_balls()})
+    sym2 = TableSymbol({b: complex(b % 3, 0.25 * (b % 3)) for b in t2.non_leaf_balls()})
     op = MultiOperator([(t1, sym1), (t2, sym2), (t1, sym1)], [((0,), 1.0), ((2,), -1.0), ((1, 1), 1e-3j)])
-    whole = repr(characteristics(op, 1e-3))
-    assert whole != "[]"
-    monkeypatch.setattr(solver, "BLOCK_POINTS", 1)
-    assert repr(characteristics(op, 1e-3)) == whole
+    for i, (tree, _) in enumerate(op.factors):
+        lams = [op.factor_eigenvalue(i, b) for b in tree.non_leaf_balls()]
+        assert len(set(lams)) < len(lams)
+    chars = characteristics(op, 1e-3)
+    assert chars and repr(chars) == repr(_reference_classify(op, 1e-3)[1])

@@ -33,6 +33,7 @@ from ultrawave.errors import (
 from ultrawave.io import _coeff_records, _strict_coeff_records
 from ultrawave.operators import HomogeneousSymbol, TableSymbol, apply_dense, spectrum
 from ultrawave.products import TOP, MultiOperator, vertex_key
+from ultrawave.solver import CauchyProblem
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
@@ -493,9 +494,9 @@ def test_random_sparse_closed_vs_naive_1d(seed):
 
 def per_key_as_nd_key(key):
     vertex, j = key
-    if isinstance(vertex, int):
+    if not isinstance(vertex, (tuple, list)):
         vertex = (vertex,)
-    if isinstance(j, int):
+    if not isinstance(j, (tuple, list)):
         j = (j,)
     return tuple(vertex), tuple(j)
 
@@ -798,6 +799,32 @@ class TestLizorkinKeyOrder:
     def test_numpy_int_vertex_components_accepted(self):
         series = LizorkinSeries(2, {((np.int64(3), np.int32(0)), (1, 1)): 2.0})
         assert series.coefficient((3, 0), (1, 1)) == 2.0
+
+
+def _stored_or_error(make):
+    try:
+        return repr(make())
+    except Exception as exc:  # the type is the outcome; a shorthand must not fail differently
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("ball,j", [(np.int64(1), 1), (1, np.int64(1)), (np.int32(2), np.uint8(1)), (1.5, 1),
+                                    (1, 1.5), ("ab", 1), (True, 1), (1, True)])
+def test_shorthand_key_is_its_full_key(ball, j):
+    """A one-factor ``(ball, j)`` key of any id type means ``((ball,), (j,))`` everywhere a key is taken."""
+    tree = build_padic_tree(2, 2)
+    op = MultiOperator([(tree, HomogeneousSymbol(beta=0.5))], [((0,), 1.0)])
+    series = LizorkinSeries(1, {((1,), (1,)): 2.0})
+    u = GeneralizedFunction([tree], (3,), {((1,), (1,)): 2.0})
+    uses = [
+        lambda key: LizorkinSeries(1, {key: 1.0}).coeffs,
+        lambda key: GeneralizedFunction([tree], (3,), {key: 1.0}).coeffs,
+        lambda key: series.coefficient(*key),
+        lambda key: u.coefficient(*key),
+        lambda key: CauchyProblem(op, LizorkinSeries(1, {}), anchor=(3,), free_values={key: 1.0}).free_values,
+    ]
+    for use in uses:
+        assert _stored_or_error(lambda: use((ball, j))) == _stored_or_error(lambda: use(((ball,), (j,))))
 
 
 def per_key_series(n, coeffs):

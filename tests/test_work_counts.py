@@ -18,7 +18,7 @@ from ultrawave.errors import UnsolvableError
 from ultrawave.io import load_solution, solution_to_obj, write_json
 from ultrawave.operators import HomogeneousSymbol, spectrum
 from ultrawave.products import MultiOperator
-from ultrawave.solver import CauchyProblem, check_solvability, solve
+from ultrawave.solver import CauchyProblem, characteristic_columns, check_solvability, solve
 from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import analyze, tree_wavelets
 
@@ -133,6 +133,33 @@ def test_characteristics_command_builds_no_characteristic(calls, tmp_path, capsy
         out = capsys.readouterr().out
         assert (out.count('{"vertex"') if fmt == "json" else out.count("\n") - 1) == 341
     assert calls.counts == {"Characteristic": 0, "_classify": 2}
+
+
+@pytest.mark.parametrize("depth", range(3, 8))
+def test_the_operator_is_evaluated_once_on_the_distinct_eigenvalues(depth, monkeypatch):
+    """T1 - T2 on padic(2,d)**2 has d distinct eigenvalues per axis: one ``form_arrays`` call over d**2
+    points per ``solve``, ``check_solvability`` or ``characteristic_columns``, whatever the rhs."""
+    tree = build_padic_tree(2, depth)
+    symbol = HomogeneousSymbol(beta=0.5)
+    op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+    balls = tree.non_leaf_balls()
+    off_char = [(a, b) for a in balls for b in balls if op.factor_eigenvalue(0, a) != op.factor_eigenvalue(1, b)]
+    points = []
+    form_arrays = MultiOperator.form_arrays
+
+    def counting(self, re, im):
+        out = form_arrays(self, re, im)
+        points.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(MultiOperator, "form_arrays", counting)
+    for terms in (1, 10, len(off_char)):
+        rhs = LizorkinSeries(2, {(v, (1, 1)): 1.0 for v in off_char[:terms]})
+        problem = CauchyProblem(op, rhs, anchor=(2**depth - 1, 2**depth))
+        for fn, arg in ((solve, problem), (check_solvability, problem), (characteristic_columns, op)):
+            points.clear()
+            fn(arg)
+            assert points == [depth**2]
 
 
 def test_only_the_free_keys_classify_the_grid(calls):
