@@ -19,7 +19,6 @@ from .trees import (
     BallTree,
     RegularSubtree,
     build_padic_tree,
-    tree_from_leaf_measures,
     validate_regular_subtree,
 )
 from .wavelets import (

@@ -39,9 +39,10 @@ A rank-1 test function costs one bottom-up pass of ball integrals per
 factor.  ``eval_on_product`` turns each factor's pass into a (ball, j) ->
 term factor table, then multiplies every stored coefficient by one table
 entry per factor: O(sum of n_i * p_i + coefficients * n), whatever the size
-of the balls.  ``eval_extended`` reads it.  Masses are summed up the tree
-rather than over sorted leaves, so values may differ from the old leaf sums
-in the last bits.
+of the balls.  Masses are summed up the tree rather than over sorted leaves,
+so values may differ from the old leaf sums in the last bits.
+``eval_extended`` needs no pass at all: the extended family is dual to the
+coefficient keys, so its value is one ``coeffs`` probe.
 
 A Lizorkin series is the same coefficient data without an anchor, restricted
 to true wavelet indices (all ``j[i] >= 1``); it pairs with mean-zero
@@ -401,41 +402,33 @@ def eval_on_product(u: GeneralizedFunction, factor_values: Sequence[Mapping[int,
     return complex(total)
 
 
-def extended_leaf_values(
-    tree: BallTree, anchor_ball: int, ball: int, j: int, conjugate: bool = False
-) -> dict[int, complex]:
-    """Leaf values of one extended family member of a factor.
-
-    ``j >= 1`` selects a wavelet at ``ball`` (the zero function at a leaf);
-    ``j == 0`` is the anchor indicator when ``ball`` is the anchor and the
-    zero function otherwise.
-    """
-    ball = tree.check_ball(ball)
-    _require_integer((ball, j), "j", j)
-    if j < 0:
-        raise DomainError(f"index {(ball, j)}: negative j")
-    if j == 0:
-        return dict.fromkeys(tree.leaves_under(anchor_ball), 1.0 + 0.0j) if ball == anchor_ball else {}
-    if not tree.children[ball]:
-        return {}
-    basis = wavelet_basis(tree, ball)
-    if not 1 <= j <= len(basis):
-        raise DomainError(f"no wavelet with index {j} at ball {ball}")
-    out: dict[int, complex] = {}
-    for child, val in basis[j - 1].values.items():
-        v = complex(val).conjugate() if conjugate else complex(val)
-        if v != 0:
-            out.update(dict.fromkeys(tree.leaves_under(child), v))
-    return out
-
-
 def eval_extended(u: GeneralizedFunction, vertex: Sequence[int], j: Sequence[int]) -> complex:
-    """Value of ``u`` on the conjugate of an extended family member."""
+    """Value of ``u`` on the conjugate of an extended family member, by one ``coeffs`` probe.
+
+    The extended family is dual to the coefficient keys, factor by factor.
+    A conjugated wavelet pairs to 1 with its own key and to 0 with every
+    other: the wavelets are orthonormal, and their zero mean cancels the
+    anchor correction.  The anchor indicator pairs to nu(a_i) with j = 0 and
+    to 0 with every wavelet, its correction cancelling its own integral.  So
+    the value is the coefficient stored at (vertex, j) times nu(a_i) for each
+    component with j_i = 0; nothing is stored at a j_i = 0 off the anchor
+    ball or at a j_i >= 1 at a leaf, where the member is the zero function.
+    """
     for name, seq in (("vertex", vertex), ("j", j)):
         if len(seq) != u.n:
             raise ParameterError(f"{name} arity {len(seq)} does not match {u.n} factors")
-    return eval_on_product(u, [extended_leaf_values(tree, a0, b, ji, conjugate=True)
-                               for tree, a0, b, ji in zip(u.factors, u.anchor, vertex, j)])
+    balls, scale = [], 1.0
+    for tree, a0, b, ji in zip(u.factors, u.anchor, vertex, j):
+        ball = tree.check_ball(b)
+        _require_integer((ball, ji), "j", ji)
+        if ji < 0:
+            raise DomainError(f"index {(ball, ji)}: negative j")
+        if ji == 0:
+            scale *= tree.measure[a0]
+        elif tree.children[ball] and ji > len(wavelet_basis(tree, ball)):  # a degenerate ball raises here
+            raise DomainError(f"no wavelet with index {ji} at ball {ball}")
+        balls.append(ball)
+    return complex(u.coeffs.get((tuple(balls), tuple(j)), 0j) * scale)
 
 
 def lizorkin_pair(phi: LizorkinSeries, f: WaveletExpansion | Mapping[Key, complex]) -> complex:

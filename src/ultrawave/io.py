@@ -1,9 +1,13 @@
-"""JSON file formats for spaces, symbols, operators, series and solutions.
+"""JSON file formats for spaces, symbols, operators, series, solutions and problems.
 
-Anywhere a space file is expected, the inline shorthand ``padic(p,depth)``
-is accepted; symbols likewise accept ``homog(beta=...,c=...,tail=...)``.
-References inside composite files (operator factor symbols, problem parts)
-are paths resolved relative to the referencing file's directory.
+Each format has one reader, a ``load_*`` function that takes the JSON
+object inline or a string naming its file; every format but the problem
+also has a writer, a ``*_to_obj`` function that is its reader's inverse.
+Anywhere a space is expected, the shorthand
+``padic(p,depth)`` is accepted; symbols likewise accept
+``homog(beta=...,c=...,tail=...)``.  References inside composite files
+(operator factor symbols, problem parts) are paths resolved relative to the
+referencing file's directory.
 """
 
 from __future__ import annotations
@@ -41,6 +45,20 @@ def _read_json(path: str) -> Any:
         raise FileFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", location=path) from exc
     except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, or a NUL in the path
         raise FileFormatError(f"cannot read file: {exc}", location=path) from exc
+
+
+def _resolve(spec: Any, base_dir: str, location: str) -> tuple[Any, str, str]:
+    """``spec`` as (its JSON object, the location to report, the directory of its references).
+
+    A string names a file relative to ``base_dir``: its contents, reported
+    by the joined path, with references resolved next to the file.  Anything
+    else is the object itself, reported under ``location``, with references
+    resolved in ``base_dir``.
+    """
+    if not isinstance(spec, str):
+        return spec, location, base_dir or "."
+    path = os.path.join(base_dir, spec)
+    return _read_json(path), path, os.path.dirname(path) or "."
 
 
 def _number(x: Any) -> float:
@@ -165,7 +183,12 @@ def _vertex_record(rec: Any, location: str) -> tuple[int, int | None, float, flo
     return i, p, _field(rec, "measure", what, location), _field(rec, "diameter", what, location)
 
 
-def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
+def load_space(spec: str | Mapping[str, Any], base_dir: str = ".", location: str = "space") -> BallTree:
+    """A space from an inline object, a file or a ``padic(p,depth)`` shorthand (see ``_resolve``)."""
+    m = _PADIC_RE.match(spec.strip()) if isinstance(spec, str) else None
+    if m:
+        return build_padic_tree(int(m.group(1)), int(m.group(2)))
+    obj, location, _ = _resolve(spec, base_dir, location)
     kind = _object(obj, "a space", location).get("kind")
     if kind == "padic":
         p, depth = (_field(obj, key, "padic space", location, integer=True) for key in ("p", "depth"))
@@ -190,17 +213,6 @@ def space_from_obj(obj: Mapping[str, Any], location: str = "space") -> BallTree:
             parent[i], measure[i], diameter[i] = p, m, d
         return BallTree(parent, measure, diameter)
     raise FileFormatError(f"unknown space kind {kind!r}", location)
-
-
-def load_space(spec: str | Mapping[str, Any], base_dir: str = ".", location: str = "space") -> BallTree:
-    """A space from a file, a ``padic(p,depth)`` shorthand or an inline object (reported under ``location``)."""
-    if isinstance(spec, Mapping):
-        return space_from_obj(spec, location)
-    m = _PADIC_RE.match(spec.strip())
-    if m:
-        return build_padic_tree(int(m.group(1)), int(m.group(2)))
-    path = os.path.join(base_dir, spec)
-    return space_from_obj(_read_json(path), location=path)
 
 
 def load_spaces(specs: Iterable[str | Mapping[str, Any]], base_dir: str = ".",
@@ -242,25 +254,6 @@ def space_to_obj(tree: BallTree) -> dict[str, Any]:
 # -- symbols ---------------------------------------------------------------
 
 
-def symbol_from_obj(obj: Mapping[str, Any], location: str = "symbol") -> Symbol:
-    kind = _object(obj, "a symbol", location).get("kind")
-    if kind == "table":
-        entries = {}
-        for rec in _list(obj, "entries", location):
-            ball = _field(rec, "ball", "table entry", location, integer=True)  # first: rec may not be an object
-            entries[ball] = _complex_of(rec, location)
-        return TableSymbol(entries)
-    if kind == "homogeneous":
-        c = _pair_of(obj.get("c", 1.0), location)
-        beta = _field(obj, "beta", "homogeneous symbol", location) if "beta" in obj else 1.0
-        tail = obj.get("tail", False)
-        if not isinstance(tail, bool):  # bool("false") would switch the tail on
-            raise FileFormatError(f"homogeneous symbol: 'tail' must be true or false, got {tail!r}",
-                                  location)
-        return HomogeneousSymbol(c=c, beta=beta, tail=tail)
-    raise FileFormatError(f"unknown symbol kind {kind!r}", location)
-
-
 def _homog_shorthand(text: str) -> HomogeneousSymbol | None:
     m = _HOMOG_RE.match(text.strip())
     if not m:
@@ -283,14 +276,27 @@ def _homog_shorthand(text: str) -> HomogeneousSymbol | None:
 
 
 def load_symbol(spec: str | Mapping[str, Any], base_dir: str = ".", location: str = "symbol") -> Symbol:
-    """A symbol from a file, a ``homog(...)`` shorthand or an inline object (reported under ``location``)."""
-    if isinstance(spec, Mapping):
-        return symbol_from_obj(spec, location)
-    short = _homog_shorthand(spec)
+    """A symbol from an inline object, a file or a ``homog(...)`` shorthand (see ``_resolve``)."""
+    short = _homog_shorthand(spec) if isinstance(spec, str) else None
     if short is not None:
         return short
-    path = os.path.join(base_dir, spec)
-    return symbol_from_obj(_read_json(path), location=path)
+    obj, location, _ = _resolve(spec, base_dir, location)
+    kind = _object(obj, "a symbol", location).get("kind")
+    if kind == "table":
+        entries = {}
+        for rec in _list(obj, "entries", location):
+            ball = _field(rec, "ball", "table entry", location, integer=True)  # first: rec may not be an object
+            entries[ball] = _complex_of(rec, location)
+        return TableSymbol(entries)
+    if kind == "homogeneous":
+        c = _pair_of(obj.get("c", 1.0), location)
+        beta = _field(obj, "beta", "homogeneous symbol", location) if "beta" in obj else 1.0
+        tail = obj.get("tail", False)
+        if not isinstance(tail, bool):  # bool("false") would switch the tail on
+            raise FileFormatError(f"homogeneous symbol: 'tail' must be true or false, got {tail!r}",
+                                  location)
+        return HomogeneousSymbol(c=c, beta=beta, tail=tail)
+    raise FileFormatError(f"unknown symbol kind {kind!r}", location)
 
 
 def symbol_to_obj(symbol: Symbol) -> dict[str, Any]:
@@ -308,9 +314,11 @@ def symbol_to_obj(symbol: Symbol) -> dict[str, Any]:
 # -- operators ---------------------------------------------------------------
 
 
-def operator_from_obj(
-    obj: Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "operator"
+def load_operator(
+    spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "operator"
 ) -> MultiOperator:
+    """An operator on ``trees`` from an inline object or a file (see ``_resolve``)."""
+    obj, location, base_dir = _resolve(spec, base_dir, location)
     factor_specs = _object(obj, "an operator", location).get("factors")
     if not isinstance(factor_specs, list) or len(factor_specs) != len(trees):
         raise FileFormatError(f"operator needs {len(trees)} factor symbols, got {factor_specs!r}", location)
@@ -321,16 +329,6 @@ def operator_from_obj(
         indices = _int_tuple(rec.get("indices", []), "operator term", rec, location)
         terms.append((tuple(i - 1 for i in indices), _complex_of(rec, location)))
     return MultiOperator(list(zip(trees, symbols)), terms)
-
-
-def load_operator(
-    spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "operator"
-) -> MultiOperator:
-    """An operator from a file or an inline object (reported under ``location``)."""
-    if isinstance(spec, Mapping):
-        return operator_from_obj(spec, trees, base_dir, location)
-    path = os.path.join(base_dir, spec)
-    return operator_from_obj(_read_json(path), trees, os.path.dirname(path) or ".", location=path)
 
 
 def operator_to_obj(op: MultiOperator) -> dict[str, Any]:
@@ -477,22 +475,16 @@ def _coeff_records_json(keys, n: int, values=None) -> _JSONText:
                           where=lambda k: f"coefficient {values[k]} at {keys[k]}")
 
 
-def lizorkin_from_obj(obj: Mapping[str, Any], n: int, location: str = "series") -> LizorkinSeries:
+def load_lizorkin(
+    spec: str | Mapping[str, Any], n: int, base_dir: str = ".", location: str = "series"
+) -> LizorkinSeries:
+    """A series of arity ``n`` from an inline object or a file (see ``_resolve``)."""
+    obj, location, _ = _resolve(spec, base_dir, location)
     _object(obj, "a series", location)
     mean = _pair_of(obj.get("mean", 0.0), location)
     if mean != 0:
         raise FileFormatError("a right-hand side series must have zero mean coefficient", location)
     return LizorkinSeries(n, _coeff_records(obj.get("coeffs", []), location))
-
-
-def load_lizorkin(
-    spec: str | Mapping[str, Any], n: int, base_dir: str = ".", location: str = "series"
-) -> LizorkinSeries:
-    """A series from a file or an inline object (reported under ``location``)."""
-    if isinstance(spec, Mapping):
-        return lizorkin_from_obj(spec, n, location)
-    path = os.path.join(base_dir, spec)
-    return lizorkin_from_obj(_read_json(path), n, location=path)
 
 
 def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
@@ -521,20 +513,6 @@ def genfun_to_obj(u: GeneralizedFunction) -> dict[str, Any]:
     return {**obj, "coeffs": json.loads(obj["coeffs"])}
 
 
-def genfun_from_obj(
-    obj: Mapping[str, Any], trees: Sequence[BallTree], location: str = "function"
-) -> GeneralizedFunction:
-    anchor, value = _anchor_of(_object(obj, "a generalized function", location), location)
-    coeffs = _coeff_records(obj.get("coeffs", []), location)
-    if not cmath.isfinite(value):
-        raise FileFormatError(f"the anchor value {value} is not finite", location)
-    if not cmath.isfinite(sum(coeffs.values(), 0j)):  # a NaN or an infinity, or finite values whose sum overflows
-        for key, c in coeffs.items():
-            if not cmath.isfinite(c):
-                raise FileFormatError(f"coefficient {c} at {key} is not finite", location)
-    return GeneralizedFunction(trees, anchor, coeffs, value)
-
-
 def solution_to_obj(sol: Solution) -> dict[str, Any]:
     """The solution file's object for ``write_json``: ``coeffs`` and ``free_params`` are ``_JSONText``."""
     obj = _genfun_obj(sol.u)
@@ -548,19 +526,33 @@ def solution_to_obj(sol: Solution) -> dict[str, Any]:
     return obj
 
 
-def load_solution(spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".") -> GeneralizedFunction:
-    if isinstance(spec, Mapping):
-        return genfun_from_obj(spec, trees)
-    path = os.path.join(base_dir, spec)
-    return genfun_from_obj(_read_json(path), trees, location=path)
+def load_solution(
+    spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "function"
+) -> GeneralizedFunction:
+    """A generalized function on ``trees`` from an inline object or a file (see ``_resolve``)."""
+    obj, location, _ = _resolve(spec, base_dir, location)
+    anchor, value = _anchor_of(_object(obj, "a generalized function", location), location)
+    coeffs = _coeff_records(obj.get("coeffs", []), location)
+    if not cmath.isfinite(value):
+        raise FileFormatError(f"the anchor value {value} is not finite", location)
+    if not cmath.isfinite(sum(coeffs.values(), 0j)):  # a NaN or an infinity, or finite values whose sum overflows
+        for key, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise FileFormatError(f"coefficient {c} at {key} is not finite", location)
+    return GeneralizedFunction(trees, anchor, coeffs, value)
 
 
 # -- problems ------------------------------------------------------------------
 
 
-def problem_from_obj(
-    obj: Mapping[str, Any], base_dir: str = ".", location: str = "problem"
+def load_problem(
+    spec: str | Mapping[str, Any], base_dir: str = "", location: str = "problem"
 ) -> tuple[CauchyProblem, list[BallTree]]:
+    """A problem and its trees from an inline object or a file (see ``_resolve``).
+
+    ``base_dir`` is empty by default, so a file is read and reported by its path as given.
+    """
+    obj, location, base_dir = _resolve(spec, base_dir, location)
     space_specs = _object(obj, "a problem", location).get("spaces")
     if not isinstance(space_specs, list) or not space_specs:
         raise FileFormatError("problem needs a non-empty 'spaces' list", location)
@@ -592,11 +584,6 @@ def problem_from_obj(
         free_values=free,
     )
     return problem, trees
-
-
-def load_problem(path: str) -> tuple[CauchyProblem, list[BallTree]]:
-    obj = _read_json(path)
-    return problem_from_obj(obj, os.path.dirname(path) or ".", location=path)
 
 
 def _dumps(obj: Any) -> str:

@@ -20,11 +20,11 @@ them where a positive measure is required.
 Construction walks the parent list once.  The walk builds the children,
 finds the root, and raises ``SpaceValidationError`` for an out-of-range
 parent, for other than one root and for a vertex the root does not reach
-(how a cycle shows); ``tree_from_leaf_measures`` runs the same walk.  Its
-child-ordered pre-order is kept as ``order`` with each ball's position and
-subtree size: a ball's descendants are one slice of ``order``, so
-``is_ancestor`` is an O(1) comparison, ``leaves_under`` a slice, and
-``reversed(order)`` serves every bottom-up pass.
+(how a cycle shows).  Its child-ordered pre-order is kept as ``order``
+with each ball's position and subtree size: a ball's descendants are one
+slice of ``order``, so ``is_ancestor`` is an O(1) comparison,
+``leaves_under`` a slice, and ``reversed(order)`` serves every bottom-up
+pass.
 """
 
 from __future__ import annotations
@@ -254,29 +254,6 @@ def build_padic_tree(p: int, depth: int) -> BallTree:
         offset_prev += level_size
         level_size *= p
     return BallTree(parent, measure, diameter, padic=(p, depth))
-
-
-def tree_from_leaf_measures(
-    parent: Sequence[int | None],
-    leaf_measure: dict[int, float],
-    diameter: Sequence[float],
-) -> BallTree:
-    """Build a tree whose interior measures are recomputed from leaf data.
-
-    Forcing additivity bottom-up avoids drift between levels when the caller
-    only knows the point masses.  Every leaf needs an entry in
-    ``leaf_measure``; a missing one raises ``SpaceValidationError``.
-    """
-    _, children, order = _walk(parent)
-    measure = [0.0] * len(parent)
-    for i in reversed(order):
-        if children[i]:
-            measure[i] = math.fsum(measure[c] for c in children[i])
-        elif i in leaf_measure:
-            measure[i] = float(leaf_measure[i])
-        else:
-            raise SpaceValidationError(f"leaf {i} has no measure", ball=i)
-    return BallTree(parent, measure, diameter)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import math
+
 from hypothesis import settings
 
-from ultrawave.trees import BallTree, tree_from_leaf_measures
+from ultrawave.errors import SpaceValidationError
+from ultrawave.trees import BallTree, _walk
 
 # One profile for every property test: no per-example deadline (timings on a
 # shared host vary too much for one), and a failure prints the blob that
@@ -40,6 +43,26 @@ def random_measured_tree(rng, max_depth=4, max_branching=4, grow_prob=0.6) -> Ba
             measure[i] = float(sum(measure[c] for c in children[i]))
         else:
             measure[i] = float(rng.uniform(0.1, 2.0))
+    return BallTree(parent, measure, diameter)
+
+
+def tree_from_leaf_measures(parent, leaf_measure, diameter) -> BallTree:
+    """A tree whose interior measures are summed bottom-up from leaf data.
+
+    Forcing additivity avoids drift between levels when only the point
+    masses are known.  The parent list goes through the walk ``BallTree``
+    runs, so it is rejected the same way; a leaf missing from
+    ``leaf_measure`` raises ``SpaceValidationError``.
+    """
+    _, children, order = _walk(parent)
+    measure = [0.0] * len(parent)
+    for i in reversed(order):
+        if children[i]:
+            measure[i] = math.fsum(measure[c] for c in children[i])
+        elif i in leaf_measure:
+            measure[i] = float(leaf_measure[i])
+        else:
+            raise SpaceValidationError(f"leaf {i} has no measure", ball=i)
     return BallTree(parent, measure, diameter)
 
 

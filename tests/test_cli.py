@@ -74,6 +74,17 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "ball 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ball,diameter", [(0, float("nan")), (2, -0.5)])
+    def test_invalid_diameter_names_ball(self, tmp_path, capsys, ball, diameter):
+        vertices = [{"id": 0, "parent": None, "measure": 1.0, "diameter": 1.0},
+                    {"id": 1, "parent": 0, "measure": 0.5, "diameter": 0.5},
+                    {"id": 2, "parent": 0, "measure": 0.5, "diameter": 0.5}]
+        vertices[ball]["diameter"] = diameter
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"kind": "explicit", "vertices": vertices}))  # NaN is written as NaN
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ball {ball} has invalid diameter {diameter}\n"
+
 
 class TestSpectrum:
     def test_seven_positive_rows_cross_checked(self, capsys):
@@ -427,6 +438,27 @@ class TestErrorPaths:
 
     def test_missing_required_flag_exit_two(self, capsys):
         assert main(["spectrum", "--space", "padic(2,1)"]) == 2
+
+    def test_homog_shorthand_argument_without_value_exit_two(self, capsys):
+        assert main(["spectrum", "--space", "padic(2,1)", "--symbol", "homog(beta)"]) == 2
+        assert capsys.readouterr().err == "error: homog(beta): bad homog() argument 'beta'\n"
+
+    @pytest.mark.parametrize("boundary,message", [
+        ({"vertex": [1, 2], "j": [1, 1], "re": 1.0}, "boundary index ((1, 2), (1, 1)) has no j = 0 component"),
+        ({"vertex": [3, 3], "j": [0, 0], "re": 1.0}, "the pure anchor index is set through anchor_value"),
+    ])
+    def test_boundary_index_the_solver_cannot_take_exit_two(self, tmp_path, capsys, boundary, message):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**WAVE_PROBLEM, "boundary": [boundary]}))
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_zero_symbol_has_a_zero_tail(self, capsys):
+        """c = 0 needs no convergent tail: the symbol and its upward extension vanish."""
+        assert main(["spectrum", "--space", "padic(2,2)", "--symbol", "homog(beta=2,c=0,tail=true)"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["ball"] for r in rows] == [0, 1, 2] and {(r["re"], r["im"]) for r in rows} == {(0.0, 0.0)}
 
     def test_divergent_tail_exit_four(self, capsys):
         assert main([

@@ -19,7 +19,6 @@ from ultrawave.distributions import (
     eval_extended,
     eval_on_char_nd,
     eval_on_product,
-    extended_leaf_values,
     lizorkin_pair,
 )
 from ultrawave.errors import (
@@ -236,6 +235,13 @@ class TestPairings:
         dense = sum(phi_coeffs.get(k, 0.0) * e.coeffs[k] for k in keys)
         assert abs(lizorkin_pair(phi, e0) - dense) < 1e-13
 
+    def test_plain_coefficient_mapping(self):
+        """Any mapping pairs key by key; a ``(ball, j)`` key is the one-factor shorthand."""
+        phi = LizorkinSeries(1, {(0, 1): 2.0, ((1,), (1,)): 1j})
+        assert lizorkin_pair(phi, {(0, 1): 3.0, ((1,), (1,)): 2.0, (2, 1): 5.0}) == 6.0 + 2j
+        phi = LizorkinSeries(2, {((1, 2), (1, 1)): 2.0, ((0, 0), (1, 1)): -1.0})
+        assert lizorkin_pair(phi, {((1, 2), (1, 1)): 0.5j, ((0, 1), (1, 1)): 7.0}) == 1j
+
     def test_wavelet_index_validation(self):
         with pytest.raises(DomainError):
             LizorkinSeries(1, {(0, 0): 1.0})
@@ -288,6 +294,19 @@ class TestEvalNd:
             closed = eval_on_char_nd(u, v)
             naive = naive_eval_on_char_nd(u, v)
             assert abs(closed - naive) < 1e-12
+
+    def test_chain_through_a_degenerate_ball_vs_all_terms(self):
+        """Ball 1 of ``DEGENERATE_TREE`` lies between leaf 7 (or 8, or 4) and the anchor 5 and carries no term."""
+        rng = np.random.default_rng(31)
+        t2 = build_padic_tree(2, 2)
+        keys = [((b, c), (1, jc)) for b in (0, 2, 3) for c, jc in ((0, 1), (1, 1), (3, 0))]
+        u = GeneralizedFunction([DEGENERATE_TREE, t2], (5, 3),
+                                {k: complex(rng.standard_normal(), rng.standard_normal()) for k in keys}, 0.3 - 0.2j)
+        for v in itertools.product((7, 8, 4, 3, 1, 6), range(t2.n_vertices)):
+            closed = eval_on_char_nd(u, v)
+            indicator = [dict.fromkeys(tree.leaves_under(b), 1.0) for tree, b in zip(u.factors, v)]
+            assert abs(closed - naive_eval_on_char_nd(u, v)) < 1e-12
+            assert abs(closed - eval_on_product(u, indicator)) < 1e-12
 
     def test_invalid_extended_key_rejected(self):
         t1, t2 = build_padic_tree(2, 1), build_padic_tree(2, 1)
@@ -1005,6 +1024,32 @@ class TestIdColumns:
             assert got == outcome(lambda: per_key_stored([DEGENERATE_TREE], (2,), coeffs))
 
 
+def extended_leaf_values(tree, anchor_ball, ball, j, conjugate=False):
+    """Oracle: leaf values of one extended family member of a factor.
+
+    ``j >= 1`` selects a wavelet at ``ball`` (the zero function at a leaf);
+    ``j == 0`` is the anchor indicator when ``ball`` is the anchor and the
+    zero function otherwise.
+    """
+    ball = tree.check_ball(ball)
+    _require_integer((ball, j), "j", j)
+    if j < 0:
+        raise DomainError(f"index {(ball, j)}: negative j")
+    if j == 0:
+        return dict.fromkeys(tree.leaves_under(anchor_ball), 1.0 + 0.0j) if ball == anchor_ball else {}
+    if not tree.children[ball]:
+        return {}
+    basis = wavelet_basis(tree, ball)
+    if not 1 <= j <= len(basis):
+        raise DomainError(f"no wavelet with index {j} at ball {ball}")
+    out = {}
+    for child, val in basis[j - 1].values.items():
+        v = complex(val).conjugate() if conjugate else complex(val)
+        if v != 0:
+            out.update(dict.fromkeys(tree.leaves_under(child), v))
+    return out
+
+
 def leaf_enumerating_eval_on_product(u, factor_values):
     """``eval_on_product`` as it was: leaf sums under every child, for every stored coefficient.
 
@@ -1079,7 +1124,7 @@ def test_term_factor_tables_match_leaf_enumeration(n, seed):
 
 
 class TestExtendedInputChecks:
-    """``eval_extended`` and ``extended_leaf_values`` reject input that does not fit ``u``."""
+    """``eval_extended`` rejects input that does not fit ``u``, factor by factor."""
 
     @staticmethod
     def two_factor():
@@ -1105,7 +1150,31 @@ class TestExtendedInputChecks:
 
     def test_non_integer_j(self):
         with pytest.raises(DomainError, match="is not an integer"):
-            extended_leaf_values(build_padic_tree(2, 2), 3, 0, 1.0)
+            eval_extended(self.two_factor(), (0, 0), (1.0, 1))
+
+    def test_j_past_the_basis(self):
+        with pytest.raises(DomainError, match="no wavelet with index 2 at ball 1"):
+            eval_extended(self.two_factor(), (1, 2), (2, 1))
+
+    def test_j_at_a_degenerate_ball(self):
+        u = GeneralizedFunction([DEGENERATE_TREE], (2,), {((0,), (1,)): 1.0})
+        with pytest.raises(DegenerateBallError):
+            eval_extended(u, (1,), (1,))
+
+    @pytest.mark.parametrize("vertex,j,error,message", [
+        ((99, 0), (-1, 1), UnknownBallError, "ball id 99"),  # factor 0's ball before its j
+        ((0, 99), (-1, 1), DomainError, "negative j"),  # factor 0's j before factor 1's ball
+        ((0, 0), (2, 1.5), DomainError, "no wavelet with index 2"),  # factor 0's basis before factor 1's j
+    ])
+    def test_checks_run_factor_by_factor(self, vertex, j, error, message):
+        with pytest.raises(error, match=message):
+            eval_extended(self.two_factor(), vertex, j)
+
+    def test_leaf_and_off_anchor_members_are_zero(self):
+        u = self.two_factor()
+        assert eval_extended(u, (4, 2), (1, 1)) == 0j  # a wavelet index at a leaf
+        assert eval_extended(u, (1, 2), (0, 1)) == 0j  # j = 0 off the anchor ball
+        assert eval_extended(u, (3, 3), (0, 0)) == 0.5 * 0.25 * 0.25
 
     def test_spectrum_of_another_tree(self):
         t = build_padic_tree(2, 3)

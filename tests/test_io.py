@@ -22,22 +22,17 @@ from ultrawave.io import (
     _strict_coeff_records,
     encode_records,
     fmt17,
-    genfun_from_obj,
     genfun_to_obj,
-    lizorkin_from_obj,
     lizorkin_to_obj,
+    load_lizorkin,
     load_operator,
     load_problem,
     load_solution,
     load_space,
     load_symbol,
-    operator_from_obj,
     operator_to_obj,
-    problem_from_obj,
     solution_to_obj,
-    space_from_obj,
     space_to_obj,
-    symbol_from_obj,
     symbol_to_obj,
     write_json,
 )
@@ -60,7 +55,7 @@ class TestSpaceFiles:
         rng = np.random.default_rng(2)
         t = random_measured_tree(rng, max_depth=3)
         obj = space_to_obj(t)
-        t2 = space_from_obj(obj)
+        t2 = load_space(obj)
         assert t2.parent == t.parent
         assert t2.measure == t.measure
         assert t2.diameter == t.diameter
@@ -75,12 +70,12 @@ class TestSpaceFiles:
             ],
         }
         with pytest.raises(SpaceValidationError) as err:
-            space_from_obj(obj)
+            load_space(obj)
         assert err.value.ball == 0
 
     def test_bad_kind(self):
         with pytest.raises(FileFormatError):
-            space_from_obj({"kind": "mystery"})
+            load_space({"kind": "mystery"})
 
     def test_file_reference(self, tmp_path):
         path = tmp_path / "space.json"
@@ -134,12 +129,12 @@ class TestOperatorFiles:
 class TestCoefficientFiles:
     def test_lizorkin_roundtrip_nd(self):
         s = LizorkinSeries(2, {((0, 0), (1, 1)): 2.0 + 1.0j})
-        back = lizorkin_from_obj(lizorkin_to_obj(s), 2)
+        back = load_lizorkin(lizorkin_to_obj(s), 2)
         assert back.coeffs == s.coeffs
 
     def test_lizorkin_rejects_nonzero_mean(self):
         with pytest.raises(FileFormatError):
-            lizorkin_from_obj({"mean": [1.0, 0.0], "coeffs": []}, 1)
+            load_lizorkin({"mean": [1.0, 0.0], "coeffs": []}, 1)
 
     def test_genfun_roundtrip(self):
         t1, t2 = build_padic_tree(2, 2), build_padic_tree(2, 1)
@@ -150,7 +145,7 @@ class TestCoefficientFiles:
             anchor_value=1.25,
         )
         obj = genfun_to_obj(u)
-        back = genfun_from_obj(obj, [t1, t2])
+        back = load_solution(obj, [t1, t2])
         assert back.anchor == u.anchor
         assert back.anchor_value == u.anchor_value
         assert back.coefficient((1, 0), (1, 1)) == 2.0 - 0.5j
@@ -181,19 +176,19 @@ class TestIdsWrittenAsJsonIntegers:
                   ((2, np.uint8(0))[:n], (np.int64(1), 1)[:n]): 0.5,
                   ((np.int16(1), 2)[:n], (False, 0)[:n]): 1.5}
         u = GeneralizedFunction(trees, anchor, coeffs, anchor_value=0.25)
-        back = genfun_from_obj(written(genfun_to_obj(u)), trees)
+        back = load_solution(written(genfun_to_obj(u)), trees)
         assert back.anchor == (1, 2)[:n] and back.coeffs == u.coeffs
 
     def test_lizorkin_roundtrip(self):
         s = LizorkinSeries(2, {((np.int64(0), True), (True, np.int32(2))): 2.0, ((1, 2), (1, 1)): 1j})
-        back = lizorkin_from_obj(written(lizorkin_to_obj(s)), 2)
+        back = load_lizorkin(written(lizorkin_to_obj(s)), 2)
         assert back.coeffs == s.coeffs == {((0, 1), (1, 2)): 2.0, ((1, 2), (1, 1)): 1j}
 
     def test_space_and_table_symbol_roundtrip(self):
         t = BallTree([None, np.int64(0), np.int32(0)], [1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
-        assert space_from_obj(written(space_to_obj(t))).parent == (None, 0, 0)
+        assert load_space(written(space_to_obj(t))).parent == (None, 0, 0)
         table = TableSymbol({np.int64(0): 1.0, True: 2.0})
-        assert symbol_from_obj(written(symbol_to_obj(table))).entries == {0: 1.0, 1: 2.0}
+        assert load_symbol(written(symbol_to_obj(table))).entries == {0: 1.0, 1: 2.0}
 
     def test_solution_with_numpy_boundary_ids(self):
         tree = build_padic_tree(2, 2)
@@ -203,7 +198,7 @@ class TestIdsWrittenAsJsonIntegers:
         boundary = {((np.int64(0), np.int64(3)), (np.int64(1), 0)): 0.5}
         sol = solve(CauchyProblem(op, rhs, anchor=(3, np.int64(3)), boundary=boundary, free_values=7))
         obj = written(solution_to_obj(sol))
-        back = genfun_from_obj(obj, [tree, tree])
+        back = load_solution(obj, [tree, tree])
         assert back.anchor == (3, 3) and back.coeffs == sol.u.coeffs
         assert len(obj["free_params"]) == len(sol.free_params) > 0
 
@@ -308,21 +303,21 @@ class TestNonIntegralIds:
         trees = [build_padic_tree(2, 2)] * (1 if "ball" in entry else 2)
         obj = {"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}
         with pytest.raises(FileFormatError, match="^sol.json: ") as err:
-            genfun_from_obj(obj, trees, location="sol.json")
+            load_solution(obj, trees, location="sol.json")
         assert err.value.location == "sol.json"
 
     def test_every_coefficient_loader_rejects_them(self):
         bad = [{"ball": 1, "j": 1.5, "re": 1.0}]
         with pytest.raises(FileFormatError, match="non-integral"):
-            genfun_from_obj({"anchor": {"vertex": [3]}, "coeffs": bad}, [build_padic_tree(2, 2)])
+            load_solution({"anchor": {"vertex": [3]}, "coeffs": bad}, [build_padic_tree(2, 2)])
         with pytest.raises(FileFormatError, match="non-integral"):
-            lizorkin_from_obj({"mean": 0.0, "coeffs": bad}, 1)
+            load_lizorkin({"mean": 0.0, "coeffs": bad}, 1)
 
     @pytest.mark.parametrize("vertex", [[3.5, 3], [3, "x"], 3, None])
     def test_anchor_vertex_rejected(self, vertex, tmp_path):
         trees = [build_padic_tree(2, 2)] * 2
         with pytest.raises(FileFormatError, match="anchor vertex"):
-            genfun_from_obj({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
+            load_solution({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
         problem = {"spaces": ["padic(2,2)"] * 2, "operator": {"factors": ["homog(beta=1)"] * 2},
                    "anchor": {"vertex": vertex}}
         path = tmp_path / "problem.json"
@@ -337,10 +332,10 @@ class TestNonIntegralIds:
         as_floats = {"anchor": {"vertex": [3.0, 4.0]},
                      "coeffs": [{"vertex": [0.0, 1.0], "j": [1.0, 1], "re": 2.0},
                                 {"vertex": [3, 2.0], "j": [0.0, 1.0]}]}
-        u, v = genfun_from_obj(as_ints, trees), genfun_from_obj(as_floats, trees)
+        u, v = load_solution(as_ints, trees), load_solution(as_floats, trees)
         assert repr(v.anchor) == repr(u.anchor) == "(3, 4)"
         assert repr(list(v.coeffs.items())) == repr(list(u.coeffs.items()))
-        one = genfun_from_obj({"anchor": {"vertex": [3.0]}, "coeffs": [{"ball": 1.0, "j": 1.0}]}, trees[:1])
+        one = load_solution({"anchor": {"vertex": [3.0]}, "coeffs": [{"ball": 1.0, "j": 1.0}]}, trees[:1])
         assert repr(list(one.coeffs)) == "[((1,), (1,)), ((3,), (0,))]"
 
 
@@ -359,10 +354,10 @@ class TestStringAndBooleanIds:
         ball_form = "ball" in entry
         trees = [build_padic_tree(2, 2)] * (1 if ball_form else 2)
         with pytest.raises(FileFormatError, match="^sol.json: bad coefficient entry .* is not a number"):
-            genfun_from_obj({"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}, trees,
+            load_solution({"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}, trees,
                             location="sol.json")
         with pytest.raises(FileFormatError, match="is not a number"):
-            lizorkin_from_obj({"mean": 0.0, "coeffs": [entry]}, len(trees))
+            load_lizorkin({"mean": 0.0, "coeffs": [entry]}, len(trees))
         if ball_form:
             return
         for part in ("boundary", "free_params"):
@@ -377,7 +372,7 @@ class TestStringAndBooleanIds:
     def test_anchor_vertex_rejected(self, vertex):
         trees = [build_padic_tree(2, 2)] * 2
         with pytest.raises(FileFormatError, match="anchor vertex .* is not a number"):
-            genfun_from_obj({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
+            load_solution({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
 
 
 class TestRecordLoaderPaths:
@@ -572,7 +567,7 @@ class TestMalformedSolutions:
     def test_schema_errors_name_the_location(self, obj, message):
         trees = [build_padic_tree(2, 2)] * 2
         with pytest.raises(FileFormatError, match=message) as err:
-            genfun_from_obj(obj, trees, location="sol.json")
+            load_solution(obj, trees, location="sol.json")
         assert err.value.location == "sol.json"
 
 
@@ -628,7 +623,7 @@ def solution_objects(draw):
 def test_malformed_solutions_raise_only_library_errors(obj):
     trees = [build_padic_tree(2, 2)] * 2
     try:
-        genfun_from_obj(obj, trees)
+        load_solution(obj, trees)
     except UltrawaveError:
         pass
 
@@ -638,7 +633,7 @@ def test_malformed_solutions_raise_only_library_errors(obj):
 def test_eval_exits_two_on_malformed_solutions(obj):
     trees = [build_padic_tree(2, 2)] * 2
     try:
-        genfun_from_obj(obj, trees)
+        load_solution(obj, trees)
         expected = 0
     except UltrawaveError:
         expected = 2
@@ -725,7 +720,7 @@ class TestStringAndBooleanNumbers:
     ])
     def test_coefficient_values_rejected(self, entry):
         with pytest.raises(FileFormatError, match="^series: bad complex entry"):
-            lizorkin_from_obj({"mean": 0.0, "coeffs": [entry]}, 1)
+            load_lizorkin({"mean": 0.0, "coeffs": [entry]}, 1)
         with pytest.raises(FileFormatError, match="^f: bad complex entry"):
             _complex_of(entry, "f")
 
@@ -737,7 +732,7 @@ class TestStringAndBooleanNumbers:
     def test_json_ints_stay_numbers(self):
         assert _pair_of([1, 2], "f") == 1 + 2j and _pair_of(3, "f") == 3
         assert _complex_of({"re": 1, "im": -2}, "f") == 1 - 2j
-        series = lizorkin_from_obj({"mean": 0, "coeffs": [{"ball": 0, "j": 1, "re": 1, "im": 2}]}, 1)
+        series = load_lizorkin({"mean": 0, "coeffs": [{"ball": 0, "j": 1, "re": 1, "im": 2}]}, 1)
         assert series.coeffs == {((0,), (1,)): 1 + 2j}
 
     @pytest.mark.parametrize("field", ["measure", "diameter"])
@@ -747,10 +742,10 @@ class TestStringAndBooleanNumbers:
             {"id": i, "parent": [None, 0, 0][i], "measure": [1.0, 0.5, 0.5][i], "diameter": [1.0, 0.5, 0.5][i]}
             for i in range(3)
         ]}
-        assert space_from_obj(obj).n_vertices == 3
+        assert load_space(obj).n_vertices == 3
         obj["vertices"][0][field] = value
         with pytest.raises(FileFormatError, match=f"^s: vertex record 0: '{field}' must be a number"):
-            space_from_obj(obj, "s")
+            load_space(obj, location="s")
 
 
 EXPLICIT_ROOT = {"id": 0, "parent": None, "measure": 1.0, "diameter": 1.0}
@@ -777,14 +772,19 @@ class TestSpaceSchema:
         ([{"kind": "padic", "p": 2, "depth": 2}], "a space must be a JSON object"),
         ("padic(2,2)", "a space must be a JSON object"),
     ])
-    def test_schema_errors_name_the_location(self, obj, message):
-        with pytest.raises(FileFormatError, match=f"^space.json: .*{re.escape(message)}") as err:
-            space_from_obj(obj, "space.json")
-        assert err.value.location == "space.json"
+    def test_schema_errors_name_the_location(self, obj, message, tmp_path):
+        (tmp_path / "space.json").write_text(json.dumps(obj))
+        loads = [(lambda: load_space("space.json", str(tmp_path)), str(tmp_path / "space.json"))]
+        if not isinstance(obj, str):  # an inline string is a file name or a shorthand
+            loads.append((lambda: load_space(obj, location="space.json"), "space.json"))
+        for load, location in loads:
+            with pytest.raises(FileFormatError, match=f"^{re.escape(location)}: .*{re.escape(message)}") as err:
+                load()
+            assert err.value.location == location
 
     def test_integral_floats_load_as_ints(self):
-        assert space_from_obj({"kind": "padic", "p": 2.0, "depth": 2.0}).n_vertices == 7
-        t = space_from_obj({"kind": "explicit", "vertices": [
+        assert load_space({"kind": "padic", "p": 2.0, "depth": 2.0}).n_vertices == 7
+        t = load_space({"kind": "explicit", "vertices": [
             {"id": 0.0, "measure": 1, "diameter": 1},
             {"id": 1, "parent": 0.0, "measure": 0.5, "diameter": 0.5},
             {"id": 2.0, "parent": 0, "measure": 0.5, "diameter": 0.5},
@@ -851,10 +851,10 @@ class TestProblemSchema:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     def test_valid_problem_still_loads(self, tmp_path):
-        problem, trees = problem_from_obj(PROBLEM, str(tmp_path))
+        problem, trees = load_problem(PROBLEM, str(tmp_path))
         assert problem.free_values == 7 and problem.epsilon == 1e-9 and len(trees) == 2
         assert type(problem.free_values) is int
-        problem, _ = problem_from_obj({**PROBLEM, "free_params": {"seed": 7.0}, "epsilon": 0}, str(tmp_path))
+        problem, _ = load_problem({**PROBLEM, "free_params": {"seed": 7.0}, "epsilon": 0}, str(tmp_path))
         assert problem.free_values == 7 and type(problem.free_values) is int and problem.epsilon == 0.0
 
     @pytest.mark.parametrize("obj,message", [
@@ -871,12 +871,12 @@ class TestProblemSchema:
     ])
     def test_symbol_errors(self, obj, message):
         with pytest.raises(FileFormatError, match=f"^s.json: .*{re.escape(message)}"):
-            symbol_from_obj(obj, "s.json")
+            load_symbol(obj, location="s.json")
 
     def test_symbol_numbers(self):
-        assert symbol_from_obj({"kind": "table", "entries": [{"ball": 1.0, "re": 2.0}]}).entries == {1: 2.0}
-        assert symbol_from_obj({**SYMBOL_HOMOG, "beta": 2, "tail": True}) == HomogeneousSymbol(1.0, 2.0, True)
-        assert symbol_from_obj({"kind": "homogeneous"}) == HomogeneousSymbol()
+        assert load_symbol({"kind": "table", "entries": [{"ball": 1.0, "re": 2.0}]}).entries == {1: 2.0}
+        assert load_symbol({**SYMBOL_HOMOG, "beta": 2, "tail": True}) == HomogeneousSymbol(1.0, 2.0, True)
+        assert load_symbol({"kind": "homogeneous"}) == HomogeneousSymbol()
 
     @pytest.mark.parametrize("text,message", [
         ("homog(beta=x)", "bad homog() value 'beta=x'"),
@@ -900,7 +900,7 @@ class TestProblemSchema:
     ])
     def test_operator_term_indices(self, term, message):
         with pytest.raises(FileFormatError, match=f"^op.json: {re.escape(message)}"):
-            operator_from_obj({**OPERATOR, "terms": [term]}, [build_padic_tree(2, 2)] * 2, location="op.json")
+            load_operator({**OPERATOR, "terms": [term]}, [build_padic_tree(2, 2)] * 2, location="op.json")
 
     def test_operator_shape_errors(self):
         trees = [build_padic_tree(2, 2)] * 2
@@ -911,8 +911,8 @@ class TestProblemSchema:
             ({**OPERATOR, "terms": {}}, "'terms' must be a list"),
         ]:
             with pytest.raises(FileFormatError, match=f"^op.json: {re.escape(message)}"):
-                operator_from_obj(obj, trees, location="op.json")
-        op = operator_from_obj({**OPERATOR, "terms": [{"indices": [2.0, 1], "re": 1.0}]}, trees)
+                load_operator(obj, trees, location="op.json")
+        op = load_operator({**OPERATOR, "terms": [{"indices": [2.0, 1], "re": 1.0}]}, trees)
         assert op.terms == (((1, 0), 1.0 + 0.0j),)
 
 
@@ -972,21 +972,22 @@ def only_library_errors(load):
 @settings(max_examples=300)
 @given(obj=mutated(SYMBOL_TABLE) | mutated(SYMBOL_HOMOG))
 def test_fuzzed_symbols_raise_only_library_errors(obj):
-    only_library_errors(lambda: symbol_from_obj(obj))
+    with tempfile.TemporaryDirectory() as tmp:  # a junk string names a file that is not there
+        only_library_errors(lambda: load_symbol(obj, tmp))
 
 
 @settings(max_examples=300)
 @given(obj=mutated(OPERATOR))
 def test_fuzzed_operators_raise_only_library_errors(obj):
     with tempfile.TemporaryDirectory() as tmp:
-        only_library_errors(lambda: operator_from_obj(obj, [build_padic_tree(2, 2)] * 2, tmp))
+        only_library_errors(lambda: load_operator(obj, [build_padic_tree(2, 2)] * 2, tmp))
 
 
 @settings(max_examples=300)
 @given(obj=mutated(PROBLEM))
 def test_fuzzed_problems_raise_only_library_errors(obj):
     with tempfile.TemporaryDirectory() as tmp:
-        only_library_errors(lambda: problem_from_obj(obj, tmp))
+        only_library_errors(lambda: load_problem(obj, tmp))
 
 
 SERIES = {"mean": [0.0, 0.0], "coeffs": [{"vertex": [1, 0], "j": [1, 1], "re": 1.0, "im": 0.0},
@@ -1000,10 +1001,12 @@ PADIC_SPACES = st.fixed_dictionaries({"kind": st.just("padic")},
 @settings(max_examples=300)
 @given(obj=mutated(SERIES), n=st.integers(1, 3))
 def test_fuzzed_series_raise_only_library_errors(obj, n):
-    only_library_errors(lambda: lizorkin_from_obj(obj, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        only_library_errors(lambda: load_lizorkin(obj, n, tmp))
 
 
 @settings(max_examples=300)
 @given(obj=mutated(EXPLICIT_SPACE) | PADIC_SPACES)
 def test_fuzzed_spaces_raise_only_library_errors(obj):
-    only_library_errors(lambda: space_from_obj(obj))
+    with tempfile.TemporaryDirectory() as tmp:
+        only_library_errors(lambda: load_space(obj, tmp))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_measured_tree, random_table_symbol
+from conftest import random_measured_tree, random_table_symbol, tree_from_leaf_measures
 from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import TableSymbol, eigenvalue, operator_matrix
 from ultrawave.products import (
@@ -15,7 +15,7 @@ from ultrawave.products import (
     multiwavelet_basis,
     product,
 )
-from ultrawave.trees import build_padic_tree, tree_from_leaf_measures
+from ultrawave.trees import build_padic_tree
 from ultrawave.wavelets import wavelet_basis
 
 

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import permuted_tree, random_measured_tree
+from conftest import permuted_tree, random_measured_tree, tree_from_leaf_measures
 from ultrawave import trees
 from ultrawave.errors import ParameterError, SpaceValidationError, UnknownBallError
 from ultrawave.trees import (
     BallTree,
     RegularSubtree,
     build_padic_tree,
-    tree_from_leaf_measures,
     validate_regular_subtree,
 )
 
@@ -296,14 +295,15 @@ class TestStructuralErrors:
 
         code = (
             "from ultrawave.errors import SpaceValidationError\n"
-            "from ultrawave.trees import tree_from_leaf_measures\n"
+            "from conftest import tree_from_leaf_measures\n"
             "for parent in ([1, 0], [None, 2, 1], [None, 0, 0, 4, 3]):\n"
             "    try:\n"
             "        tree_from_leaf_measures(parent, dict.fromkeys(range(len(parent)), 1.0), [1.0] * len(parent))\n"
             "    except SpaceValidationError as exc:\n"
             "        print('rejected:', exc)\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ultrawave.__file__))}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(ultrawave.__file__)),
+                                                            os.path.dirname(os.path.abspath(__file__))])}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [

@@ -62,19 +62,26 @@ def test_analyze_builds_one_basis_per_non_leaf_ball(depth, calls):
     assert calls.counts == {"wavelet_basis": n, "_character_rows": n, "_haar_rows": 0}
 
 
-@pytest.mark.parametrize("depth", [6, 8])
-def test_eval_on_product_work_does_not_grow_with_stored_coefficients(depth, calls):
+def stored_functions(depth):
+    """Two functions on padic(2,depth)**2 that store 1k and 4k random extended coefficients."""
     rng = np.random.default_rng(depth)
     trees = [build_padic_tree(2, depth), build_padic_tree(2, depth)]
     anchor = (2**(depth - 1), 2**depth - 3)
     families = [[(a0, 0)] + [(w.ball, w.j) for w in tree_wavelets(t)] for t, a0 in zip(trees, anchor)]
     all_keys = [((a, b), (ja, jb)) for a, ja in families[0] for b, jb in families[1]]
     picks = rng.permutation(len(all_keys))
-    values = [{x: complex(rng.standard_normal(), 1.0) for x in t.leaves} for t in trees]
-    functions = [
+    return [
         GeneralizedFunction(trees, anchor, {all_keys[int(i)]: complex(rng.standard_normal(), 1.0) for i in picks[:k]})
         for k in (1000, 4000)
     ]
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_eval_on_product_work_does_not_grow_with_stored_coefficients(depth, calls):
+    functions = stored_functions(depth)
+    trees = functions[0].factors
+    rng = np.random.default_rng(depth)
+    values = [{x: complex(rng.standard_normal(), 1.0) for x in t.leaves} for t in trees]
     calls(wavelets_module, "wavelet_basis")
     calls(distributions_module, "wavelet_basis")  # shares the count
     calls(BallTree, "leaves_under")
@@ -85,12 +92,21 @@ def test_eval_on_product_work_does_not_grow_with_stored_coefficients(depth, call
         counts.append(dict(calls.counts))
     n = len(trees[0].non_leaf_balls())
     assert counts == [{"wavelet_basis": 2 * n, "leaves_under": 0}] * 2
-    # the extended family member's leaf values add only its own basis and leaf lookups
-    for u in functions:
-        calls.counts.update(wavelet_basis=0, leaves_under=0)
+
+
+@pytest.mark.parametrize("depth", [6, 8])
+def test_eval_extended_integrates_nothing(depth, calls):
+    """One ``coeffs`` probe: no ball integrals, no leaf lists, one basis size check per wavelet component."""
+    calls(distributions_module, "ball_integrals")
+    calls(BallTree, "leaves_under")
+    calls(distributions_module, "wavelet_basis")
+    counts = []
+    for u in stored_functions(depth):
+        calls.counts.update(ball_integrals=0, leaves_under=0, wavelet_basis=0)
         eval_extended(u, (1, 2), (1, 1))
+        eval_extended(u, u.anchor, (0, 0))
         counts.append(dict(calls.counts))
-    assert counts[2] == counts[3]
+    assert counts == [{"ball_integrals": 0, "leaves_under": 0, "wavelet_basis": 2}] * 2
 
 
 def test_solve_builds_no_characteristic_and_draws_free_values_once(calls, monkeypatch):
