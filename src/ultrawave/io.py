@@ -53,7 +53,8 @@ def _resolve(spec: Any, base_dir: str, location: str) -> tuple[Any, str, str]:
     A string names a file relative to ``base_dir``: its contents, reported
     by the joined path, with references resolved next to the file.  Anything
     else is the object itself, reported under ``location``, with references
-    resolved in ``base_dir``.
+    resolved in ``base_dir``.  An empty ``base_dir`` takes a file path as
+    given and resolves an object's references in the working directory.
     """
     if not isinstance(spec, str):
         return spec, location, base_dir or "."
@@ -526,11 +527,9 @@ def solution_to_obj(sol: Solution) -> dict[str, Any]:
     return obj
 
 
-def load_solution(
-    spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".", location: str = "function"
-) -> GeneralizedFunction:
+def load_solution(spec: str | Mapping[str, Any], trees: Sequence[BallTree], base_dir: str = ".") -> GeneralizedFunction:
     """A generalized function on ``trees`` from an inline object or a file (see ``_resolve``)."""
-    obj, location, _ = _resolve(spec, base_dir, location)
+    obj, location, _ = _resolve(spec, base_dir, "function")
     anchor, value = _anchor_of(_object(obj, "a generalized function", location), location)
     coeffs = _coeff_records(obj.get("coeffs", []), location)
     if not cmath.isfinite(value):
@@ -545,14 +544,12 @@ def load_solution(
 # -- problems ------------------------------------------------------------------
 
 
-def load_problem(
-    spec: str | Mapping[str, Any], base_dir: str = "", location: str = "problem"
-) -> tuple[CauchyProblem, list[BallTree]]:
+def load_problem(spec: str | Mapping[str, Any]) -> tuple[CauchyProblem, list[BallTree]]:
     """A problem and its trees from an inline object or a file (see ``_resolve``).
 
-    ``base_dir`` is empty by default, so a file is read and reported by its path as given.
+    A file is read and reported by its path as given.
     """
-    obj, location, base_dir = _resolve(spec, base_dir, location)
+    obj, location, base_dir = _resolve(spec, "", "problem")
     space_specs = _object(obj, "a problem", location).get("spaces")
     if not isinstance(space_specs, list) or not space_specs:
         raise FileFormatError("problem needs a non-empty 'spaces' list", location)

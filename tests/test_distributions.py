@@ -1109,11 +1109,19 @@ def test_term_factor_tables_match_leaf_enumeration(n, seed):
     for fvs in (full, partial):
         close(eval_on_product(u, fvs), leaf_enumerating_eval_on_product(u, fvs))
     keys = list(u.coeffs)
-    for k in rng.choice(len(keys), size=min(15, len(keys)), replace=False):
-        vertex, j = keys[int(k)]
+    stored = [keys[int(k)] for k in rng.choice(len(keys), size=min(15, len(keys)), replace=False)]
+    # Members u stores nothing at: unstored wavelet and anchor keys, j = 0 off the anchor ball
+    # (the root) and j = 1 at a leaf.  Their value is 0.
+    families = [[(a0, 0), (t.root, 0), (t.leaves[0], 1)] + [(w.ball, w.j) for w in tree_wavelets(t)]
+                for t, a0 in zip(u.factors, u.anchor)]
+    members = [(tuple(v), tuple(j)) for v, j in (zip(*m) for m in itertools.product(*families))]
+    unstored = [key for key in members if key not in u.coeffs]
+    unstored = [unstored[int(k)] for k in rng.choice(len(unstored), size=min(8, len(unstored)), replace=False)]
+    for vertex, j in stored + unstored:
         fvs = [extended_leaf_values(t, a0, b, ji, conjugate=True)
                for t, a0, b, ji in zip(u.factors, u.anchor, vertex, j)]
         close(eval_extended(u, vertex, j), leaf_enumerating_eval_on_product(u, fvs))
+    assert all(eval_extended(u, vertex, j) == 0j for vertex, j in unstored)
     if n == 1:
         tree = u.factors[0]
         f = TestFunction(tree, full[0])

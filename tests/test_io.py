@@ -302,9 +302,9 @@ class TestNonIntegralIds:
     def test_coefficient_entry_rejected_with_location(self, entry):
         trees = [build_padic_tree(2, 2)] * (1 if "ball" in entry else 2)
         obj = {"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}
-        with pytest.raises(FileFormatError, match="^sol.json: ") as err:
-            load_solution(obj, trees, location="sol.json")
-        assert err.value.location == "sol.json"
+        with pytest.raises(FileFormatError, match="^function: ") as err:
+            load_solution(obj, trees)
+        assert err.value.location == "function"
 
     def test_every_coefficient_loader_rejects_them(self):
         bad = [{"ball": 1, "j": 1.5, "re": 1.0}]
@@ -317,7 +317,7 @@ class TestNonIntegralIds:
     def test_anchor_vertex_rejected(self, vertex, tmp_path):
         trees = [build_padic_tree(2, 2)] * 2
         with pytest.raises(FileFormatError, match="anchor vertex"):
-            load_solution({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
+            load_solution({"anchor": {"vertex": vertex}, "coeffs": []}, trees)
         problem = {"spaces": ["padic(2,2)"] * 2, "operator": {"factors": ["homog(beta=1)"] * 2},
                    "anchor": {"vertex": vertex}}
         path = tmp_path / "problem.json"
@@ -353,9 +353,8 @@ class TestStringAndBooleanIds:
     def test_every_coefficient_loader_rejects_them(self, entry, tmp_path):
         ball_form = "ball" in entry
         trees = [build_padic_tree(2, 2)] * (1 if ball_form else 2)
-        with pytest.raises(FileFormatError, match="^sol.json: bad coefficient entry .* is not a number"):
-            load_solution({"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}, trees,
-                            location="sol.json")
+        with pytest.raises(FileFormatError, match="^function: bad coefficient entry .* is not a number"):
+            load_solution({"anchor": {"vertex": [3] * len(trees)}, "coeffs": [entry]}, trees)
         with pytest.raises(FileFormatError, match="is not a number"):
             load_lizorkin({"mean": 0.0, "coeffs": [entry]}, len(trees))
         if ball_form:
@@ -372,7 +371,7 @@ class TestStringAndBooleanIds:
     def test_anchor_vertex_rejected(self, vertex):
         trees = [build_padic_tree(2, 2)] * 2
         with pytest.raises(FileFormatError, match="anchor vertex .* is not a number"):
-            load_solution({"anchor": {"vertex": vertex}, "coeffs": []}, trees, location="f")
+            load_solution({"anchor": {"vertex": vertex}, "coeffs": []}, trees)
 
 
 class TestRecordLoaderPaths:
@@ -567,8 +566,8 @@ class TestMalformedSolutions:
     def test_schema_errors_name_the_location(self, obj, message):
         trees = [build_padic_tree(2, 2)] * 2
         with pytest.raises(FileFormatError, match=message) as err:
-            load_solution(obj, trees, location="sol.json")
-        assert err.value.location == "sol.json"
+            load_solution(obj, trees)
+        assert err.value.location == "function"
 
 
 JSON_SCALARS = (
@@ -850,11 +849,11 @@ class TestProblemSchema:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
-    def test_valid_problem_still_loads(self, tmp_path):
-        problem, trees = load_problem(PROBLEM, str(tmp_path))
+    def test_valid_problem_still_loads(self):
+        problem, trees = load_problem(PROBLEM)
         assert problem.free_values == 7 and problem.epsilon == 1e-9 and len(trees) == 2
         assert type(problem.free_values) is int
-        problem, _ = load_problem({**PROBLEM, "free_params": {"seed": 7.0}, "epsilon": 0}, str(tmp_path))
+        problem, _ = load_problem({**PROBLEM, "free_params": {"seed": 7.0}, "epsilon": 0})
         assert problem.free_values == 7 and type(problem.free_values) is int and problem.epsilon == 0.0
 
     @pytest.mark.parametrize("obj,message", [
@@ -986,8 +985,11 @@ def test_fuzzed_operators_raise_only_library_errors(obj):
 @settings(max_examples=300)
 @given(obj=mutated(PROBLEM))
 def test_fuzzed_problems_raise_only_library_errors(obj):
-    with tempfile.TemporaryDirectory() as tmp:
-        only_library_errors(lambda: load_problem(obj, tmp))
+    with tempfile.TemporaryDirectory() as tmp:  # from a file, so that junk strings name files in ``tmp``
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        only_library_errors(lambda: load_problem(path))
 
 
 SERIES = {"mean": [0.0, 0.0], "coeffs": [{"vertex": [1, 0], "j": [1, 1], "re": 1.0, "im": 0.0},
@@ -1010,3 +1012,19 @@ def test_fuzzed_series_raise_only_library_errors(obj, n):
 def test_fuzzed_spaces_raise_only_library_errors(obj):
     with tempfile.TemporaryDirectory() as tmp:
         only_library_errors(lambda: load_space(obj, tmp))
+
+
+@pytest.mark.parametrize("what,load", [
+    ("a symbol", lambda path: load_symbol(path)),
+    ("an operator", lambda path: load_operator(path, [build_padic_tree(2, 2)] * 2)),
+    ("a series", lambda path: load_lizorkin(path, 2)),
+    ("a generalized function", lambda path: load_solution(path, [build_padic_tree(2, 2)] * 2)),
+    ("a problem", load_problem),
+])
+def test_a_json_string_read_from_a_file_is_rejected(what, load, tmp_path):
+    """A string names a file only as the argument: a string read from the file is not an object."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps("homog(beta=1)"))
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {what} must be a JSON object") as err:
+        load(str(path))
+    assert err.value.location == str(path)
