@@ -26,14 +26,18 @@ the test suite as its oracle.
 Construction checks the keys as int64 id columns, one vectorized mask per
 factor: an id of the tree, j = 0 only at the anchor ball, otherwise
 1 <= j <= ``basis_sizes`` at the ball (0 at a leaf or a degenerate ball).
-It builds no wavelet basis and costs O(keys).  The io loader hands its
-columns over in a ``KeyColumns``, having type-checked every id once; the
-columns of any other mapping come from its keys.  There ids may be of any
-integer type (``int``, ``bool``, numpy integers): ids that are not all
-exact ``int`` go through ``operator.index``, and every id is stored as
-given.  A bad row, an id that is not an integer or does not fit int64, or
-a key of another arity sends the input to the key-by-key check, which
-raises at the first bad key or value in insertion order.
+It builds no wavelet basis and costs O(keys).  The io loader and ``solve``
+hand their columns over in a ``KeyColumns``; the columns of any other
+mapping come from its keys.  There ids may be of any integer type (``int``,
+``bool``, numpy integers): ids that are not all exact ``int`` go through
+``operator.index``, and every id is stored as given.  A bad row, an id that
+is not an integer or does not fit int64, or a key of another arity sends the
+input to the key-by-key check, which raises at the first bad key or value in
+insertion order.
+
+Both containers keep the (keys x n) ball and j columns, row for row with
+their keys, and ``items()`` sorts them by one ``np.lexsort`` over the
+columns: by vertex, then by j, the tuple order of the keys.
 
 A rank-1 test function costs one bottom-up pass of ball integrals per
 factor.  ``eval_on_product`` turns each factor's pass into a (ball, j) ->
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index as operator_index, itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -100,8 +105,8 @@ class KeyColumns(dict):
 
     ``balls`` and ``js`` are (records x factors) arrays, one row per record
     the dict was built from, in record order (a repeated key repeats its
-    row).  The io loader builds one only from ids it has checked to be exact
-    ``int``; ``_checked`` then takes the columns as they are.
+    row).  The io loader (from ids it has checked to be exact ``int``) and
+    ``solve`` build one; ``_checked`` then takes the columns as they are.
     """
 
     def __init__(self, items, balls: np.ndarray, js: np.ndarray):
@@ -109,8 +114,8 @@ class KeyColumns(dict):
         self.balls, self.js = balls, js
 
 
-def _id_columns(keys: list, n: int) -> list[np.ndarray]:
-    """The ball and the j ids of normalized keys of arity ``n``, each as an int64 (keys x n) array.
+def _id_columns(keys: list, n: int, dtype=np.int64) -> list[np.ndarray]:
+    """The ball and the j ids of normalized keys of arity ``n``, each as a (keys x n) array of ``dtype``.
 
     Raises ValueError for a key of another arity, TypeError for an id that
     is not an integer (ids that are not all exact ``int`` go through
@@ -124,56 +129,66 @@ def _id_columns(keys: list, n: int) -> list[np.ndarray]:
         ids = list(itertools.chain.from_iterable(part))
         if not set(map(type, ids)) <= {int}:
             ids = list(map(operator_index, ids))
-        columns.append(np.array(ids, dtype=np.int64).reshape(len(keys), n))
+        columns.append(np.array(ids, dtype=dtype).reshape(len(keys), n))
     return columns
 
 
-def _checked(coeffs: Mapping, n: int, columns_ok, check_key) -> dict[Key, complex]:
-    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values, checked as int64 id columns.
+def _key_order(balls: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """The rows of the id columns in sorted key order, by vertex and then by j: one ``np.lexsort``."""
+    return np.lexsort([*js.T[::-1], *balls.T[::-1]])
+
+
+def _checked(coeffs: Mapping, n: int, columns_ok, check_key) -> tuple[dict[Key, complex], np.ndarray, np.ndarray]:
+    """``coeffs`` with ``_as_nd_key`` keys and ``complex`` values, checked as int64 id columns, and the columns.
 
     ``columns_ok(balls, js)`` says whether every row of the (keys x n) id
     columns is a valid key; ``check_key(key)`` raises at the first rule a
-    key of ``coeffs`` breaks.  A ``KeyColumns`` brings its own columns; the
-    columns of any other mapping come from its keys (``_id_columns``).  A
-    dict that is already normalized (``solve`` builds one) is copied as it
-    is.  On a bad row, or any failure (an id that is not an integer or does
-    not fit int64, a key of another arity, a value that is not a number),
-    the keys are checked one by one in insertion order, which raises at the
-    first bad key or value; the key-by-key check decides, so an input it
-    passes is stored from there.
+    key of ``coeffs`` breaks.  A ``KeyColumns`` brings its own columns
+    (rebuilt once if it held a repeated key); the columns of any other
+    mapping come from its keys (``_id_columns``).  On a bad row, or any
+    failure (an id that is not an integer or does not fit int64, a key of
+    another arity, a value that is not a number), the keys are checked one
+    by one in insertion order, which raises at the first bad key or value;
+    an input that passes is stored from there and its columns derived once
+    (of Python ints past int64).
     """
     try:
         if isinstance(coeffs, KeyColumns):
             stored = dict(coeffs)
             balls, js = coeffs.balls, coeffs.js
+            if len(balls) != len(stored):  # a repeated key: one row per stored key
+                balls, js = _id_columns(list(stored), n)
         else:
-            if (type(coeffs) is dict and set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {2}
-                    and set(map(type, itertools.chain.from_iterable(coeffs))) <= {tuple}
-                    and set(map(type, coeffs.values())) <= {complex}):
-                stored = dict(coeffs)
-            else:
-                stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
+            stored = {_as_nd_key(key): complex(c) for key, c in coeffs.items()}
             balls, js = _id_columns(list(stored), n)
         if balls.shape[1:] == js.shape[1:] == (n,) and columns_ok(balls, js):
-            return stored
+            return stored, balls, js
     except Exception:  # the key-by-key check raises it again at the right key
         pass
     stored = {}
     for key, c in coeffs.items():
         check_key(key)
         stored[_as_nd_key(key)] = complex(c)
-    return stored
+    try:
+        return stored, *_id_columns(list(stored), n)
+    except OverflowError:  # only a series may hold an id beyond int64
+        return stored, *_id_columns(list(stored), n, object)
 
 
 @dataclass(frozen=True)
 class LizorkinSeries:
-    """Formal series over true wavelet indices, stored sparsely."""
+    """Formal series over true wavelet indices, stored sparsely, with the keys' id columns."""
 
     n: int
     coeffs: Mapping[Key, complex] = field(default_factory=dict)
+    _columns: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # row for row
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked(self.coeffs, self.n, self._columns_ok, self._check_key))
+        if self.n < 1:  # as for a generalized function; a key of arity 0 has no id to sort or write
+            raise ParameterError("a series needs at least one factor")
+        stored, *columns = _checked(self.coeffs, self.n, self._columns_ok, self._check_key)
+        object.__setattr__(self, "coeffs", stored)
+        object.__setattr__(self, "_columns", tuple(columns))
 
     @staticmethod
     def _columns_ok(balls: np.ndarray, js: np.ndarray) -> bool:
@@ -194,7 +209,8 @@ class LizorkinSeries:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def items(self):
-        return sorted(self.coeffs.items(), key=itemgetter(0))
+        rows = list(self.coeffs.items())
+        return list(map(rows.__getitem__, _key_order(*self._columns).tolist()))
 
     def coefficient(self, vertex, j) -> complex:
         return self.coeffs.get(_as_nd_key((vertex, j)), 0.0 + 0.0j)
@@ -217,11 +233,15 @@ class GeneralizedFunction:
         if len(self.anchor) != self.n:
             raise ParameterError("anchor arity does not match the number of factors")
         _check_anchor(self.factors, self.anchor)
-        stored = _checked(coeffs or {}, self.n, self._columns_ok, self._check_key)
+        stored, balls, js = _checked(coeffs or {}, self.n, self._columns_ok, self._check_key)
         if anchor_value is not None:
+            if self.anchor_key not in stored:  # the anchor key's row comes last, as its key
+                balls = np.vstack([balls, np.array(self.anchor, dtype=np.int64)])
+                js = np.vstack([js, np.zeros(self.n, dtype=np.int64)])
             stored[self.anchor_key] = complex(anchor_value)
-        # read-only, so the cached order below never goes stale
+        # read-only, so the columns and the cached order below never go stale
         self.coeffs: Mapping[Key, complex] = MappingProxyType(stored)
+        self._columns = balls, js  # the keys' ids, row for row
         self._items: tuple[tuple[Key, complex], ...] | None = None
 
     @property
@@ -275,14 +295,16 @@ class GeneralizedFunction:
         """Stored coefficients at true wavelet indices (every j >= 1)."""
         return [(key, c) for key, c in self.items() if all(ji >= 1 for ji in key[1])]
 
-    def items(self) -> tuple[tuple[Key, complex], ...]:
-        """Stored coefficients in sorted key order, sorted once and cached.
+    @cached_property
+    def _sorted_rows(self) -> np.ndarray:
+        """The rows of the id columns in sorted key order (``_key_order``), sorted once."""
+        return _key_order(*self._columns)
 
-        Every vertex component is a checked ball id, so this is plain tuple
-        order: by vertex, then by j.
-        """
+    def items(self) -> tuple[tuple[Key, complex], ...]:
+        """Stored coefficients in sorted key order (plain tuple order: by vertex, then by j), cached."""
         if self._items is None:
-            self._items = tuple(sorted(self.coeffs.items(), key=itemgetter(0)))
+            rows = list(self.coeffs.items())
+            self._items = tuple(map(rows.__getitem__, self._sorted_rows.tolist()))
         return self._items
 
 

@@ -17,14 +17,13 @@ import json
 import math
 import os
 import re
-from bisect import bisect_left
 from itertools import chain, repeat
 from operator import contains, index, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import GeneralizedFunction, Key, KeyColumns, LizorkinSeries
+from .distributions import GeneralizedFunction, Key, KeyColumns, LizorkinSeries, _id_columns, _key_order
 from .errors import FileFormatError, NonFiniteError, ParameterError
 from .operators import HomogeneousSymbol, Symbol, TableSymbol
 from .products import MultiOperator
@@ -462,18 +461,19 @@ def encode_records(ids: Mapping[str, Any], floats: Mapping[str, list], fmt: str 
     return _JSONText("[%s]" % ", ".join(map(record.__mod__, zip(*columns, *values))))
 
 
-def _coeff_records_json(keys, n: int, values=None) -> _JSONText:
-    """The records of ``keys`` of arity ``n`` (``{ball, j}`` at n = 1, else ``{vertex, j}``), with ``values``."""
-    keys = list(keys)
-    # map/itemgetter columns: ``zip(*keys)`` would allocate an iterator per key
-    vertex, j = ([list(map(itemgetter(i), part)) for i in range(n)]
-                 for part in (list(map(itemgetter(0), keys)), list(map(itemgetter(1), keys))))
-    ids = {"ball": vertex[0], "j": j[0]} if n == 1 else {"vertex": tuple(vertex), "j": tuple(j)}
-    if values is None:
+def _coeff_records_json(balls: np.ndarray, js: np.ndarray, rows=slice(None),
+                        coeffs: Mapping[Key, complex] | None = None) -> _JSONText:
+    """The records of ``rows`` of the (keys x n) id arrays (``{ball, j}`` at n = 1, else ``{vertex, j}``).
+
+    With ``coeffs``, the dict of those keys row for row, each record also gets its key's value.
+    """
+    vertex, j = balls[rows].T.tolist(), js[rows].T.tolist()
+    ids = {"ball": vertex[0], "j": j[0]} if len(vertex) == 1 else {"vertex": tuple(vertex), "j": tuple(j)}
+    if coeffs is None:
         return encode_records(ids, {})
-    values = list(values)
-    return encode_records(ids, {"re": [c.real for c in values], "im": [c.imag for c in values]},
-                          where=lambda k: f"coefficient {values[k]} at {keys[k]}")
+    z = np.fromiter(coeffs.values(), complex, len(coeffs))[rows]
+    return encode_records(ids, {"re": z.real.tolist(), "im": z.imag.tolist()},
+                          where=lambda k: f"coefficient {complex(z[k])} at {list(coeffs)[rows[k]]}")
 
 
 def load_lizorkin(
@@ -489,8 +489,8 @@ def load_lizorkin(
 
 
 def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
-    items = series.items()
-    coeffs = _coeff_records_json(map(itemgetter(0), items), series.n, map(itemgetter(1), items))
+    balls, js = series._columns
+    coeffs = _coeff_records_json(balls, js, _key_order(balls, js), series.coeffs)
     return {"mean": [0.0, 0.0], "coeffs": json.loads(coeffs)}
 
 
@@ -498,14 +498,13 @@ def lizorkin_to_obj(series: LizorkinSeries) -> dict[str, Any]:
 
 
 def _genfun_obj(u: GeneralizedFunction) -> dict[str, Any]:
-    """``genfun_to_obj``'s object with ``coeffs`` as ``_JSONText``."""
-    items = u.items()
-    if u.anchor_key in u.coeffs:  # cut out by position, as the items are sorted by key
-        k = bisect_left(items, u.anchor_key, key=itemgetter(0))
-        items = items[:k] + items[k + 1:]
+    """``genfun_to_obj``'s object with ``coeffs`` as ``_JSONText``: the rows in sorted key order, less the anchor's."""
+    balls, js = u._columns
+    rows = u._sorted_rows
+    rows = rows[js[rows].any(axis=1)]  # j = 0 on every factor only at the anchor key
     return {
         "anchor": {"vertex": list(map(index, u.anchor)), "value": _pair(u.anchor_value)},
-        "coeffs": _coeff_records_json(map(itemgetter(0), items), u.n, map(itemgetter(1), items)),
+        "coeffs": _coeff_records_json(balls, js, rows, u.coeffs),
     }
 
 
@@ -518,7 +517,7 @@ def solution_to_obj(sol: Solution) -> dict[str, Any]:
     """The solution file's object for ``write_json``: ``coeffs`` and ``free_params`` are ``_JSONText``."""
     obj = _genfun_obj(sol.u)
     # the keys of ``coeffs`` records without values; each value is in ``coeffs``
-    obj["free_params"] = _coeff_records_json(sol.free_params, sol.u.n)
+    obj["free_params"] = _coeff_records_json(*(sol.free_columns or _id_columns(list(sol.free_params), sol.u.n)))
     obj["residual"] = {
         "max_rel": sol.residual.max_rel,
         "max_abs": sol.residual.max_abs,

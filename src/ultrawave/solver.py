@@ -36,7 +36,8 @@ Everything after the classification works on columns, not per vertex:
 * The free keys are counted from ``basis_sizes`` before any is built (per
   characteristic vertex, the product of its balls' wavelet counts; no
   wavelet basis is built), and more than ``MAX_GRID_POINTS`` of them is a
-  ParameterError.
+  ParameterError.  They are built as id columns, and ``u`` gets a
+  ``KeyColumns`` with the boundary's, the divided rhs's and the free columns.
 * A seeded problem draws all free values with one ``standard_normal(2k)``
   call, the same stream as 2k scalar draws.
 """
@@ -47,12 +48,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add, getitem, index as operator_index, itemgetter, mul, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import GeneralizedFunction, Key, LizorkinSeries, _as_nd_key, _check_anchor
+from .distributions import GeneralizedFunction, Key, KeyColumns, LizorkinSeries, _as_nd_key, _check_anchor, _id_columns
 from .errors import (
     DomainError,
     IllConditionedError,
@@ -267,14 +268,10 @@ def _rhs_columns(problem: CauchyProblem, spectra: Spectra) -> _RhsColumns:
     values = list(problem.rhs.coeffs.values())
     z = np.array(values, dtype=complex)
     mags = np.hypot(z.real, z.imag)  # abs, bit for bit
-    vertices = list(map(itemgetter(0), keys))
     factors, cells = spectra
-    m, n = len(vertices), len(factors)
-    try:
-        ids = np.array(vertices, dtype=np.int64).reshape(m, n)
-    except (OverflowError, TypeError):  # an id beyond int64 belongs to no tree
-        ids = np.array([[b if 0 <= b < 2**62 else -1 for b in map(operator_index, v)] for v in vertices],
-                       dtype=np.int64).reshape(m, n)
+    ids = problem.rhs._columns[0]
+    if ids.dtype != np.int64:  # Python ints: an id beyond int64 belongs to no tree
+        ids = np.where((ids >= 0) & (ids < 2**62), ids, -1).astype(np.int64)
     groups = []
     for f, col in zip(factors, ids.T):
         inside = (col >= 0) & (col < len(f.group))
@@ -282,7 +279,7 @@ def _rhs_columns(problem: CauchyProblem, spectra: Spectra) -> _RhsColumns:
     generic = np.logical_and.reduce([g >= 0 for g in groups])
     at = tuple(g[generic] for g in groups)
     lam_re, lam_im, scale = eigen = tuple(col[at] for col in cells)
-    on_char = np.zeros(m, dtype=bool)
+    on_char = np.zeros(len(keys), dtype=bool)
     on_char[generic] = _characteristic_mask(lam_re, lam_im, scale, problem.epsilon, lambda bad: ids[generic][bad].T)
     return _RhsColumns(keys, values, mags, max(mags.tolist(), default=0.0), generic, on_char, eigen)
 
@@ -309,6 +306,7 @@ class Solution:
     free_params: tuple[Key, ...]
     residual: ResidualReport
     characteristic_vertices: tuple[tuple[int, ...], ...]
+    free_columns: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)  # by solve
 
 
 def _free_values(problem: CauchyProblem, keys: list[Key]) -> list[complex]:
@@ -328,22 +326,34 @@ def _free_values(problem: CauchyProblem, keys: list[Key]) -> list[complex]:
     raise ParameterError(f"unsupported free_values specification {free!r}")
 
 
-def _wavelet_indices(tree, ball: int) -> range:
-    """The wavelet indices 1..k at ``ball``; none at a degenerate ball."""
-    return range(1, int(basis_sizes(tree)[ball]) + 1)
+def _check_free_count(trees, char_ids: list[np.ndarray]) -> np.ndarray:
+    """The basis sizes of the characteristic vertices' balls, (n x vertices), unless they carry too many free keys.
 
-
-def _check_free_count(trees, char_ids: list[np.ndarray]) -> None:
-    """Raise ParameterError when the characteristic vertices carry more than ``MAX_GRID_POINTS`` free keys.
-
-    A vertex carries the product of its balls' basis sizes; the count is
-    taken from the id columns before any key is built.
+    A vertex carries the product of its sizes; more than ``MAX_GRID_POINTS``
+    is a ParameterError, raised before any key is built.
     """
-    sizes = [basis_sizes(tree)[col] for tree, col in zip(trees, char_ids)]
+    sizes = np.array([basis_sizes(tree)[col] for tree, col in zip(trees, char_ids)], dtype=np.int64)
     if np.prod(sizes, axis=0, dtype=np.float64).sum() > MAX_GRID_POINTS:  # float: an int64 product may overflow
-        count = sum(map(math.prod, zip(*(col.tolist() for col in sizes))))
+        count = sum(map(math.prod, zip(*sizes.tolist())))
         raise ParameterError(f"the {len(char_ids[0])} characteristic vertices carry {count} free parameters, "
                              f"more than the {MAX_GRID_POINTS} allowed")
+    return sizes
+
+
+def _free_columns(char_ids: list[np.ndarray], sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The free keys' (keys x n) ball and j columns, and each key's vertex (its position in ``char_ids``).
+
+    Per vertex, the j run over 1..size per factor in ``itertools.product``
+    order (mixed radix, the last factor fastest); a degenerate ball has none.
+    """
+    counts = sizes.prod(axis=0)
+    vertex = np.repeat(np.arange(len(counts)), counts)
+    rest = np.arange(len(vertex)) - np.repeat(np.cumsum(counts) - counts, counts)
+    js = []
+    for size in sizes[::-1, vertex]:
+        js.append(rest % size + 1)
+        rest //= size
+    return np.stack([col[vertex] for col in char_ids], axis=1), np.stack(js[::-1], axis=1), vertex
 
 
 def solve(problem: CauchyProblem) -> Solution:
@@ -370,9 +380,9 @@ def solve(problem: CauchyProblem) -> Solution:
         raise DomainError(f"rhs vertex {vertex} is not a generic vertex of the operator's space")
 
     # divide each (now all generic) entry off the characteristic set (below the threshold there, the free value rules)
-    rows = np.flatnonzero(~rhs.on_char)
-    lam_re, lam_im, scale = (col[rows] for col in rhs.eigen)
-    rows = rows.tolist()
+    divided = np.flatnonzero(~rhs.on_char)
+    lam_re, lam_im, scale = (col[divided] for col in rhs.eigen)
+    rows = divided.tolist()
     keys = [rhs.keys[k] for k in rows]
     values = [rhs.values[k] for k in rows]
     lams = list(map(complex, lam_re.tolist(), lam_im.tolist()))
@@ -392,15 +402,19 @@ def solve(problem: CauchyProblem) -> Solution:
     max_abs = max(itertools.chain((0.0,), map(abs, map(sub, map(mul, lams, quotients), values))))
 
     char_ids = _classify(spectra, problem.epsilon)[0]
-    _check_free_count(trees, char_ids)
+    free_balls, free_js, at = _free_columns(char_ids, _check_free_count(trees, char_ids))
     vertices = list(zip(*(col.tolist() for col in char_ids)))
-    indices = [{b: _wavelet_indices(tree, b) for b in set(col.tolist())} for tree, col in zip(trees, char_ids)]
-    free_keys = [(v, j) for v in vertices for j in itertools.product(*map(getitem, indices, v))]
-    coeffs: dict[Key, complex] = dict(problem.boundary)
+    free_keys = list(zip(map(vertices.__getitem__, at.tolist()), zip(*free_js.T.tolist())))
+    try:  # every row's ids; an rhs j past int64 makes an object column, which u's column check refuses
+        coeffs: dict[Key, complex] = KeyColumns(problem.boundary, *map(np.concatenate, zip(
+            _id_columns(list(problem.boundary), len(trees)), (col[divided] for col in problem.rhs._columns),
+            (free_balls, free_js))))
+    except (ValueError, TypeError, OverflowError):  # a boundary id that is not an int64 integer
+        coeffs = dict(problem.boundary)  # u's key-by-key check words the error
     coeffs.update(zip(keys, quotients))
     coeffs.update(zip(free_keys, _free_values(problem, free_keys)))
 
     u = GeneralizedFunction(trees, problem.anchor, coeffs, problem.anchor_value)
     denom = rhs.norm if rhs.norm > 0 else 1.0
     residual = ResidualReport(max_abs / denom, max_abs, tuple(warnings))
-    return Solution(u, tuple(free_keys), residual, tuple(vertices))
+    return Solution(u, tuple(free_keys), residual, tuple(vertices), (free_balls, free_js))

@@ -286,7 +286,7 @@ class TestGridCap:
             sol = solve(problem)
             assert len(sol.characteristic_vertices) == 16 and len(sol.free_params) == 64
             return
-        monkeypatch.setattr(solver, "_wavelet_indices", None)  # a call would fail with TypeError
+        monkeypatch.setattr(solver, "_free_columns", None)  # building a key would fail with TypeError
         with pytest.raises(ParameterError, match=r"^the 16 characteristic vertices carry 64 free parameters, "
                                                  r"more than the 63 allowed$"):
             solve(problem)

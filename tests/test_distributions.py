@@ -1024,6 +1024,95 @@ class TestIdColumns:
             assert got == outcome(lambda: per_key_stored([DEGENERATE_TREE], (2,), coeffs))
 
 
+ID_TYPES = [int, np.int64, np.int32, bool, np.uint8]
+
+
+def with_id_types(coeffs):
+    """``coeffs`` with its ids cast in turn to each of ``ID_TYPES`` (``bool`` only for ids 0 and 1)."""
+    def cast(k, x):
+        t = ID_TYPES[k % len(ID_TYPES)]
+        return t(x) if t is not bool or x < 2 else x
+    return {(tuple(cast(k + i, b) for i, b in enumerate(v)), tuple(cast(k + i + 1, x) for i, x in enumerate(j))): c
+            for k, ((v, j), c) in enumerate(coeffs.items())}
+
+
+class TestKeptColumns:
+    """The id columns a container keeps are its keys' ids row for row, and ``items()`` is sorted tuple order."""
+
+    @staticmethod
+    def check(obj):
+        balls, js = obj._columns
+        assert balls.tolist() == [list(map(operator.index, v)) for v, _ in obj.coeffs]
+        assert js.tolist() == [list(map(operator.index, j)) for _, j in obj.coeffs]
+        assert tuple(obj.items()) == tuple(sorted(obj.coeffs.items(), key=operator.itemgetter(0)))
+
+    @staticmethod
+    def key_sets(rng, n):
+        """(trees, anchor, coeffs, the anchor key): valid keys without and with the anchor key stored."""
+        for _ in range(3):
+            trees = [random_measured_tree(rng, max_depth=3, max_branching=3) for _ in range(n)]
+            anchor = tuple(int(rng.choice([b for b in range(t.n_vertices) if t.measure[b] > 0])) for t in trees)
+            anchor_key = (anchor, (0,) * n)
+            valid = {k: c for k, c in list(valid_key_set(rng, trees, anchor).items())[:80] if k != anchor_key}
+            yield trees, anchor, valid, anchor_key
+            yield trees, anchor, with_inserted(rng, valid, [(anchor_key, 2.5 - 1j)]), anchor_key
+
+    @staticmethod
+    def series_of(coeffs):
+        return {key: c for key, c in coeffs.items() if all(ji >= 1 for ji in key[1])}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_anchor_key_stored_or_not_and_any_id_type(self, n):
+        rng = np.random.default_rng(1500 + n)
+        for trees, anchor, coeffs, anchor_key in self.key_sets(rng, n):
+            for given in (coeffs, with_id_types(coeffs)):
+                for anchor_value in (None, 1.5j):
+                    u = GeneralizedFunction(trees, anchor, given, anchor_value)
+                    self.check(u)
+                    assert (anchor_key in u.coeffs) == (anchor_key in coeffs or anchor_value is not None)
+                self.check(LizorkinSeries(n, self.series_of(given)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_repeated_record_keeps_its_first_position_and_last_value(self, n):
+        rng = np.random.default_rng(1600 + n)
+        for trees, anchor, coeffs, anchor_key in self.key_sets(rng, n):
+            k = int(rng.choice([k for k, key in enumerate(coeffs) if key != anchor_key]))
+            records = TestIdColumns.records(coeffs, ball_form=False)
+            records.append({**records[k], "re": -0.0, "im": 7.0})
+            loaded = _coeff_records(records, "f")
+            assert isinstance(loaded, KeyColumns) and len(loaded.balls) == len(loaded) + 1
+            for anchor_value in (None, 1.5j):
+                u = GeneralizedFunction(trees, anchor, loaded, anchor_value)
+                self.check(u)
+                key = list(coeffs)[k]
+                assert list(u.coeffs).index(key) == k and repr(u.coeffs[key]) == "(-0+7j)"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_key_by_key_path(self, n, monkeypatch):
+        """When the column check sends the keys one by one, the columns come from the stored keys."""
+        monkeypatch.setattr(GeneralizedFunction, "_columns_ok", lambda self, balls, js: False)
+        monkeypatch.setattr(LizorkinSeries, "_columns_ok", staticmethod(lambda balls, js: False))
+        rng = np.random.default_rng(1700 + n)
+        for trees, anchor, coeffs, _ in self.key_sets(rng, n):
+            for anchor_value in (None, 1.5j):
+                self.check(GeneralizedFunction(trees, anchor, with_id_types(coeffs), anchor_value))
+            self.check(LizorkinSeries(n, self.series_of(coeffs)))
+
+    def test_series_needs_a_factor(self):
+        with pytest.raises(ParameterError, match="^a series needs at least one factor$"):
+            LizorkinSeries(0, {((), ()): 1.0})
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_series_ids_beyond_int64(self, n):
+        """A series accepts any integer ball id; past int64 its columns hold Python ints, in the same order."""
+        rng = np.random.default_rng(1800 + n)
+        ids = [2**70, -2**70, 2**63, -1, 0, 5]
+        coeffs = {tuple(int(rng.choice(ids)) for _ in range(n)): 1.0 for _ in range(12)}
+        series = LizorkinSeries(n, {(v, (int(rng.integers(1, 3)),) * n): c for v, c in coeffs.items()})
+        assert series._columns[0].dtype == object
+        self.check(series)
+
+
 def extended_leaf_values(tree, anchor_ball, ball, j, conjugate=False):
     """Oracle: leaf values of one extended family member of a factor.
 

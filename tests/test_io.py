@@ -481,6 +481,40 @@ def _awkward_solution(n):
     return Solution(u, tuple(free), ResidualReport(5e-324, -0.0, warnings), ())
 
 
+class TestSolutionRoundTrip:
+    """``load_solution`` of a written solution gives back ``u``'s keys, value bits and anchor."""
+
+    @staticmethod
+    def exact(u):
+        return ([(tuple(map(operator.index, v)), tuple(map(operator.index, j)), c.real.hex(), c.imag.hex())
+                 for (v, j), c in u.items()], tuple(map(operator.index, u.anchor)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_awkward_ids_and_values(self, n, tmp_path):
+        sol = _awkward_solution(n)
+        path = str(tmp_path / "sol.json")
+        write_json(solution_to_obj(sol), path)
+        back = load_solution(path, list(sol.u.factors))
+        assert self.exact(back) == self.exact(sol.u)
+        assert any(re == "-0x0.0p+0" for _, _, re, _ in self.exact(back)[0])
+
+    def test_solved_problem(self, tmp_path):
+        tree = build_padic_tree(2, 4)
+        symbol = HomogeneousSymbol(beta=0.5)
+        op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+        rng = np.random.default_rng(9)
+        off = [(a, b) for a in range(15) for b in range(15) if (a + 1).bit_length() != (b + 1).bit_length()]
+        picks = rng.permutation(len(off))[:60]
+        rhs = LizorkinSeries(2, {(off[int(k)], (1, 1)): complex(*rng.standard_normal(2)) for k in picks})
+        boundary = {((15, 3), (0, 1)): -0.0j, ((4, 20), (1, 0)): 0.5}
+        sol = solve(CauchyProblem(op, rhs, anchor=(15, 20), anchor_value=-0.0, boundary=boundary, free_values=3))
+        path = str(tmp_path / "sol.json")
+        write_json(solution_to_obj(sol), path)
+        back = load_solution(path, [tree, tree])
+        assert self.exact(back) == self.exact(sol.u)
+        assert len(back.coeffs) == 60 + 2 + 1 + sum(4**k for k in range(4))  # rhs, boundary, anchor, free keys
+
+
 class TestRecordEncoder:
     """One encoder writes every coefficient record: the bytes of the per-record dict writer it replaced."""
 

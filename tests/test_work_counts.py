@@ -2,25 +2,29 @@
 
 A count fixed by the tree (one symbol value or one basis per non-leaf ball)
 or one that must not grow with the number of stored coefficients pins the
-complexity a change keeps, whatever the host's speed.
+complexity a change keeps, whatever the host's speed.  The acceptance
+oracles' work is counted on their own inputs, in place of a time bound.
 """
 
 import numpy as np
 import pytest
 
+import test_acceptance
+import test_products
 import ultrawave.distributions as distributions_module
+import ultrawave.io as io_module
 import ultrawave.solver as solver_module
 import ultrawave.wavelets as wavelets_module
-from conftest import random_leaf_function
+from conftest import random_leaf_function, random_measured_tree
 from ultrawave.cli import main
 from ultrawave.distributions import GeneralizedFunction, LizorkinSeries, eval_extended, eval_on_product
 from ultrawave.errors import UnsolvableError
 from ultrawave.io import load_solution, solution_to_obj, write_json
-from ultrawave.operators import HomogeneousSymbol, spectrum
-from ultrawave.products import MultiOperator
+from ultrawave.operators import HomogeneousSymbol, TableSymbol, spectrum
+from ultrawave.products import MultiOperator, MultiWavelet
 from ultrawave.solver import CauchyProblem, characteristic_columns, check_solvability, solve
 from ultrawave.trees import BallTree, build_padic_tree
-from ultrawave.wavelets import analyze, tree_wavelets
+from ultrawave.wavelets import analyze, basis_sizes, tree_wavelets
 
 
 @pytest.fixture
@@ -243,3 +247,97 @@ def test_loading_a_solution_and_solving_build_no_basis(calls, tmp_path):
     u = load_solution(str(path), [build_padic_tree(2, 5)] * 2)
     assert len(u.coeffs) == len(sol.u.coeffs) == 3 + 1 + 341 + 1  # rhs, boundary, free keys, anchor
     assert calls.counts == {"wavelet_basis": 0}
+
+
+def wavelet_table_work(trees):
+    """What tabulating every wavelet at every leaf costs on ``trees``: ``evaluate`` and ``is_ancestor`` calls
+    (one per wavelet and leaf), ``child_toward`` calls (one per leaf inside the wavelet's ball) and basis
+    builds (one per non-leaf ball)."""
+    pairs = inside = balls = 0
+    for tree in trees:
+        sizes = basis_sizes(tree)
+        for b in tree.non_leaf_balls():
+            pairs += int(sizes[b]) * len(tree.leaves)
+            inside += int(sizes[b]) * len(tree.leaves_under(b))
+            balls += 1
+    return {"evaluate": pairs, "is_ancestor": pairs, "child_toward": inside, "wavelet_basis": balls}
+
+
+def test_c01_wavelet_orthonormality_work(calls):
+    """Acceptance c01 tabulates the wavelets of its 50 seeded trees at every leaf, and does nothing more."""
+    rng = np.random.default_rng(2024)
+    expected = wavelet_table_work([random_measured_tree(rng, max_depth=4, max_branching=4) for _ in range(50)])
+    calls(test_acceptance, "evaluate")
+    calls(BallTree, "is_ancestor")
+    calls(BallTree, "child_toward")
+    calls(wavelets_module, "wavelet_basis")
+    test_acceptance.test_c01_wavelet_orthonormality()
+    assert calls.counts == expected == {"evaluate": 38262, "is_ancestor": 38262, "child_toward": 9515,
+                                        "wavelet_basis": 579}
+
+
+def test_c02_eigenfunction_oracle_work(calls):
+    """Acceptance c02, per tree and each of its 23 symbols: one dense matrix (a symbol value per non-leaf ball,
+    a leaf list per child) and one eigenvalue per wavelet (a symbol value per ball from the wavelet's up)."""
+    trees = (build_padic_tree(2, 4), build_padic_tree(3, 3))
+    expected = wavelet_table_work(trees)
+    symbols = 20 + 3
+    sizes = [(tree, b, int(basis_sizes(tree)[b])) for tree in trees for b in tree.non_leaf_balls()]
+    expected.update(
+        operator_matrix=symbols * len(trees),
+        eigenvalue=symbols * sum(size for _, _, size in sizes),
+        leaves_under=symbols * sum(len(tree.children[b]) for tree, b, _ in sizes),
+        value=symbols * sum(1 + size * (1 + len(list(tree.ancestors(b)))) for tree, b, size in sizes),
+    )
+    for owner, name in ((test_acceptance, "evaluate"), (test_acceptance, "operator_matrix"),
+                        (test_acceptance, "eigenvalue"), (BallTree, "is_ancestor"), (BallTree, "child_toward"),
+                        (BallTree, "leaves_under"), (wavelets_module, "wavelet_basis"),
+                        (HomogeneousSymbol, "value"), (TableSymbol, "value")):  # both symbols' values share a count
+        calls(owner, name)
+    test_acceptance.test_c02_eigenfunction_oracle_equivalence()
+    assert calls.counts == expected
+    assert expected["evaluate"] == 942 and expected["value"] == 3335
+
+
+def test_c05_tensor_oracle_work(calls):
+    """Acceptance c05 on padic(2,2)**2: two dense factor matrices, and one eigenvalue and one leaf vector per
+    member of the 16-member tensor basis; the factor spectra take one table value per non-leaf ball."""
+    calls(test_products, "operator_matrix")
+    calls(MultiOperator, "eigenvalue")
+    calls(MultiWavelet, "leaf_vector")
+    calls(TableSymbol, "value")
+    test_acceptance.test_c05_tensor_oracle()
+    assert calls.counts == {"operator_matrix": 2, "eigenvalue": 16, "leaf_vector": 16, "value": 2 * 3 + 2 * 3}
+
+
+def test_solve_and_its_solution_file_pass_the_key_columns(calls, monkeypatch):
+    """A seeded solve on padic(2,5)**2 and its solution object: the ids travel as columns from the rhs to the file.
+
+    Only the boundary keys go through ``_id_columns``, ``u`` checks its columns with no key-by-key check, and
+    the writer orders the rows with the one ``np.lexsort`` of ``u``.
+    """
+    tree = build_padic_tree(2, 5)
+    symbol = HomogeneousSymbol(beta=0.5)
+    op = MultiOperator([(tree, symbol), (tree, symbol)], [((0,), 1.0), ((1,), -1.0)])
+    rng = np.random.default_rng(5)
+    off = [(a, b) for a in range(31) for b in range(31) if (a + 1).bit_length() != (b + 1).bit_length()]
+    rhs = LizorkinSeries(2, {(off[int(k)], (1, 1)): complex(*rng.standard_normal(2))
+                             for k in rng.permutation(len(off))[:300]})
+    boundary = {((31, 3), (0, 1)): 0.5, ((7, 40), (1, 0)): -1j, ((31, 12), (0, 1)): 2.0}
+    problem = CauchyProblem(op, rhs, anchor=(31, 40), boundary=boundary, free_values=7)
+    rows = []
+    id_columns = distributions_module._id_columns
+
+    def counting(keys, n, *args):
+        rows.append(len(keys))
+        return id_columns(keys, n, *args)
+
+    for module in (distributions_module, solver_module, io_module):
+        monkeypatch.setattr(module, "_id_columns", counting)
+    calls(GeneralizedFunction, "_check_key")
+    calls(np, "lexsort")
+    sol = solve(problem)
+    obj = solution_to_obj(sol)
+    assert rows == [len(boundary)]
+    assert calls.counts == {"_check_key": 0, "lexsort": 1}
+    assert len(sol.u.coeffs) == 300 + 3 + 341 + 1 and obj["coeffs"].count('{"vertex"') == 300 + 3 + 341
