@@ -15,12 +15,7 @@ from .errors import (
     UnsolvableError,
     UnsupportedTailError,
 )
-from .trees import (
-    BallTree,
-    RegularSubtree,
-    build_padic_tree,
-    validate_regular_subtree,
-)
+from .trees import BallTree, build_padic_tree
 from .wavelets import (
     TestFunction,
     Wavelet,
@@ -42,14 +37,12 @@ from .operators import (
 )
 from .products import (
     TOP,
-    AugmentedFactor,
     Edge,
     MultiOperator,
     MultiWavelet,
     ProductSpace,
     decreasing_edges,
     multiwavelet_basis,
-    product,
 )
 from .distributions import (
     GeneralizedFunction,

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import AnchorError, DegenerateBallError, DomainError, ParameterError
 from .products import MultiOperator
 from .trees import BallTree
-from .wavelets import WaveletExpansion, ball_integrals, basis_sizes, tree_wavelets, wavelet_basis
+from .wavelets import WaveletExpansion, _require_integer, ball_integrals, basis_sizes, tree_wavelets, wavelet_basis
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -83,13 +83,6 @@ def _as_nd_key(key) -> Key:
     if not isinstance(j, (tuple, list)):
         j = (j,)
     return tuple(vertex), tuple(j)
-
-
-def _require_integer(key, name: str, x) -> None:
-    try:
-        operator_index(x)
-    except TypeError:
-        raise DomainError(f"index {key}: {name}={x!r} is not an integer") from None
 
 
 def _check_anchor(trees: Sequence[BallTree], anchor: Sequence[int]) -> None:

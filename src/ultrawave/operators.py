@@ -188,5 +188,7 @@ def operator_matrix(tree: BallTree, symbol: Symbol) -> np.ndarray:
 
 def apply_dense(tree: BallTree, symbol: Symbol, f: TestFunction) -> TestFunction:
     """Brute-force kernel application: (Tf)(x) = sum_y T(sup(x,y)) (f(x)-f(y)) nu(y)."""
+    if f.tree is not tree:
+        raise DomainError("the test function lives on another tree")
     out = operator_matrix(tree, symbol) @ f.leaf_vector()
     return TestFunction(tree, dict(zip(tree.leaves, (complex(v) for v in out))))

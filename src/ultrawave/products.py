@@ -1,11 +1,11 @@
 """Products of ball trees: hypergraph vertices, edges, and tensor wavelets.
 
-A vertex of the product of n factor trees is an n-tuple whose i-th component
-is a ball of factor i or, for factors of finite total measure, the marker
-``TOP`` sitting above every ball of that factor.  The component carried by
-``TOP`` is the normalized constant ``A**-0.5``.  Vertices are never
-materialized as a collection; iteration is lazy because the vertex count is
-multiplicative.
+A ``ProductSpace`` holds its n factor trees.  A vertex of the product is an
+n-tuple whose i-th component is a ball of tree i or, in the augmented
+product, the marker ``TOP`` sitting above every ball of that tree (every
+tree has finite total measure).  The component carried by ``TOP`` is the
+normalized constant ``A**-0.5``.  Vertices are never materialized as a
+collection; iteration is lazy because the vertex count is multiplicative.
 
 A vertex is generic when every component is a non-leaf ball or ``TOP``;
 generic vertices carry tensor-product wavelets.  Decreasing edges of maximal
@@ -53,29 +53,17 @@ def vertex_key(v: Vertex) -> tuple[tuple[int, int], ...]:
     return tuple((1, 0) if c is TOP else (0, c) for c in v)
 
 
-@dataclass(frozen=True)
-class AugmentedFactor:
-    """One factor tree; ``TOP`` joins its vertices when the product is augmented.
+class ProductSpace:
+    """Lazy product of factor trees with vertex iteration and membership tests.
 
-    Every tree here has finite total measure, so ``TOP`` is always present.
+    ``factors`` holds the trees themselves.  ``augmented=True`` adds ``TOP``
+    to every factor's components.
     """
 
-    tree: BallTree
-
-    def vertex_components(self, augmented: bool) -> list[Component]:
-        comps: list[Component] = list(range(self.tree.n_vertices))
-        if augmented:
-            comps.append(TOP)
-        return comps
-
-
-class ProductSpace:
-    """Lazy product of factor trees with vertex iteration and membership tests."""
-
-    def __init__(self, factors: Sequence[AugmentedFactor]):
-        if len(factors) == 0:
+    def __init__(self, trees: Sequence[BallTree]):
+        if len(trees) == 0:
             raise ParameterError("a product needs at least one factor")
-        self.factors = tuple(factors)
+        self.factors = tuple(trees)
 
     @property
     def n(self) -> int:
@@ -84,24 +72,25 @@ class ProductSpace:
     def _check_vertex(self, v: Vertex) -> Vertex:
         if len(v) != self.n:
             raise ParameterError(f"vertex arity {len(v)} does not match {self.n} factors")
-        for c, f in zip(v, self.factors):
+        for c, tree in zip(v, self.factors):
             if c is not TOP:
-                f.tree.check_ball(c)
+                tree.check_ball(c)
         return v
 
     def vertices(self, augmented: bool = False) -> Iterator[Vertex]:
-        yield from itertools.product(*(f.vertex_components(augmented) for f in self.factors))
+        top: list[Component] = [TOP] if augmented else []
+        yield from itertools.product(*([*range(tree.n_vertices), *top] for tree in self.factors))
 
     def contains(self, v: Vertex, augmented: bool = False) -> bool:
         if len(v) != self.n:
             return False
-        for c, f in zip(v, self.factors):
+        for c, tree in zip(v, self.factors):
             if c is TOP:
                 if not augmented:
                     return False
             else:
                 try:
-                    f.tree.check_ball(c)
+                    tree.check_ball(c)
                 except UnknownBallError:
                     return False
         return True
@@ -110,17 +99,12 @@ class ProductSpace:
         self._check_vertex(a)
         self._check_vertex(b)
         out: list[Component] = []
-        for ca, cb, f in zip(a, b, self.factors):
+        for ca, cb, tree in zip(a, b, self.factors):
             if ca is TOP or cb is TOP:
                 out.append(TOP)
             else:
-                out.append(f.tree.sup(ca, cb))
+                out.append(tree.sup(ca, cb))
         return tuple(out)
-
-
-def product(factors: Sequence[AugmentedFactor | BallTree]) -> ProductSpace:
-    wrapped = [f if isinstance(f, AugmentedFactor) else AugmentedFactor(f) for f in factors]
-    return ProductSpace(wrapped)
 
 
 @dataclass(frozen=True)
@@ -176,7 +160,7 @@ class EdgeFan:
     def __iter__(self) -> Iterator[Edge]:
         if not self._positions:
             return
-        child_lists = [self._space.factors[p].tree.children[self._vertex[p]] for p in self._positions]
+        child_lists = [self._space.factors[p].children[self._vertex[p]] for p in self._positions]
         for choices in itertools.product(*child_lists):
             yield Edge(self._vertex, self._positions, tuple(choices))
 
@@ -190,12 +174,12 @@ def decreasing_edges(space: ProductSpace, vertex: Vertex) -> EdgeFan:
     space._check_vertex(vertex)
     positions = tuple(
         i
-        for i, (c, f) in enumerate(zip(vertex, space.factors))
-        if c is not TOP and not f.tree.is_leaf(c)
+        for i, (c, tree) in enumerate(zip(vertex, space.factors))
+        if c is not TOP and not tree.is_leaf(c)
     )
     count = 1
     for p in positions:
-        count *= space.factors[p].tree.branching_index(vertex[p])
+        count *= space.factors[p].branching_index(vertex[p])
     if not positions:
         count = 0
     return EdgeFan(len(positions), count, space, vertex, positions)
@@ -216,8 +200,7 @@ class MultiWavelet:
 
     def leaf_vector(self, space: ProductSpace) -> np.ndarray:
         vecs = []
-        for part, f in zip(self.parts, space.factors):
-            tree = f.tree
+        for part, tree in zip(self.parts, space.factors):
             if part is None:
                 vecs.append(np.full(len(tree.leaves), normalized_constant(tree), dtype=complex))
             else:
@@ -231,9 +214,9 @@ class MultiWavelet:
 def multiwavelet_basis(space: ProductSpace, augmented: bool = True) -> Iterator[MultiWavelet]:
     """All tensor wavelets over generic vertices, in deterministic order."""
     per_factor: list[list[tuple[Component, int | None, Wavelet | None]]] = []
-    for f in space.factors:
+    for tree in space.factors:
         top = [(TOP, None, None)] if augmented else []
-        per_factor.append([(w.ball, w.j, w) for w in tree_wavelets(f.tree)] + top)
+        per_factor.append([(w.ball, w.j, w) for w in tree_wavelets(tree)] + top)
     for combo in itertools.product(*per_factor):
         yield MultiWavelet(
             vertex=tuple(e[0] for e in combo),
@@ -346,4 +329,4 @@ class MultiOperator:
         return self.form(self.lambda_vector(vertex))
 
     def space(self) -> ProductSpace:
-        return product([t for t, _ in self.factors])
+        return ProductSpace([t for t, _ in self.factors])

@@ -313,7 +313,9 @@ def _free_values(problem: CauchyProblem, keys: list[Key]) -> list[complex]:
     """The value of each free parameter: zero, seeded draws or the explicit map's entry.
 
     A seed draws ``standard_normal(2k)`` at once, the stream of 2k scalar
-    draws, and forms ``re + 1j * im`` as the scalar draws did.
+    draws, and forms ``re + 1j * im`` as the scalar draws did.  An explicit
+    map may name only free keys: its first other entry, in map order, is a
+    ParameterError.
     """
     free = problem.free_values
     if free == "zero":
@@ -322,6 +324,10 @@ def _free_values(problem: CauchyProblem, keys: list[Key]) -> list[complex]:
         draws = np.random.default_rng(free).standard_normal(2 * len(keys)).tolist()
         return list(map(add, draws[0::2], map(mul, itertools.repeat(1j), draws[1::2])))
     if isinstance(free, Mapping):  # normalized by CauchyProblem
+        known = set(keys)
+        stray = next((key for key in free if key not in known), None)
+        if stray is not None:
+            raise ParameterError(f"free value index {stray} is not a free parameter")
         return list(map(free.get, keys, itertools.repeat(0.0 + 0.0j)))
     raise ParameterError(f"unsupported free_values specification {free!r}")
 

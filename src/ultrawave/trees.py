@@ -30,10 +30,8 @@ pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
 from operator import index as operator_index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParameterError, SpaceValidationError, UnknownBallError
 
@@ -254,76 +252,3 @@ def build_padic_tree(p: int, depth: int) -> BallTree:
         offset_prev += level_size
         level_size *= p
     return BallTree(parent, measure, diameter, padic=(p, depth))
-
-
-@dataclass(frozen=True)
-class Violation:
-    condition: int  # 1 = sup closure, 2 = interval closure, 3 = sibling closure
-    witness: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"condition {self.condition} violated at {self.witness}"
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_regular_subtree(tree: BallTree, members: Iterable[int]) -> RegularityReport:
-    """Check the three closure conditions of a regular subtree.
-
-    1. closed under sup, 2. interval-closed, 3. sibling-closed.  Each
-    violation is reported with a witness pair/triple of ball ids.
-    """
-    mset = frozenset(tree.check_ball(m) for m in members)
-    if not mset:
-        raise ParameterError("member set must be non-empty")
-    violations: list[Violation] = []
-
-    ordered = sorted(mset)
-    for ai, a in enumerate(ordered):
-        for b in ordered[ai + 1:]:
-            s = tree.sup(a, b)
-            if s not in mset:
-                violations.append(Violation(1, (a, b, s)))
-
-    for m in ordered:
-        gap: list[int] = []
-        for anc in tree.ancestors(m):
-            if anc in mset:
-                if gap:
-                    violations.append(Violation(2, (m, gap[0], anc)))
-                break
-            gap.append(anc)
-
-    for m in ordered:
-        kids = tree.children[m]
-        inside = [c for c in kids if c in mset]
-        if inside and len(inside) < len(kids):
-            missing = next(c for c in kids if c not in mset)
-            violations.append(Violation(3, (m, missing)))
-
-    return RegularityReport(not violations, tuple(violations))
-
-
-class RegularSubtree:
-    """A validated sup-, interval- and sibling-closed vertex set."""
-
-    def __init__(self, tree: BallTree, members: Iterable[int]):
-        report = validate_regular_subtree(tree, members)
-        if not report:
-            raise ParameterError(f"not a regular subtree: {report.violations[0]}")
-        self.tree = tree
-        self.members = frozenset(members)
-        self.top = reduce(tree.sup, self.members)
-        self.minimal = tuple(
-            sorted(m for m in self.members if not any(c in self.members for c in tree.children[m]))
-        )
-
-    def __contains__(self, ball: int) -> bool:
-        return ball in self.members

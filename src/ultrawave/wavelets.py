@@ -20,6 +20,10 @@ Basis choice inside one ball:
 
 Zero-measure subballs never enter the construction; a ball left with fewer
 than two positive-measure subballs contributes no wavelets.
+
+A ``TestFunction`` is a function on the leaves, the points of the space.
+``analyze`` takes it to its mean and wavelet coefficients, and
+``synthesize`` takes the coefficients back to the values on the leaves.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import index as operator_index, itemgetter
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import DegenerateBallError, DomainError, ParameterError
-from .trees import BallTree, RegularSubtree
+from .trees import BallTree
 
 EQUAL_MEASURE_RTOL = 1e-12
 
@@ -163,31 +167,19 @@ def normalized_constant(tree: BallTree) -> float:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Function constant on the minimal balls of a regular subtree.
-
-    ``values`` is keyed by the minimal members of ``subtree`` (the tree
-    leaves when ``subtree`` is None, which means the full tree).
-    """
+    """A function on the points of the tree: ``values`` holds its value at every leaf."""
 
     __test__ = False  # not a pytest collection target despite the name
 
     tree: BallTree
     values: Mapping[int, complex]
-    subtree: RegularSubtree | None = None
 
     def __post_init__(self):
-        expected = self.subtree.minimal if self.subtree is not None else self.tree.leaves
-        if set(self.values) != set(expected):
-            raise ParameterError("values must be keyed by exactly the minimal balls of the domain")
+        if set(self.values) != set(self.tree.leaves):
+            raise ParameterError("values must be keyed by exactly the leaves of the tree")
 
     def leaf_values(self) -> dict[int, complex]:
-        """Expansion to all tree leaves (0 outside the subtree's support)."""
-        if self.subtree is None:
-            return {x: complex(v) for x, v in self.values.items()}
-        out = dict.fromkeys(self.tree.leaves, 0j)
-        for b, v in self.values.items():
-            out.update(dict.fromkeys(self.tree.leaves_under(b), complex(v)))
-        return out
+        return {x: complex(v) for x, v in self.values.items()}
 
     def leaf_vector(self) -> np.ndarray:
         lv = self.leaf_values()
@@ -216,64 +208,57 @@ def ball_integrals(tree: BallTree, leaf_values: Mapping[int, complex]) -> list[c
     return integral
 
 
+def _require_integer(key, name: str, x) -> None:
+    try:
+        operator_index(x)
+    except TypeError:
+        raise DomainError(f"index {key}: {name}={x!r} is not an integer") from None
+
+
 def analyze(tree: BallTree, f: TestFunction) -> WaveletExpansion:
-    """Wavelet coefficients ``<wavelet, f>`` plus the mean coefficient.
+    """Wavelet coefficients ``<wavelet, f>`` of a function on the leaves, plus the mean coefficient.
 
     The pairing conjugates the first argument and weights by the measure.
-    Coefficients are computed only at balls where they can be nonzero for a
-    function of f's resolution: every non-leaf ball on the full tree, or the
-    non-minimal members of f's subtree plus the strict ancestors of its top.
+    Every wavelet of the tree gets a coefficient, in ``tree_wavelets`` order.
     """
+    if f.tree is not tree:
+        raise DomainError("the test function lives on another tree")
     integral = ball_integrals(tree, f.leaf_values())
-    if f.subtree is None:
-        allowed = None
-    else:
-        allowed = {b for b in f.subtree.members if b not in f.subtree.minimal}
-        allowed.update(tree.ancestors(f.subtree.top))
     coeffs: dict[tuple[int, int], complex] = {}
     for w in tree_wavelets(tree):
-        if allowed is not None and w.ball not in allowed:
-            continue
         values = w.values
         coeffs[(w.ball, w.j)] = sum(values[c].conjugate() * integral[c] for c in tree.children[w.ball])
     mean = integral[tree.root] * normalized_constant(tree)
     return WaveletExpansion(complex(mean), coeffs)
 
 
-def synthesize(
-    tree: BallTree, expansion: WaveletExpansion, subtree: RegularSubtree | None = None
-) -> TestFunction:
-    """Rebuild the point-value function from its coefficients.
+def synthesize(tree: BallTree, expansion: WaveletExpansion) -> TestFunction:
+    """Rebuild the function on the leaves from its coefficients.
 
-    Coefficients may sit on non-minimal members of the subtree or on strict
-    ancestors of its top ball (where the wavelet is constant on the domain);
-    anything else cannot be represented and raises DomainError.
+    A coefficient must name a wavelet of the tree: a ball with an integer j
+    in ``1..len(wavelet_basis(tree, ball))``; anything else raises.
 
-    Each target walks its parent chain once and collects the terms of the
+    Each leaf walks its parent chain once and collects the terms of the
     coefficients stored at its strict ancestors, so the cost is
-    O(targets x depth) whatever the number of coefficients.  The terms are
+    O(leaves x depth) whatever the number of coefficients.  The terms are
     added to the constant in the insertion order of ``expansion.coeffs``,
     the order of a scan over every coefficient, so the values do not depend
     on the walk.
     """
-    targets = subtree.minimal if subtree is not None else tree.leaves
-    top = subtree.top if subtree is not None else tree.root
     # nonzero coefficients by checked ball id, each with its rank in expansion.coeffs
     by_ball: dict[int, list[tuple[int, complex, Mapping[int, complex]]]] = {}
     for rank, ((ball, j), c) in enumerate(expansion.coeffs.items()):
         b = tree.check_ball(ball)
-        ok_member = subtree is None or (b in subtree and b not in subtree.minimal)
-        ok_ancestor = subtree is not None and b != top and tree.is_ancestor(b, top)
-        if not (ok_member or ok_ancestor):
-            raise DomainError(f"coefficient at ball {ball} lies outside the synthesis domain")
         basis = wavelet_basis(tree, b)
+        if type(j) is not int:
+            _require_integer((ball, j), "j", j)
         if not (1 <= j <= len(basis)):
             raise DomainError(f"no wavelet with index {j} at ball {ball}")
         if c != 0:
             by_ball.setdefault(b, []).append((rank, c, basis[j - 1].values))
     const = expansion.mean * normalized_constant(tree)
     values: dict[int, complex] = {}
-    for t in targets:
+    for t in tree.leaves:
         terms = []
         child, ball = t, tree.parent[t]
         while ball is not None:
@@ -285,4 +270,4 @@ def synthesize(
         for _, term in terms:
             acc += term
         values[t] = acc
-    return TestFunction(tree, values, subtree)
+    return TestFunction(tree, values)

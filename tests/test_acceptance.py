@@ -27,9 +27,9 @@ from ultrawave.distributions import (
 from ultrawave.operators import HomogeneousSymbol, TableSymbol, eigenvalue, operator_matrix
 from ultrawave.products import (
     MultiOperator,
+    ProductSpace,
     decreasing_edges,
     multiwavelet_basis,
-    product,
 )
 from ultrawave.solver import CauchyProblem, characteristics, solve
 from ultrawave.trees import build_padic_tree
@@ -104,7 +104,7 @@ def test_c04_completeness_counts():
         tree = random_measured_tree(rng)
         assert sum(1 for _ in tree_wavelets(tree)) + 1 == len(tree.leaves)
     t1, t2 = build_padic_tree(2, 2), build_padic_tree(3, 2)
-    space = product([t1, t2])
+    space = ProductSpace([t1, t2])
     count = sum(1 for _ in multiwavelet_basis(space))
     assert count == len(t1.leaves) * len(t2.leaves)
     _passed(4, "completeness counts")
@@ -119,7 +119,7 @@ def test_c05_tensor_oracle():
         [((0,), 1.0), ((1,), 0.5 - 1.0j), ((0, 1), 2.0), ((1, 1), -0.25j)],
     )
     dense = dense_multi_operator(op)
-    space = product([t1, t2])
+    space = ProductSpace([t1, t2])
     assert dense.shape == (16, 16)
     op_scale = np.abs(dense).max()
     for w in multiwavelet_basis(space):
@@ -302,15 +302,15 @@ def test_c09_propagating_wave():
 
 def test_c10_edge_combinatorics():
     t1, t2 = build_padic_tree(2, 2), build_padic_tree(3, 2)
-    space = product([t1, t2])
+    space = ProductSpace([t1, t2])
     for v in space.vertices():
         fan = decreasing_edges(space, v)
         edges = list(fan)
         expected = 1
         dims = 0
-        for comp, f in zip(v, space.factors):
-            if not f.tree.is_leaf(comp):
-                expected *= f.tree.branching_index(comp)
+        for comp, tree in zip(v, space.factors):
+            if not tree.is_leaf(comp):
+                expected *= tree.branching_index(comp)
                 dims += 1
         if dims == 0:
             assert fan.count == 0 and edges == []

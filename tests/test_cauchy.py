@@ -201,6 +201,23 @@ class TestSolve:
         sol = solve(problem)
         assert sol.u.coefficient(*key) == 4.0 + 1.0j
 
+    def test_explicit_free_values_off_the_free_keys_raise(self):
+        """The first entry, in map order, that is not a free key is named; nothing is dropped."""
+        t = build_padic_tree(2, 3)
+        op = wave_operator(t, HomogeneousSymbol(beta=1.0))
+        rhs = LizorkinSeries(2, {((0, 1), (1, 1)): 1.0})
+        free, off_char, nowhere = ((1, 1), (1, 1)), ((0, 1), (1, 1)), ((99, 99), (1, 1))
+        assert free in solve(CauchyProblem(op, rhs, anchor=(7, 7))).free_params
+        for order, named in (((free, off_char, nowhere), off_char), ((nowhere, free, off_char), nowhere)):
+            problem = CauchyProblem(op, rhs, anchor=(7, 7), free_values=dict.fromkeys(order, 2.0))
+            with pytest.raises(ParameterError) as info:
+                solve(problem)
+            assert str(info.value) == f"free value index {named} is not a free parameter"
+        assert solve(CauchyProblem(op, rhs, anchor=(7, 7), free_values={free: 2.0})).u.coefficient(*free) == 2.0
+        on_char = LizorkinSeries(2, {free: 1.0})  # the division's errors come first
+        with pytest.raises(UnsolvableError):
+            solve(CauchyProblem(op, on_char, anchor=(7, 7), free_values={nowhere: 2.0}))
+
     def test_operator_scaling(self):
         t, sym, op = two_level_operator()
         rhs = LizorkinSeries(1, {(1, 1): 1.0, (0, 1): 2.0})

@@ -162,6 +162,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "(1, 1)" in err  # the exact violating index is reported
 
+    @pytest.mark.parametrize("stray", [[0, 1], [99, 99]])
+    def test_explicit_free_value_off_the_free_keys_exit_two(self, tmp_path, capsys, stray):
+        """A ``free_params`` entry at a key that is not free, off the characteristics or in no tree, is refused."""
+        obj = json.loads(json.dumps(WAVE_PROBLEM))
+        obj["rhs"]["coeffs"] = [{"vertex": [0, 1], "j": [1, 1], "re": 1.0, "im": 0.0}]
+        obj["free_params"] = [{"vertex": [1, 1], "j": [1, 1], "re": 4.0, "im": 0.0},
+                              {"vertex": stray, "j": [1, 1], "re": 1.0, "im": 0.0}]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "solution.json"
+        assert main(["solve", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: free value index (({stray[0]}, {stray[1]}), (1, 1)) "
+                                             "is not a free parameter"]
+        assert not out.exists()
+
     def test_epsilon_and_seed_overrides(self, tmp_path):
         path = write_wave_problem(tmp_path)
         out_a = tmp_path / "a.json"

@@ -53,8 +53,8 @@ def brute_indicator_integral(tree, wavelet, ball):
 def naive_eval_on_char(u, ball, members=None):
     """Oracle: full series summation over every wavelet of the tree.
 
-    ``members`` optionally truncates the sum to coefficients at balls of a
-    regular subtree (the filtration view of the series).
+    ``members`` optionally truncates the sum to coefficients at a set of
+    balls (the filtration view of the series).
     """
     tree = u.factors[0]
     anchor = u.anchor[0]
@@ -483,7 +483,7 @@ class TestInvariants:
         assert np.linalg.matrix_rank(M) == dim
 
     def test_filtration_independence(self):
-        # the truncated series stabilizes once the subtree holds sup and support
+        # the truncated series stabilizes once the member set holds sup and support
         t = build_padic_tree(2, 3)
         u = GeneralizedFunction([t], (8,), {(1, 1): 2.0 + 1.0j}, 0.7)
         target = 11  # leaf under the other root child

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_leaf_function, random_measured_tree, random_table_symbol
-from ultrawave.errors import DivergenceError, NonFiniteError, ParameterError, UnsupportedTailError
+from ultrawave.errors import DivergenceError, DomainError, NonFiniteError, ParameterError, UnsupportedTailError
 from ultrawave.operators import (
     HomogeneousSymbol,
     TableSymbol,
@@ -78,6 +78,14 @@ class TestApplyDense:
         out = apply_dense(t, sym, f)
         expected = c * f.leaf_vector()
         assert np.abs(out.leaf_vector() - expected).max() < 1e-14 * abs(c)
+
+    def test_another_tree_is_refused(self):
+        t = build_padic_tree(2, 3)
+        sym = TableSymbol({b: 1.0 for b in t.non_leaf_balls()})
+        for other in (build_padic_tree(3, 2), build_padic_tree(2, 3)):  # other leaf count, same leaf count
+            f = TestFunction(other, dict.fromkeys(other.leaves, 1.0))
+            with pytest.raises(DomainError, match="another tree"):
+                apply_dense(t, sym, f)
 
     def test_vladimirov_type_on_ternary_tree(self):
         t = build_padic_tree(3, 3)

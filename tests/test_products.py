@@ -9,11 +9,10 @@ from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, U
 from ultrawave.operators import TableSymbol, eigenvalue, operator_matrix
 from ultrawave.products import (
     TOP,
-    AugmentedFactor,
     MultiOperator,
+    ProductSpace,
     decreasing_edges,
     multiwavelet_basis,
-    product,
 )
 from ultrawave.trees import build_padic_tree
 from ultrawave.wavelets import wavelet_basis
@@ -42,7 +41,7 @@ def dense_multi_operator(op):
 
 def generic_vertices(space):
     """Vertices whose every component is a non-leaf ball, in ``space.vertices()`` order."""
-    return itertools.product(*(f.tree.non_leaf_balls() for f in space.factors))
+    return itertools.product(*(tree.non_leaf_balls() for tree in space.factors))
 
 
 def full_dimension_vertices(space):
@@ -52,43 +51,43 @@ def full_dimension_vertices(space):
 
 class TestProductCounts:
     def test_two_binary_depth_one(self):
-        space = product([build_padic_tree(2, 1), build_padic_tree(2, 1)])
+        space = ProductSpace([build_padic_tree(2, 1), build_padic_tree(2, 1)])
         assert sum(1 for _ in space.vertices()) == 9
         assert full_dimension_vertices(space) == [(0, 0)]
 
     def test_mixed_depths(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(3, 1)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(3, 1)])
         assert len(full_dimension_vertices(space)) == 3 * 1
         assert full_dimension_vertices(space) == list(generic_vertices(space))
 
     def test_augmented_count(self):
         t1, t2 = build_padic_tree(2, 1), build_padic_tree(3, 1)
-        space = product([t1, t2])
+        space = ProductSpace([t1, t2])
         expected = (t1.n_vertices + 1) * (t2.n_vertices + 1)
         assert sum(1 for _ in space.vertices(augmented=True)) == expected
 
     def test_zero_factors_rejected(self):
         with pytest.raises(ParameterError):
-            product([])
+            ProductSpace([])
 
 
 class TestVertexOrder:
     def test_sup_reflexive(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(3, 1)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(3, 1)])
         for v in itertools.islice(space.vertices(), 20):
             assert space.sup(v, v) == v
 
     def test_componentwise_sup(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(2, 2)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(2, 2)])
         # leaves in distinct root children per factor
         assert space.sup((3, 5), (5, 3)) == (0, 0)
 
     def test_top_is_larger_than_every_ball(self):
-        space = product([AugmentedFactor(build_padic_tree(2, 1))])
+        space = ProductSpace([build_padic_tree(2, 1)])
         assert space.sup((TOP,), (1,)) == space.sup((0,), (TOP,)) == (TOP,)
 
     def test_membership(self):
-        space = product([build_padic_tree(2, 1), build_padic_tree(2, 1)])
+        space = ProductSpace([build_padic_tree(2, 1), build_padic_tree(2, 1)])
         assert space.contains((0, 2))
         assert not space.contains((0, 3))
         assert not space.contains((0,))
@@ -98,7 +97,7 @@ class TestVertexOrder:
     @pytest.mark.parametrize("c", [np.int64(0), np.int32(2), np.uint8(1), True, 2.0, np.float64(0.0), "0", None, 3])
     def test_membership_agrees_with_vertex_check(self, c):
         """``contains`` takes an id exactly when ``decreasing_edges`` (through ``check_ball``) does."""
-        space = product([build_padic_tree(2, 1)])
+        space = ProductSpace([build_padic_tree(2, 1)])
         try:
             decreasing_edges(space, (c,))
             valid = True
@@ -108,14 +107,14 @@ class TestVertexOrder:
         assert valid is (c in (0, 1, 2) and not isinstance(c, (float, np.floating)))
 
     def test_arity_mismatch(self):
-        space = product([build_padic_tree(2, 1)])
+        space = ProductSpace([build_padic_tree(2, 1)])
         with pytest.raises(ParameterError):
             space.sup((0,), (0, 0))
 
 
 class TestEdges:
     def test_two_dimensional_count_brute_force(self):
-        space = product([build_padic_tree(2, 1), build_padic_tree(3, 1)])
+        space = ProductSpace([build_padic_tree(2, 1), build_padic_tree(3, 1)])
         fan = decreasing_edges(space, (0, 0))
         assert fan.max_dimension == 2
         edges = list(fan)
@@ -126,20 +125,20 @@ class TestEdges:
             assert corners[frozenset()] == (0, 0)
 
     def test_leaf_component_reduces_dimension(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(2, 2)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(2, 2)])
         fan = decreasing_edges(space, (0, 3))  # second component is minimal
         assert fan.max_dimension == 1
         assert fan.count == 2
 
     def test_one_dimensional_case(self):
-        space = product([build_padic_tree(3, 2)])
+        space = ProductSpace([build_padic_tree(3, 2)])
         fan = decreasing_edges(space, (0,))
         assert fan.max_dimension == 1
         assert fan.count == 3
         assert sorted(e.smallest for e in fan) == [(1,), (2,), (3,)]
 
     def test_corner_partial_order_diagonal(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(3, 2)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(3, 2)])
         for v in generic_vertices(space):
             for e in decreasing_edges(space, v):
                 corners = e.corners()
@@ -150,13 +149,13 @@ class TestEdges:
                     assert e.largest[pos] != e.smallest[pos]
 
     def test_count_identity_exhaustive(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(3, 2)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(3, 2)])
         for v in space.vertices():
             fan = decreasing_edges(space, v)
             expected = 1
-            for comp, f in zip(v, space.factors):
-                if not f.tree.is_leaf(comp):
-                    expected *= f.tree.branching_index(comp)
+            for comp, tree in zip(v, space.factors):
+                if not tree.is_leaf(comp):
+                    expected *= tree.branching_index(comp)
             if fan.max_dimension == 0:
                 assert fan.count == 0
             else:
@@ -166,17 +165,17 @@ class TestEdges:
 class TestMultiWavelets:
     def test_completeness_count(self):
         t1, t2 = build_padic_tree(2, 2), build_padic_tree(3, 2)
-        space = product([t1, t2])
+        space = ProductSpace([t1, t2])
         count = sum(1 for _ in multiwavelet_basis(space))
         assert count == len(t1.leaves) * len(t2.leaves)
 
     def test_gram_identity(self):
-        space = product([build_padic_tree(2, 2), build_padic_tree(3, 2)])
+        space = ProductSpace([build_padic_tree(2, 2), build_padic_tree(3, 2)])
         basis = [w.leaf_vector(space) for w in multiwavelet_basis(space)]
         B = np.array(basis)
         nu = np.array([1.0])
-        for f in space.factors:
-            nu = np.kron(nu, [f.tree.measure[x] for x in f.tree.leaves])
+        for tree in space.factors:
+            nu = np.kron(nu, [tree.measure[x] for x in tree.leaves])
         G = np.conj(B) @ (B * nu[None, :]).T
         assert np.max(np.abs(G - np.eye(len(basis)))) < 1e-10
 
@@ -190,7 +189,7 @@ class TestMultiWavelets:
             leaf_measure = {x: 0.0 if rng.random() < 0.4 else t.measure[x] for x in t.leaves}
             leaf_measure[t.leaves[0]] = 1.0
             factors.append(tree_from_leaf_measures(t.parent, leaf_measure, t.diameter))
-        space = product(factors)
+        space = ProductSpace(factors)
         degenerate = 0
         for t in factors:
             for b in t.non_leaf_balls():
@@ -202,17 +201,17 @@ class TestMultiWavelets:
         got = [(w.vertex, w.j, w.parts) for w in multiwavelet_basis(space, augmented)]
         want = [
             (tuple(e[0] for e in combo), tuple(e[1] for e in combo), tuple(e[2] for e in combo))
-            for combo in itertools.product(*(old_factor_entries(f, augmented) for f in space.factors))
+            for combo in itertools.product(*(old_factor_entries(tree, augmented) for tree in space.factors))
         ]
         assert got == want
 
 
-def old_factor_entries(f, augmented):
+def old_factor_entries(tree, augmented):
     """The deleted per-ball loop of ``multiwavelet_basis`` for one factor."""
     entries = []
-    for ball in f.tree.non_leaf_balls():
+    for ball in tree.non_leaf_balls():
         try:
-            basis = wavelet_basis(f.tree, ball)
+            basis = wavelet_basis(tree, ball)
         except DegenerateBallError:
             continue
         entries.extend((ball, w.j, w) for w in basis)
@@ -262,7 +261,7 @@ class TestMultiEigenvalue:
             [((0,), 1.0 + 0.5j), ((1,), -0.75), ((0, 1), 2.0), ((0, 0), 0.3j)],
         )
         dense = dense_multi_operator(op)
-        space = product([t1, t2])
+        space = ProductSpace([t1, t2])
         for w in multiwavelet_basis(space):
             vec = w.leaf_vector(space)
             lam = op.eigenvalue(w.vertex)

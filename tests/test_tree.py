@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from conftest import permuted_tree, random_measured_tree, tree_from_leaf_measures
 from ultrawave import trees
 from ultrawave.errors import ParameterError, SpaceValidationError, UnknownBallError
-from ultrawave.trees import (
-    BallTree,
-    RegularSubtree,
-    build_padic_tree,
-    validate_regular_subtree,
-)
+from ultrawave.trees import BallTree, build_padic_tree
 
 sup = BallTree.sup
 
@@ -97,46 +92,6 @@ class TestSup:
                 assert (sup(t, a, b) == a) == t.is_ancestor(a, b)
 
 
-class TestRegularSubtree:
-    def test_full_tree_is_regular(self):
-        t = build_padic_tree(3, 2)
-        assert validate_regular_subtree(t, range(t.n_vertices)).ok
-
-    def test_missing_sibling(self):
-        t = build_padic_tree(2, 1)
-        report = validate_regular_subtree(t, {0, 1})
-        assert not report.ok
-        assert {v.condition for v in report.violations} == {3}
-
-    def test_missing_sup(self):
-        t = build_padic_tree(2, 1)
-        report = validate_regular_subtree(t, {1, 2})
-        assert not report.ok
-        assert any(v.condition == 1 and v.witness[2] == 0 for v in report.violations)
-
-    def test_missing_interval(self):
-        t = build_padic_tree(2, 2)
-        report = validate_regular_subtree(t, {0, 3})
-        assert any(v.condition == 2 for v in report.violations)
-
-    def test_empty_members(self):
-        t = build_padic_tree(2, 1)
-        with pytest.raises(ParameterError):
-            validate_regular_subtree(t, set())
-
-    def test_constructor_rejects_invalid(self):
-        t = build_padic_tree(2, 1)
-        with pytest.raises(ParameterError):
-            RegularSubtree(t, {0, 1})
-
-    def test_minimal_and_top(self):
-        t = build_padic_tree(2, 2)
-        s = RegularSubtree(t, {1, 3, 4})
-        assert s.top == 1
-        assert s.minimal == (3, 4)
-        assert RegularSubtree(t, range(t.n_vertices)).minimal == t.leaves
-
-
 class TestBranching:
     def test_ternary_root(self):
         t = build_padic_tree(3, 1)
@@ -192,7 +147,6 @@ def test_random_trees_revalidate(seed):
     t = random_measured_tree(rng)
     # rebuilding from the same data revalidates additivity at 1e-12
     BallTree(t.parent, t.measure, t.diameter)
-    assert validate_regular_subtree(t, range(t.n_vertices)).ok
 
 
 @settings(max_examples=25)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import permuted_tree, random_leaf_function, random_measured_tree, random_table_symbol, with_zero_leaves
 from ultrawave.errors import DegenerateBallError, DomainError, ParameterError, UnknownBallError
 from ultrawave.operators import spectrum
-from ultrawave.trees import BallTree, RegularSubtree, build_padic_tree
+from ultrawave.trees import BallTree, build_padic_tree
 from ultrawave.wavelets import (
     TestFunction,
     WaveletExpansion,
@@ -25,12 +26,11 @@ from ultrawave.wavelets import (
 )
 
 
-def scan_synthesize(tree, expansion, subtree=None):
-    """Reference: each target sums every coefficient in insertion order."""
-    targets = subtree.minimal if subtree is not None else tree.leaves
+def scan_synthesize(tree, expansion):
+    """Reference: each leaf sums every coefficient in insertion order."""
     const = expansion.mean * normalized_constant(tree)
     values = {}
-    for t in targets:
+    for t in tree.leaves:
         acc = complex(const)
         for (ball, j), c in expansion.coeffs.items():
             if c == 0:
@@ -48,14 +48,30 @@ def bits(values):
     return {k: (float(z.real).hex(), float(z.imag).hex()) for k, z in values.items()}
 
 
-def random_subtree(rng, tree):
-    """A ball of the tree with all its descendants down to a random depth below it."""
+def random_member_set(rng, tree):
+    """A random non-leaf ball ``top`` and the balls down to a random depth below it.
+
+    Returns ``(top, minimal, allowed)``: the lowest balls of the set, and the
+    balls where a function constant below ``minimal`` and zero off ``top``
+    can have nonzero coefficients (the set's non-minimal balls and the
+    strict ancestors of ``top``).
+    """
     top = int(rng.choice(tree.non_leaf_balls()))
     members, frontier = {top}, [top]
     for _ in range(int(rng.integers(1, 4))):
         frontier = [c for b in frontier for c in tree.children[b]]
         members.update(frontier)
-    return RegularSubtree(tree, members)
+    minimal = sorted(b for b in members if not any(c in members for c in tree.children[b]))
+    allowed = (members - set(minimal)) | set(tree.ancestors(top))
+    return top, minimal, allowed
+
+
+def constant_below(tree, ball_values):
+    """The function on the leaves equal to ``ball_values[b]`` below each ball ``b`` and 0 elsewhere."""
+    values = dict.fromkeys(tree.leaves, 0j)
+    for b, v in ball_values.items():
+        values.update(dict.fromkeys(tree.leaves_under(b), complex(v)))
+    return TestFunction(tree, values)
 
 
 def basis_matrix(tree):
@@ -239,21 +255,48 @@ class TestAnalyzeSynthesize:
         total = sum(abs(v) ** 2 for v in e.coeffs.values()) + abs(e.mean) ** 2
         assert abs(total - norm**2) < 1e-10 * norm**2
 
-    def test_synthesize_outside_subtree_rejected(self):
-        t = build_padic_tree(2, 2)
-        sub = RegularSubtree(t, {1, 3, 4})
-        with pytest.raises(DomainError):
-            synthesize(t, WaveletExpansion(0.0, {(2, 1): 1.0}), sub)
-
-    def test_subtree_roundtrip_with_ancestor_coefficients(self):
-        # a function living on a proper subtree still reconstructs exactly
+    def test_roundtrip_of_a_function_constant_below_balls(self):
+        # a function constant below balls 3 and 4 and zero elsewhere reconstructs exactly
         t = build_padic_tree(2, 3)
-        sub = RegularSubtree(t, {1, 3, 4})
-        f = TestFunction(t, {3: 1.0 + 0j, 4: -2.0 + 0j}, sub)
+        f = constant_below(t, {3: 1.0, 4: -2.0})
         e = analyze(t, f)
-        g = synthesize(t, e, sub)
-        for b in sub.minimal:
-            assert abs(g.values[b] - f.values[b]) < 1e-12
+        g = synthesize(t, e)
+        for x in t.leaves:
+            assert abs(g.values[x] - f.values[x]) < 1e-12
+        for (ball, _), c in e.coeffs.items():
+            if ball not in (0, 1):  # only ball 1 and its ancestor see the two constants apart
+                assert abs(c) < 1e-15
+
+    def test_another_tree_is_refused(self):
+        t = build_padic_tree(2, 3)
+        for other in (build_padic_tree(3, 2), build_padic_tree(2, 3)):  # other leaf count, same leaf count
+            f = TestFunction(other, dict.fromkeys(other.leaves, 1.0))
+            with pytest.raises(DomainError, match="another tree"):
+                analyze(t, f)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_functions_constant_below_random_balls_match_dense_inner_products(seed):
+    """Ten random member sets per tree, 200 in all: ``analyze`` of a function constant below the
+    lowest balls of a set gives the dense ``wavelet_basis`` inner products, every coefficient off
+    the set's allowed balls vanishes, and ``synthesize`` restores the function."""
+    rng = np.random.default_rng(900 + seed)
+    t = random_measured_tree(rng, max_depth=5, max_branching=3)
+    if seed % 2:
+        t = with_zero_leaves(rng, t)
+    B = basis_matrix(t)
+    nu = np.array([t.measure[x] for x in t.leaves])
+    for _ in range(10):
+        _, minimal, allowed = random_member_set(rng, t)
+        f = constant_below(t, {b: complex(rng.standard_normal(), rng.standard_normal()) for b in minimal})
+        e = analyze(t, f)
+        assert list(e.coeffs) == [(w.ball, w.j) for w in tree_wavelets(t)]
+        dense = np.conj(B) @ (f.leaf_vector() * nu)
+        scale = max(1.0, float(np.linalg.norm(dense)))
+        assert np.abs(np.array([*e.coeffs.values(), e.mean]) - dense).max() <= 1e-12 * scale
+        assert max((abs(c) for (b, _), c in e.coeffs.items() if b not in allowed), default=0.0) <= 1e-12 * scale
+        restored = synthesize(t, e).leaf_vector()
+        assert np.abs((restored - f.leaf_vector()) * (nu > 0)).max() <= 1e-12 * scale
 
 
 class TestSynthesizeOrder:
@@ -261,11 +304,9 @@ class TestSynthesizeOrder:
     def test_equals_per_leaf_scan_exactly(self, seed):
         rng = np.random.default_rng(seed)
         t = random_measured_tree(rng, max_depth=5, max_branching=3)
-        subtree = random_subtree(rng, t) if seed % 3 == 2 else None
+        allowed = random_member_set(rng, t)[2] if seed % 3 == 2 else None
         e = analyze(t, random_leaf_function(rng, t))
-        if subtree is not None:
-            allowed = {b for b in subtree.members if b not in subtree.minimal}
-            allowed.update(t.ancestors(subtree.top))
+        if allowed is not None:  # a sparse expansion
             e = WaveletExpansion(e.mean, {k: c for k, c in e.coeffs.items() if k[0] in allowed})
         keys = list(e.coeffs)
         if seed % 3 >= 1:
@@ -274,8 +315,8 @@ class TestSynthesizeOrder:
         for k in keys[::5]:
             coeffs[k] = 0.0
         shuffled = WaveletExpansion(e.mean, coeffs)
-        got = synthesize(t, shuffled, subtree)
-        assert bits(got.values) == bits(scan_synthesize(t, shuffled, subtree))
+        got = synthesize(t, shuffled)
+        assert bits(got.values) == bits(scan_synthesize(t, shuffled))
 
     def test_insertion_order_is_the_summation_order(self):
         t = build_padic_tree(2, 3)
@@ -306,20 +347,16 @@ class TestSynthesizeOrder:
 
     def test_domain_errors_unchanged(self):
         t = build_padic_tree(2, 3)
-        sub = RegularSubtree(t, {1, 3, 4})
-        with pytest.raises(DomainError, match="outside the synthesis domain"):
-            synthesize(t, WaveletExpansion(0.0, {(2, 1): 1.0}), sub)  # sibling of the top
-        with pytest.raises(DomainError, match="outside the synthesis domain"):
-            synthesize(t, WaveletExpansion(0.0, {(3, 1): 1.0}), sub)  # minimal member
-        with pytest.raises(DomainError, match="outside the synthesis domain"):
-            synthesize(t, WaveletExpansion(0.0, {(7, 1): 1.0}), sub)  # below the subtree
         for j in (0, 2, -1):
             with pytest.raises(DomainError, match=f"no wavelet with index {j} at ball 0"):
                 synthesize(t, WaveletExpansion(0.0, {(0, j): 1.0}))
-            with pytest.raises(DomainError, match=f"no wavelet with index {j} at ball 0"):
-                synthesize(t, WaveletExpansion(0.0, {(0, j): 1.0}), sub)  # ancestor of the top
-        g = synthesize(t, WaveletExpansion(0.5, {(0, 1): 1.0, (1, 1): 0.0}), sub)
-        assert bits(g.values) == bits(scan_synthesize(t, WaveletExpansion(0.5, {(0, 1): 1.0}), sub))
+        for j in (1.5, "1", None, np.float64(1.0)):
+            with pytest.raises(DomainError, match=re.escape(f"index {(0, j)}: j={j!r} is not an integer")):
+                synthesize(t, WaveletExpansion(0.0, {(0, j): 1.0}))
+        g = synthesize(t, WaveletExpansion(0.5, {(0, 1): 1.0, (1, 1): 0.0}))
+        assert bits(g.values) == bits(scan_synthesize(t, WaveletExpansion(0.5, {(0, 1): 1.0})))
+        for j in (True, np.int64(1)):  # integer types other than int are index 1
+            assert bits(synthesize(t, WaveletExpansion(0.5, {(0, j): 1.0})).values) == bits(g.values)
 
 
 @settings(max_examples=30)
@@ -485,14 +522,9 @@ def depth_sorted_analyze(tree, f):
     for v in sorted(range(tree.n_vertices), key=lambda i: -tree.depth[i]):
         kids = tree.children[v]
         integral[v] = sum(integral[c] for c in kids) if kids else lv[v] * tree.measure[v]
-    allowed = None
-    if f.subtree is not None:
-        allowed = {b for b in f.subtree.members if b not in f.subtree.minimal}
-        allowed.update(tree.ancestors(f.subtree.top))
     coeffs = {}
     for w in tree_wavelets(tree):
-        if allowed is None or w.ball in allowed:
-            coeffs[(w.ball, w.j)] = sum(w.values[c].conjugate() * integral[c] for c in tree.children[w.ball])
+        coeffs[(w.ball, w.j)] = sum(w.values[c].conjugate() * integral[c] for c in tree.children[w.ball])
     return integral[tree.root] * normalized_constant(tree), coeffs
 
 
@@ -518,8 +550,8 @@ def test_analyze_and_spectrum_bitwise_equal_to_depth_sorted_passes(seed):
     base = random_measured_tree(rng)
     for t in (base, permuted_tree(rng, base), with_zero_leaves(rng, base)):
         f = random_leaf_function(rng, t)
-        sub = random_subtree(rng, t)
-        g = TestFunction(t, {b: complex(rng.standard_normal(), 1.0) for b in sub.minimal}, sub)
+        minimal = random_member_set(rng, t)[1]
+        g = constant_below(t, {b: complex(rng.standard_normal(), 1.0) for b in minimal})
         for func in (f, g):
             mean, coeffs = depth_sorted_analyze(t, func)
             e = analyze(t, func)
